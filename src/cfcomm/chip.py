@@ -271,15 +271,12 @@ def compile_program(
 
 
 def mesh_unitary(program: MeshProgram) -> UnitaryOp:
-    """Embed every MZI into the full mode space and multiply in column order."""
+    """Compose the MZIs in column order, each updating the two rows of its pair."""
     mat = np.eye(program.mode_count, dtype=complex)
     for column in program.columns:
         for setting in column:
-            block = mzi_transfer(setting.theta, setting.phi).matrix
-            embedded = np.eye(program.mode_count, dtype=complex)
-            i = setting.pair
-            embedded[i : i + 2, i : i + 2] = block
-            mat = embedded @ mat
+            rows = mat[setting.pair : setting.pair + 2]
+            rows[...] = mzi_transfer(setting.theta, setting.phi).matrix @ rows
     return UnitaryOp(mat)
 
 

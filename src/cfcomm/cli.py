@@ -49,6 +49,16 @@ def _delta_value(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {value}")
+    return value
+
+
 def _bob_action(text: str) -> protocol.BobAction:
     if text == "block":
         return protocol.BLOCK
@@ -200,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chip = commands.add_parser("chip", help="compile onto the MZI mesh and verify against the modal evolution")
     _add_config_flags(p_chip)
-    p_chip.add_argument("--tol", type=float, default=1e-9, help="verification residual tolerance")
+    p_chip.add_argument("--tol", type=_tolerance, default=1e-9, help="verification residual tolerance")
     p_chip.add_argument("--emit-only", dest="emit_only", action="store_true", help="emit the program, skip verification")
     _add_output_flags(p_chip, ("json",), "json")
 
@@ -293,6 +303,6 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return _HANDLERS[ns.command](ns)
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

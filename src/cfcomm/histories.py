@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .protocol import ProtocolConfig, build_steps
+from .protocol import ProtocolConfig, Step, build_steps
 
 __all__ = [
     "MAX_ENUMERATION_CYCLES",
@@ -55,6 +55,26 @@ class CounterfactualityReport:
     verdict: bool
 
 
+def _column(step: Step, mode: int, prune: bool) -> list[tuple[int, complex]]:
+    """Column ``mode`` of the step's matrix as (row, entry) pairs in row order.
+
+    A mode in the step's pair branches over the block's column; any other
+    mode passes with amplitude 1.  With ``prune`` exactly-zero entries are
+    dropped, otherwise every row of the mode space appears.
+    """
+    i, j = step.pair
+    (u00, u01), (u10, u11) = step.block
+    if mode == i:
+        entries = {i: u00, j: u10}
+    elif mode == j:
+        entries = {i: u01, j: u11}
+    else:
+        entries = {mode: 1 + 0j}
+    if prune:
+        return [(row, entries[row]) for row in sorted(entries) if entries[row] != 0]
+    return [(row, entries.get(row, 0j)) for row in range(step.size)]
+
+
 def enumerate_histories(config: ProtocolConfig, prune: bool = True) -> list[History]:
     """All paths through the step sequence starting from mode A.
 
@@ -67,19 +87,18 @@ def enumerate_histories(config: ProtocolConfig, prune: bool = True) -> list[Hist
             f"path enumeration is limited to K <= {MAX_ENUMERATION_CYCLES}, got K = {config.k}"
         )
     labels = config.mode_basis().labels
-    matrices = [step.op.matrix for step in build_steps(config)]
-    size = len(labels)
+    steps = build_steps(config)
+    columns: dict[tuple[int, int], list[tuple[int, complex]]] = {}  # (depth, mode) -> column
     out: list[History] = []
 
     def walk(depth: int, mode: int, amplitude: complex, path: tuple[int, ...]) -> None:
-        if depth == len(matrices):
+        if depth == len(steps):
             out.append(History(tuple(labels[m] for m in path), amplitude))
             return
-        column = matrices[depth][:, mode]
-        for nxt in range(size):
-            entry = column[nxt]
-            if prune and entry == 0:
-                continue
+        column = columns.get((depth, mode))
+        if column is None:
+            column = columns[depth, mode] = _column(steps[depth], mode, prune)
+        for nxt, entry in column:
             walk(depth + 1, nxt, amplitude * entry, path + (nxt,))
 
     walk(0, 0, 1.0 + 0.0j, (0,))

@@ -1,10 +1,14 @@
 """Single-photon state vectors over labeled optical modes, plus the two-mode
-unitary constructors (real rotations and exact swaps) embedded into the full
-mode space.
+unitaries (real rotations and exact swaps) as 2x2 blocks on a mode pair and
+their embeddings into the full mode space.
 
 Mode convention: channel modes A, B, C sit at indices 0..2, loss modes
-L1..LK behind them.  Everything is dense complex; M = K+3 stays tiny at desk
-scale, so clarity wins over sparsity.
+L1..LK behind them.  A two-mode operation is a checked 2x2 ``Block`` of
+Python complex scalars acting on one pair of amplitude slots (a Givens
+rotation); evolving a state touches two amplitudes per step.  Dense M x M
+matrices (M = K+3) are built only on request: by ``embed`` (and so
+``rotation``, ``swap`` and ``protocol.Step.op``),
+``protocol.evolution_unitary`` and ``chip.mesh_unitary``.
 """
 
 from __future__ import annotations
@@ -16,14 +20,19 @@ import numpy as np
 
 __all__ = [
     "NORM_TOL",
+    "SWAP_BLOCK",
+    "Block",
     "ModeBasis",
     "PureState",
     "UnitaryOp",
     "apply",
     "basis_state",
+    "check_block",
+    "embed",
     "exact_cos_sin",
     "mode_probabilities",
     "rotation",
+    "rotation_block",
     "swap",
 ]
 
@@ -44,6 +53,10 @@ def exact_cos_sin(angle: float) -> tuple[float, float]:
     if abs(s) < _TRIG_SNAP:
         s = 0.0
     return c, s
+
+
+# A 2x2 unitary ((u00, u01), (u10, u11)) acting on one mode pair.
+Block = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -137,6 +150,42 @@ def basis_state(basis: ModeBasis, mode: str) -> PureState:
     return PureState(amps, basis)
 
 
+def check_block(block: Block) -> Block:
+    """Return ``block`` after checking it unitary entrywise at 1e-12.
+
+    The defect max |B^dag B - I| equals that of the block embedded into any
+    mode space, since the embedding is exactly the identity elsewhere.
+    """
+    (a, b), (c, d) = block
+    defect = max(
+        abs(abs(a) ** 2 + abs(c) ** 2 - 1.0),
+        abs(abs(b) ** 2 + abs(d) ** 2 - 1.0),
+        abs(a.conjugate() * b + c.conjugate() * d),
+    )
+    if defect > NORM_TOL:
+        raise ValueError(f"block is not unitary: max |B^dag B - I| = {defect!r}")
+    return block
+
+
+def rotation_block(angle: float) -> Block:
+    """Real rotation on a mode pair (i, j): |i> -> cos|i> + sin|j>,
+    |j> -> -sin|i> + cos|j>."""
+    c, s = exact_cos_sin(angle)
+    return check_block(((complex(c), complex(-s)), (complex(s), complex(c))))
+
+
+SWAP_BLOCK: Block = check_block(((0j, 1 + 0j), (1 + 0j, 0j)))
+
+
+def embed(block: Block, i: int, j: int, size: int) -> UnitaryOp:
+    """``block`` on amplitude slots (i, j) of a ``size``-mode space, identity elsewhere."""
+    if i == j:
+        raise ValueError(f"a two-mode block needs two distinct slots, got {i} twice")
+    mat = np.eye(size, dtype=complex)
+    (mat[i, i], mat[i, j]), (mat[j, i], mat[j, j]) = block
+    return UnitaryOp(mat)
+
+
 def rotation(basis: ModeBasis, i: str, j: str, angle: float) -> UnitaryOp:
     """Real rotation between modes i and j, identity elsewhere.
 
@@ -144,27 +193,14 @@ def rotation(basis: ModeBasis, i: str, j: str, angle: float) -> UnitaryOp:
     """
     if i == j:
         raise ValueError(f"rotation needs two distinct modes, got {i!r} twice")
-    ii, jj = basis.index(i), basis.index(j)
-    c, s = exact_cos_sin(angle)
-    mat = np.eye(basis.size, dtype=complex)
-    mat[ii, ii] = c
-    mat[jj, ii] = s
-    mat[ii, jj] = -s
-    mat[jj, jj] = c
-    return UnitaryOp(mat)
+    return embed(rotation_block(angle), basis.index(i), basis.index(j), basis.size)
 
 
 def swap(basis: ModeBasis, i: str, j: str) -> UnitaryOp:
     """Exact permutation |i><j| + |j><i| + identity on everything else."""
     if i == j:
         raise ValueError(f"swap needs two distinct modes, got {i!r} twice")
-    ii, jj = basis.index(i), basis.index(j)
-    mat = np.eye(basis.size, dtype=complex)
-    mat[ii, ii] = 0.0
-    mat[jj, jj] = 0.0
-    mat[ii, jj] = 1.0
-    mat[jj, ii] = 1.0
-    return UnitaryOp(mat)
+    return embed(SWAP_BLOCK, basis.index(i), basis.index(j), basis.size)
 
 
 def apply(op: UnitaryOp, state: PureState) -> PureState:

@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .modes import (
+    SWAP_BLOCK,
+    Block,
     ModeBasis,
     PureState,
     UnitaryOp,
-    apply,
-    basis_state,
+    embed,
     exact_cos_sin,
     mode_probabilities,
-    rotation,
-    swap,
+    rotation_block,
 )
 
 __all__ = [
@@ -102,6 +103,15 @@ class ProtocolConfig:
     include_final_block: bool = False
 
     def __post_init__(self) -> None:
+        # Plain isinstance checks: sweeps build one config per grid point.
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"cycle count K must be an integer, got {self.k!r}")
+        if not isinstance(self.bob, BobAction):
+            raise ValueError(f"bob must be a BobAction, got {self.bob!r}")
+        if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float, np.integer, np.floating)):
+            raise ValueError(f"delta must be a real number, got {self.delta!r}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
         if self.k < 1:
             raise ValueError(f"cycle count K must be >= 1, got {self.k}")
         if not 0.0 <= self.delta < math.pi / 2:
@@ -123,12 +133,20 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class Step:
-    """One labeled evolution step; ``modes`` is the pair the unitary acts on."""
+    """One labeled evolution step: the 2x2 unitary ``block`` on the mode pair
+    ``modes``, whose amplitude slots in a ``size``-mode basis are ``pair``."""
 
     kind: str
     cycle: int | None
     modes: tuple[str, str]
-    op: UnitaryOp
+    pair: tuple[int, int]
+    block: Block
+    size: int
+
+    @cached_property
+    def op(self) -> UnitaryOp:
+        """The step as a dense ``size`` x ``size`` unitary, built on first read."""
+        return embed(self.block, *self.pair, self.size)
 
 
 @dataclass(frozen=True)
@@ -162,15 +180,6 @@ class OutcomeDistribution:
         return np.array([self.p_D0, self.p_D1, self.p_D3, *self.p_loss])
 
 
-def _bob_step(config: ProtocolConfig, basis: ModeBasis, cycle: int) -> Step:
-    loss = f"L{cycle}"
-    if config.bob.kind == "block":
-        op = swap(basis, "C", loss)
-    else:
-        op = rotation(basis, "C", loss, config.bob.beta)
-    return Step(BOB_INTERACTION, cycle, ("C", loss), op)
-
-
 def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
     """Temporal step sequence: outer rotation, then K inner cycles.
 
@@ -178,32 +187,50 @@ def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
     each cycle, ascending) and, only when ``include_final_block`` is set,
     once more after the K-th.  Pass inserts identities, which are elided.
     """
-    basis = config.mode_basis()
-    inner = rotation(basis, "B", "C", config.theta)
-    steps = [Step(OUTER_ROTATION, None, ("A", "B"), rotation(basis, "A", "B", config.phi))]
-    for n in range(1, config.k):
-        steps.append(Step(INNER_ROTATION, n, ("B", "C"), inner))
-        if config.bob.interacts:
-            steps.append(_bob_step(config, basis, n))
-    steps.append(Step(INNER_ROTATION, config.k, ("B", "C"), inner))
-    if config.include_final_block and config.bob.interacts:
-        steps.append(_bob_step(config, basis, config.k))
+    size = config.mode_basis().size
+    inner = rotation_block(config.theta)
+    bob = None
+    if config.bob.kind == "block":
+        bob = SWAP_BLOCK
+    elif config.bob.kind == "splitter":
+        bob = rotation_block(config.bob.beta)
+    last_bob_cycle = config.k if config.include_final_block else config.k - 1
+
+    steps = [Step(OUTER_ROTATION, None, ("A", "B"), (0, 1), rotation_block(config.phi), size)]
+    for n in range(1, config.k + 1):
+        steps.append(Step(INNER_ROTATION, n, ("B", "C"), (1, 2), inner, size))
+        if bob is not None and n <= last_bob_cycle:
+            steps.append(Step(BOB_INTERACTION, n, ("C", f"L{n}"), (2, 2 + n), bob, size))
     return tuple(steps)
 
 
 def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
-    """Apply the step sequence to the photon injected in mode A."""
-    state = basis_state(config.mode_basis(), "A")
+    """Apply the step sequence to the photon injected in mode A, two
+    amplitudes per step."""
+    basis = config.mode_basis()
+    amps = [0j] * basis.size
+    amps[basis.index("A")] = 1 + 0j
     for step in build_steps(config):
-        state = apply(step.op, state)
+        i, j = step.pair
+        (u00, u01), (u10, u11) = step.block
+        ai, aj = amps[i], amps[j]
+        amps[i] = u00 * ai + u01 * aj
+        amps[j] = u10 * ai + u11 * aj
+    state = PureState(np.array(amps), basis)
     return state, OutcomeDistribution.from_state(state)
 
 
 def evolution_unitary(config: ProtocolConfig) -> UnitaryOp:
-    """The full evolution as a single matrix (steps composed in time order)."""
+    """The full evolution as a single matrix (steps composed in time order),
+    each step updating the two rows of its mode pair."""
     mat = np.eye(config.mode_basis().size, dtype=complex)
     for step in build_steps(config):
-        mat = step.op.matrix @ mat
+        i, j = step.pair
+        (u00, u01), (u10, u11) = step.block
+        row_i, row_j = mat[i], mat[j]
+        new_i = u00 * row_i + u01 * row_j
+        mat[j] = u10 * row_i + u11 * row_j
+        mat[i] = new_i
     return UnitaryOp(mat)
 
 

@@ -122,6 +122,19 @@ class TestChip:
         assert "residual" not in doc
         assert sum(len(col) for col in doc["program"]["columns"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-9", "tight"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chip", "--k", "2", "--bob", "block", "--tol", tol])
+        assert excinfo.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "chip", "--k", "2", "--bob", "pass", "--tol", "0")
+        doc = json.loads(out)
+        assert doc["equivalent"] is (doc["residual"] == 0.0)
+        assert code == (0 if doc["equivalent"] else 1)
+
     def test_program_schema(self, capsys):
         _, out, _ = run_cli(capsys, "chip", "--k", "2", "--bob", "block", "--emit-only")
         program = json.loads(out)["program"]
@@ -171,6 +184,17 @@ class TestOutputPlumbing:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith(CSV_HEADER)
+
+    def test_out_into_missing_directory_is_an_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--k", "1", "--delta", "0", "--bob", "block", "--out", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not target.parent.exists()
 
     def test_repeated_invocations_are_identical(self, capsys):
         args = ["tomo", "--k", "2", "--delta", "0.2", "--bob", "split:0.7853981633974483",

@@ -36,6 +36,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProtocolConfig(2, delta, BLOCK)
 
+    @pytest.mark.parametrize("k", [True, 2.5, 2.0, "2", None])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="integer"):
+            ProtocolConfig(k, 0.0, BLOCK)
+
+    def test_numpy_integer_k_accepted(self):
+        assert ProtocolConfig(np.int64(3), 0.0, BLOCK).theta == math.pi / 6
+
+    @pytest.mark.parametrize("bob", ["block", None, 0.5])
+    def test_bob_must_be_an_action(self, bob):
+        with pytest.raises(ValueError, match="BobAction"):
+            ProtocolConfig(2, 0.0, bob)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_delta_must_be_finite(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolConfig(2, delta, BLOCK)
+
+    @pytest.mark.parametrize("delta", [True, "0.1", None, 0.1j])
+    def test_delta_must_be_real(self, delta):
+        with pytest.raises(ValueError, match="real number"):
+            ProtocolConfig(2, delta, BLOCK)
+
     def test_derived_angles(self):
         config = ProtocolConfig(4, 0.1, PASS)
         assert config.phi == math.pi / 2 - 0.1
