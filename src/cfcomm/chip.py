@@ -5,7 +5,18 @@ against the modal evolution, and tomography of Alice's output qubit.
 MZI convention: external phase shifter, coupler, internal phase shifter,
 coupler, i.e. T(theta_m, phi_m) = BS P(theta_m) BS P(phi_m) with the
 symmetric 50:50 coupler BS = (1/sqrt 2)[[1, i], [i, 1]] and P(x) putting
-e^{ix} on the first mode of the pair.  A useful closed form follows:
+e^{ix} on the first mode of the pair (Clements et al., Optica 3, 1460,
+2016).  Multiplied out, with t = e^{i theta_m} and f = e^{i phi_m}:
+
+    T(theta_m, phi_m) = (1/2) [[(t - 1) f,  i (t + 1)],
+                               [i (t + 1) f, 1 - t    ]]
+
+``mzi_block`` builds this 2x2 block from Python complex scalars.
+``mesh_unitary`` applies each MZI as that block on the two rows of its
+pair, and tomography propagates a single column (the photon entering A)
+through the same blocks; blocks are memoised per call by (theta_m, phi_m),
+since a compiled mesh repeats a handful of settings.  A useful closed form
+follows:
 
     T(pi - 2a, phi_m) = e^{-ia} R(a) diag(-e^{i phi_m}, 1)
 
@@ -22,12 +33,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import protocol
-from .modes import UnitaryOp
+from .modes import Block, PureState, UnitaryOp, check_block, check_dense_size
 from .protocol import ProtocolConfig, alice_reduced_state
 
 __all__ = [
@@ -44,6 +56,7 @@ __all__ = [
     "TomographyResult",
     "compile_program",
     "mesh_unitary",
+    "mzi_block",
     "mzi_transfer",
     "simulate_tomography",
     "trace_distance",
@@ -148,10 +161,17 @@ class MeshProgram:
         return cls(mode_count=int(doc["mode_count"]), columns=columns)
 
 
+def mzi_block(theta_m: float, phi_m: float) -> Block:
+    """BS P(theta_m) BS P(phi_m) in closed form, checked unitary at 1e-12."""
+    t = cmath.exp(1j * theta_m)
+    f = cmath.exp(1j * phi_m)
+    cross = 0.5j * (t + 1)
+    return check_block(((0.5 * (t - 1) * f, cross), (cross * f, 0.5 * (1 - t))))
+
+
 def mzi_transfer(theta_m: float, phi_m: float) -> UnitaryOp:
-    """2x2 transfer matrix BS P(theta_m) BS P(phi_m)."""
-    bs = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
-    return UnitaryOp(bs @ np.diag([cmath.exp(1j * theta_m), 1.0]) @ bs @ np.diag([cmath.exp(1j * phi_m), 1.0]))
+    """2x2 transfer matrix BS P(theta_m) BS P(phi_m), as a dense ``UnitaryOp``."""
+    return UnitaryOp(np.array(mzi_block(theta_m, phi_m)))
 
 
 # --- compilation ------------------------------------------------------------
@@ -223,6 +243,7 @@ def compile_program(
     to, then d is chosen so the output phases on A and B coincide and the
     concrete pass emits the settings.
     """
+    check_dense_size(config.k + 3)
     basis = config.mode_basis()
     if layout is None:
         layout = basis.labels
@@ -270,14 +291,41 @@ def compile_program(
     return MeshProgram(mode_count=size, columns=tuple((s,) for s in settings))
 
 
-def mesh_unitary(program: MeshProgram) -> UnitaryOp:
-    """Compose the MZIs in column order, each updating the two rows of its pair."""
-    mat = np.eye(program.mode_count, dtype=complex)
+def _mzi_walk(program: MeshProgram) -> Iterator[tuple[int, Block]]:
+    """(pair, block) for every MZI in column order; each distinct
+    (theta, phi) setting is built and checked once per walk."""
+    blocks: dict[tuple[float, float], Block] = {}
     for column in program.columns:
         for setting in column:
-            rows = mat[setting.pair : setting.pair + 2]
-            rows[...] = mzi_transfer(setting.theta, setting.phi).matrix @ rows
+            key = (setting.theta, setting.phi)
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = mzi_block(*key)
+            yield setting.pair, block
+
+
+def mesh_unitary(program: MeshProgram) -> UnitaryOp:
+    """Compose the MZIs in column order, each updating the two rows of its pair."""
+    check_dense_size(program.mode_count)
+    mat = np.eye(program.mode_count, dtype=complex)
+    for i, ((u00, u01), (u10, u11)) in _mzi_walk(program):
+        row_i, row_j = mat[i], mat[i + 1]
+        new_i = u00 * row_i + u01 * row_j
+        mat[i + 1] = u10 * row_i + u11 * row_j
+        mat[i] = new_i
     return UnitaryOp(mat)
+
+
+def _input_column(program: MeshProgram) -> np.ndarray:
+    """Column 0 of the mesh unitary (the photon entering mode 0), two
+    amplitudes per MZI."""
+    amps = [0j] * program.mode_count
+    amps[0] = 1 + 0j
+    for i, ((u00, u01), (u10, u11)) in _mzi_walk(program):
+        ai, aj = amps[i], amps[i + 1]
+        amps[i] = u00 * ai + u01 * aj
+        amps[i + 1] = u10 * ai + u11 * aj
+    return np.array(amps)
 
 
 # --- verification -----------------------------------------------------------
@@ -440,7 +488,9 @@ def _basis_probabilities(psi: np.ndarray, basis_name: str) -> np.ndarray:
 def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int = 0) -> TomographyResult:
     """Tomography of Alice's output qubit on the compiled mesh.
 
-    Per basis (Z directly; X and Y through the tomography MZI on the A/B
+    The mesh output for the photon entering A (column 0 of the mesh unitary)
+    is propagated MZI by MZI and checked to unit norm at ``NORM_TOL``.  Per
+    basis (Z directly; X and Y through the tomography MZI on the A/B
     pair) every shot samples the full outcome distribution; C and loss
     detections are discarded as aborts.  ``shots_per_basis = 0`` switches to
     analytic expectations, which invert exactly.  Sampling is reproducible:
@@ -449,9 +499,10 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
     """
     if shots_per_basis < 0:
         raise ValueError(f"shots per basis must be >= 0, got {shots_per_basis}")
+    check_dense_size(config.k + 3)
     final_state, _ = protocol.run(config)
     exact_rho, p_ab = alice_reduced_state(final_state)
-    psi = mesh_unitary(compile_program(config)).matrix[:, 0]
+    psi = PureState(_input_column(compile_program(config)), config.mode_basis()).amplitudes
 
     expectations: dict[str, float] = {}
     counts: dict[str, tuple[int, int]] = {}

@@ -23,6 +23,10 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_VERDICT_FALSE = 3
 
+# Largest number of points a sweep range may expand to, and the largest
+# K x delta grid a sweep may run; both are checked before any list is built.
+MAX_GRID_POINTS = 100_000
+
 
 def _fmt(value: float) -> str:
     # 17 significant digits round-trips any double.
@@ -87,7 +91,10 @@ def _int_range(text: str) -> list[int]:
         step = numbers[2] if len(numbers) == 3 else 1
         if step < 1 or stop < start:
             raise argparse.ArgumentTypeError(f"bad integer range {text!r}")
-        values = list(range(start, stop + 1, step))
+        points = range(start, stop + 1, step)
+        if len(points) > MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(f"range {text!r} has {len(points)} points, more than {MAX_GRID_POINTS}")
+        values = list(points)
     else:
         raise argparse.ArgumentTypeError(f"bad integer range {text!r}")
     if any(v < 1 for v in values):
@@ -107,9 +114,12 @@ def _float_range(text: str) -> list[float]:
     elif len(numbers) in (2, 3):
         start, stop = numbers[0], numbers[1]
         step = numbers[2] if len(numbers) == 3 else 0.1
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise argparse.ArgumentTypeError(f"bad range {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        intervals = (stop - start) / step + 1e-9
+        if not intervals < MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
+        count = int(math.floor(intervals)) + 1
         values = [start + i * step for i in range(count)]
     else:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
@@ -255,6 +265,8 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
         "c_visiting_amplitude": _complex_json(report.c_visiting_amplitude),
         "c_visiting_paths": report.c_visiting_paths,
         "verdict": report.verdict,
+        "probability": report.probability,
+        "vacuous": report.vacuous,
     }
     _emit(json.dumps(doc, indent=2) + "\n", ns.out)
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
@@ -300,7 +312,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.command == "sweep" and len(ns.k) * len(ns.delta) > MAX_GRID_POINTS:
+        parser.error(f"sweep grid has {len(ns.k) * len(ns.delta)} points, more than {MAX_GRID_POINTS}")
     try:
         return _HANDLERS[ns.command](ns)
     except (ValueError, RuntimeError, OSError) as err:

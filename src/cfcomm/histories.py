@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .modes import NORM_TOL
 from .protocol import ProtocolConfig, Step, build_steps
 
 __all__ = [
@@ -45,7 +46,9 @@ class CounterfactualityReport:
 
     The outcome is counterfactual exactly when no surviving path touches
     mode C on the way; ``c_visiting_amplitude`` is the weak trace those
-    paths would contribute.
+    paths would contribute.  ``probability`` is |total amplitude|^2.  An
+    outcome whose total amplitude is at most ``NORM_TOL`` in magnitude never
+    happens, so whatever its verdict says is vacuous; ``vacuous`` marks it.
     """
 
     outcome_mode: str
@@ -53,6 +56,8 @@ class CounterfactualityReport:
     c_visiting_amplitude: complex
     c_visiting_paths: int
     verdict: bool
+    probability: float
+    vacuous: bool
 
 
 def _column(step: Step, mode: int, prune: bool) -> list[tuple[int, complex]]:
@@ -115,10 +120,13 @@ def counterfactuality_report(config: ProtocolConfig, outcome: str) -> Counterfac
     config.mode_basis().index(outcome)  # reject unknown labels early
     ending = [h for h in enumerate_histories(config) if h.path[-1] == outcome]
     visiting = [h for h in ending if "C" in h.path]
+    total = complex(sum(h.amplitude for h in ending))
     return CounterfactualityReport(
         outcome_mode=outcome,
-        total_amplitude=complex(sum(h.amplitude for h in ending)),
+        total_amplitude=total,
         c_visiting_amplitude=complex(sum(h.amplitude for h in visiting)),
         c_visiting_paths=len(visiting),
         verdict=not visiting,
+        probability=abs(total) ** 2,
+        vacuous=abs(total) <= NORM_TOL,
     )

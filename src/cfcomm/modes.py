@@ -8,7 +8,8 @@ Python complex scalars acting on one pair of amplitude slots (a Givens
 rotation); evolving a state touches two amplitudes per step.  Dense M x M
 matrices (M = K+3) are built only on request: by ``embed`` (and so
 ``rotation``, ``swap`` and ``protocol.Step.op``),
-``protocol.evolution_unitary`` and ``chip.mesh_unitary``.
+``protocol.evolution_unitary`` and ``chip.mesh_unitary``; every dense path
+first checks the mode count against ``MAX_DENSE_CYCLES``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_DENSE_CYCLES",
     "NORM_TOL",
     "SWAP_BLOCK",
     "Block",
@@ -28,6 +30,7 @@ __all__ = [
     "apply",
     "basis_state",
     "check_block",
+    "check_dense_size",
     "embed",
     "exact_cos_sin",
     "mode_probabilities",
@@ -37,6 +40,14 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-12
+
+# Largest K for which a dense M x M matrix (M = K+3 modes) is built: by
+# ``embed`` and ``protocol.Step.op``, ``protocol.evolution_unitary``, and
+# ``chip.compile_program``, ``mesh_unitary``, ``verify`` and
+# ``simulate_tomography``.  At the cap one such matrix holds 515^2 complex
+# entries (about 4.2 MB) and a compiled mesh has about K^2 = 2.6e5 MZIs.
+# ``protocol.run`` and ``protocol.sweep`` are O(K) and stay uncapped.
+MAX_DENSE_CYCLES = 512
 
 # cos(pi/2) lands ~6e-17 off zero in doubles.  Matrix entries that are
 # mathematically zero must be exactly 0.0 because path enumeration prunes on
@@ -150,6 +161,15 @@ def basis_state(basis: ModeBasis, mode: str) -> PureState:
     return PureState(amps, basis)
 
 
+def check_dense_size(size: int) -> None:
+    """Raise ``ValueError`` if a ``size``-mode space exceeds ``MAX_DENSE_CYCLES``."""
+    if size > MAX_DENSE_CYCLES + 3:
+        raise ValueError(
+            f"dense matrices are limited to K <= {MAX_DENSE_CYCLES} ({MAX_DENSE_CYCLES + 3} modes), "
+            f"got {size} modes (K = {size - 3})"
+        )
+
+
 def check_block(block: Block) -> Block:
     """Return ``block`` after checking it unitary entrywise at 1e-12.
 
@@ -181,6 +201,7 @@ def embed(block: Block, i: int, j: int, size: int) -> UnitaryOp:
     """``block`` on amplitude slots (i, j) of a ``size``-mode space, identity elsewhere."""
     if i == j:
         raise ValueError(f"a two-mode block needs two distinct slots, got {i} twice")
+    check_dense_size(size)
     mat = np.eye(size, dtype=complex)
     (mat[i, i], mat[i, j]), (mat[j, i], mat[j, j]) = block
     return UnitaryOp(mat)

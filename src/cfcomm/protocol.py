@@ -22,6 +22,7 @@ from .modes import (
     ModeBasis,
     PureState,
     UnitaryOp,
+    check_dense_size,
     embed,
     exact_cos_sin,
     mode_probabilities,
@@ -223,7 +224,9 @@ def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
 def evolution_unitary(config: ProtocolConfig) -> UnitaryOp:
     """The full evolution as a single matrix (steps composed in time order),
     each step updating the two rows of its mode pair."""
-    mat = np.eye(config.mode_basis().size, dtype=complex)
+    size = config.mode_basis().size
+    check_dense_size(size)
+    mat = np.eye(size, dtype=complex)
     for step in build_steps(config):
         i, j = step.pair
         (u00, u01), (u10, u11) = step.block

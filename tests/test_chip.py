@@ -14,7 +14,7 @@ from cfcomm.chip import (
     trace_distance,
     verify,
 )
-from cfcomm.modes import UnitaryOp
+from cfcomm.modes import MAX_DENSE_CYCLES, UnitaryOp
 from cfcomm.protocol import BLOCK, PASS, PostselectionError, ProtocolConfig, run, splitter
 
 ALL_ACTIONS = [PASS, BLOCK, splitter(math.pi / 4)]
@@ -231,6 +231,26 @@ class TestTomography:
         median_small = (td_small[9] + td_small[10]) / 2
         median_large = (td_large[9] + td_large[10]) / 2
         assert median_small >= 3 * median_large
+
+
+class TestDenseCap:
+    HUGE = ProtocolConfig(100000, 0.0, BLOCK)
+
+    def test_compile_program(self):
+        with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
+            compile_program(self.HUGE)
+
+    def test_mesh_unitary(self):
+        with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
+            mesh_unitary(MeshProgram(mode_count=100003, columns=()))
+
+    def test_verify(self):
+        with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
+            verify(UnitaryOp(np.eye(4)), self.HUGE)
+
+    def test_simulate_tomography(self):
+        with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
+            simulate_tomography(self.HUGE, 0)
 
 
 class TestTraceDistance:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cfcomm.cli import CSV_HEADER, main
+from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, main
 
 COS8_PI_8 = 0.5307900429449552
 SIN_SQ_01 = 0.009966711079379185
@@ -81,6 +81,27 @@ class TestSweep:
         rows = json.loads(out)
         assert isinstance(rows, list) and len(rows) == 1
 
+    # Each of these would expand to about 1e12 points; the count is checked
+    # before any list is built.
+    @pytest.mark.parametrize("k,delta", [("1", "0:1.5:1e-12"), ("1:1000000000000", "0")])
+    def test_oversized_range_is_usage_error(self, capsys, k, delta):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--k", k, "--delta", delta, "--bob", "block"])
+        assert excinfo.value.code == 2
+        assert str(MAX_GRID_POINTS) in capsys.readouterr().err
+
+    def test_oversized_grid_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--k", "1:1000", "--delta", "0:1.5:0.01", "--bob", "block"])
+        assert excinfo.value.code == 2
+        assert "151000 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["0:inf", "nan:1", "0:1:nan"])
+    def test_non_finite_range_is_usage_error(self, capsys, spec):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--k", "1", "--delta", spec, "--bob", "block"])
+        assert excinfo.value.code == 2
+
 
 class TestTrace:
     def test_block_one_bit_verdict_true(self, capsys):
@@ -100,6 +121,21 @@ class TestTrace:
         doc = json.loads(out)
         assert doc["verdict"] is False
         assert abs(complex(doc["total_amplitude"]["re"], doc["total_amplitude"]["im"])) <= 1e-10
+
+    def test_zero_amplitude_outcome_is_vacuous(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--k", "3", "--bob", "block", "--final-block", "--outcome", "C")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] is True
+        assert doc["vacuous"] is True
+        assert doc["probability"] == 0.0
+
+    def test_block_one_bit_is_not_vacuous(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--k", "4", "--bob", "block", "--outcome", "B")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["vacuous"] is False
+        assert doc["probability"] == pytest.approx(COS8_PI_8, abs=1e-12)
 
     def test_enumeration_bound_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "trace", "--k", "13", "--bob", "block", "--outcome", "B")
@@ -173,6 +209,16 @@ class TestTomo:
     def test_empty_subspace_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "tomo", "--k", "1", "--delta", "0", "--bob", "block", "--shots", "0")
         assert code == 1
+
+
+class TestDenseCap:
+    # Rejected before any dense matrix or mesh is built.
+    @pytest.mark.parametrize("argv", [["chip"], ["tomo", "--shots", "0"]])
+    def test_huge_k_is_runtime_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--k", "100000", "--bob", "block")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "K <= 512" in err
 
 
 class TestOutputPlumbing:

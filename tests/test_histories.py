@@ -92,6 +92,20 @@ class TestCounterfactuality:
         assert report.c_visiting_paths == 0
         assert report.verdict is True
 
+    def test_zero_amplitude_outcome_is_vacuous(self):
+        # With the final block C ends empty: no path reaches it at all.
+        report = counterfactuality_report(ProtocolConfig(3, 0.0, BLOCK, True), "C")
+        assert report.verdict is True
+        assert report.vacuous is True
+        assert report.probability == 0.0
+
+    def test_block_one_bit_is_not_vacuous(self):
+        config = ProtocolConfig(3, 0.0, BLOCK)
+        report = counterfactuality_report(config, "B")
+        assert report.verdict is True
+        assert report.vacuous is False
+        assert report.probability == pytest.approx(abs(run(config)[0].amplitude("B")) ** 2, abs=1e-12)
+
     def test_pass_outcome_b_interferes_destructively(self):
         config = ProtocolConfig(2, 0.1, PASS)
         report = counterfactuality_report(config, "B")

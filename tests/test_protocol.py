@@ -11,19 +11,35 @@ from cfcomm.protocol import (
     PostselectionError,
     ProtocolConfig,
     alice_reduced_state,
+    Step,
     build_steps,
     closed_form,
+    evolution_unitary,
     run,
     splitter,
     sweep,
 )
-from cfcomm.modes import PureState
+from cfcomm.modes import MAX_DENSE_CYCLES, SWAP_BLOCK, PureState
 
 # Frozen oracle values (evaluated from the defining trig expressions).
 SIN_SQ_01 = 0.009966711079379185   # sin(0.1)^2
 COS_SQ_01 = 0.9900332889206209     # cos(0.1)^2
 SIN_SQ_005 = 0.002497917360987117  # sin(0.05)^2
 COS8_PI_8 = 0.5307900429449552     # cos(pi/8)^8 = (17 + 12 sqrt 2)/64
+
+
+class TestDenseCap:
+    def test_evolution_unitary_at_the_cap(self):
+        assert evolution_unitary(ProtocolConfig(MAX_DENSE_CYCLES, 0.0, BLOCK)).dim == MAX_DENSE_CYCLES + 3
+
+    def test_evolution_unitary_above_the_cap(self):
+        with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
+            evolution_unitary(ProtocolConfig(100000, 0.0, BLOCK))
+
+    def test_step_op_above_the_cap(self):
+        step = Step("bob_interaction", 1, ("C", "L1"), (2, 3), SWAP_BLOCK, 100003)
+        with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
+            step.op
 
 
 class TestConfigValidation:

@@ -2,8 +2,9 @@
 
 Each step acts as a 2x2 block on its mode pair.  The reference these tests
 keep is the dense one: every step's embedded matrix ``step.op.matrix`` (and
-every MZI block embedded into the full mode space) multiplied in time order,
-and path histories walked over full matrix columns.
+every MZI, multiplied out from its four factors BS P(theta) BS P(phi) and
+embedded into the full mode space) multiplied in time order, and path
+histories walked over full matrix columns.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcomm.chip import compile_program, mesh_unitary, mzi_transfer
+from cfcomm.chip import MeshProgram, _input_column, compile_program, mesh_unitary, mzi_block
 from cfcomm.histories import enumerate_histories
 from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, build_steps, evolution_unitary, run, splitter
 
@@ -36,12 +37,19 @@ def dense_evolution(config):
     return mat
 
 
+BS = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
+
+
+def mzi_product(theta, phi):
+    return BS @ np.diag([np.exp(1j * theta), 1]) @ BS @ np.diag([np.exp(1j * phi), 1])
+
+
 def dense_mesh(program):
     mat = np.eye(program.mode_count, dtype=complex)
     for setting in program.settings:
         embedded = np.eye(program.mode_count, dtype=complex)
         i = setting.pair
-        embedded[i : i + 2, i : i + 2] = mzi_transfer(setting.theta, setting.phi).matrix
+        embedded[i : i + 2, i : i + 2] = mzi_product(setting.theta, setting.phi)
         mat = embedded @ mat
     return mat
 
@@ -91,6 +99,29 @@ def test_evolution_unitary_matches_dense_product(config):
 def test_mesh_unitary_matches_embedded_product(config):
     program = compile_program(config)
     np.testing.assert_allclose(mesh_unitary(program).matrix, dense_mesh(program), rtol=0, atol=TOL)
+
+
+phases = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+@core_settings
+@given(phases, phases)
+@example(0.0, 0.0)
+@example(math.pi, math.pi)
+@example(1.5 * math.pi, math.pi)
+def test_mzi_block_matches_factor_product(theta, phi):
+    np.testing.assert_allclose(np.array(mzi_block(theta, phi)), mzi_product(theta, phi), rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(configs(24), st.booleans())
+@example(ProtocolConfig(24, 0.0, BLOCK, True), True)
+@example(ProtocolConfig(1, 0.0, PASS), False)
+def test_input_column_is_mesh_column_zero(config, round_trip):
+    program = compile_program(config)
+    if round_trip:
+        program = MeshProgram.from_json_dict(program.to_json_dict())
+    np.testing.assert_allclose(_input_column(program), mesh_unitary(program).matrix[:, 0], rtol=0, atol=TOL)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
