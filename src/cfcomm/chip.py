@@ -15,8 +15,14 @@ e^{ix} on the first mode of the pair (Clements et al., Optica 3, 1460,
 ``mesh_unitary`` applies each MZI as that block on the two rows of its
 pair, and tomography propagates a single column (the photon entering A)
 through the same blocks; blocks are memoised per call by (theta_m, phi_m),
-since a compiled mesh repeats a handful of settings.  A useful closed form
-follows:
+since a compiled mesh repeats a handful of settings.
+
+The compiler takes the protocol from ``protocol.build_steps`` and lowers each
+step onto adjacent mode pairs: an outer or inner rotation is one MZI, and
+Bob's interaction with loss mode Ln becomes routers (exact swaps) walking Ln
+next to C, the blocker MZI on (C, Ln), and routers walking it back.  Pass
+has no interaction steps, so it compiles to rotations only.  A useful closed
+form follows:
 
     T(pi - 2a, phi_m) = e^{-ia} R(a) diag(-e^{i phi_m}, 1)
 
@@ -177,53 +183,52 @@ def mzi_transfer(theta_m: float, phi_m: float) -> UnitaryOp:
 # --- compilation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PlannedOp:
-    target: str  # "rotation" | "swap" | "identity"
-    pair: int
-    angle: float
-    role: str
+def _lowered_steps(config: ProtocolConfig) -> Iterator[tuple[int, float | None, str]]:
+    """(pair, rotation angle or None for an exact swap, role) per MZI.
 
-
-def _plan_mesh(config: ProtocolConfig, force_routers: bool) -> list[_PlannedOp]:
-    """Protocol steps as target 2x2 blocks on adjacent pairs.
-
-    Bob's interaction with loss mode Ln (home position 2+n) becomes a chain
-    of routers walking Ln next to C, the blocker MZI on pair 2, and the
-    inverse chain; every bundle restores all positions, so homes are fixed.
+    Rotations already act on adjacent modes.  Bob's step on (C, Ln) becomes
+    routers on pairs n+1 .. 3 walking Ln next to C, the blocker on pair 2
+    (a swap for block, a rotation by beta for a splitter), and routers on
+    pairs 3 .. n+1 walking it back, so every mode ends at its home.
     """
-    emit_bundles = config.bob.interacts or force_routers
-
-    def bundle(n: int) -> list[_PlannedOp]:
-        if not emit_bundles:
-            return []
-        home = 2 + n
-        ops = [_PlannedOp("swap", q, 0.0, ROLE_ROUTER) for q in range(home - 1, 2, -1)]
-        if config.bob.kind == "block":
-            ops.append(_PlannedOp("swap", 2, 0.0, ROLE_BLOCKER))
-        elif config.bob.kind == "splitter":
-            ops.append(_PlannedOp("rotation", 2, config.bob.beta, ROLE_BLOCKER))
+    for step in protocol.build_steps(config):
+        if step.kind == protocol.OUTER_ROTATION:
+            yield 0, config.phi, ROLE_OUTER
+        elif step.kind == protocol.INNER_ROTATION:
+            yield 1, config.theta, ROLE_INNER
         else:
-            ops.append(_PlannedOp("identity", 2, 0.0, ROLE_IDENTITY))
-        ops.extend(_PlannedOp("swap", q, 0.0, ROLE_ROUTER) for q in range(3, home))
-        return ops
-
-    plan = [_PlannedOp("rotation", 0, config.phi, ROLE_OUTER)]
-    for n in range(1, config.k):
-        plan.append(_PlannedOp("rotation", 1, config.theta, ROLE_INNER))
-        plan.extend(bundle(n))
-    plan.append(_PlannedOp("rotation", 1, config.theta, ROLE_INNER))
-    if config.include_final_block:
-        plan.extend(bundle(config.k))
-    return plan
+            home = step.pair[1]
+            for q in range(home - 1, 2, -1):
+                yield q, None, ROLE_ROUTER
+            yield 2, config.bob.beta, ROLE_BLOCKER
+            for q in range(3, home):
+                yield q, None, ROLE_ROUTER
 
 
-def compile_program(
-    config: ProtocolConfig,
-    layout: tuple[str, ...] | list[str] | None = None,
-    *,
-    force_routers: bool = False,
-) -> MeshProgram:
+def _phase_walk(
+    ops: list[tuple[int, float | None, str]], pending: list[complex]
+) -> tuple[list[tuple[int, float, float, str]], list[int]]:
+    """Place each op, updating ``pending`` in place by the rules in
+    ``compile_program``; return the (pair, theta_m, phi_m, role) settings
+    and, per mode, the input mode its pending phase traces back to."""
+    source = list(range(len(pending)))
+    placed = []
+    for pair, angle, role in ops:
+        i, j = pair, pair + 1
+        if angle is None:
+            theta_m, phi_m = 0.0, 0.0
+            pending[i], pending[j] = 1j * pending[j], 1j * pending[i]
+            source[i], source[j] = source[j], source[i]
+        else:
+            theta_m = math.pi - 2 * angle
+            phi_m = cmath.phase(-pending[j] / pending[i])
+            pending[i] = pending[j] = pending[j] * cmath.exp(-1j * angle)
+            source[i] = source[j]
+        placed.append((pair, theta_m, phi_m, role))
+    return placed, source
+
+
+def compile_program(config: ProtocolConfig) -> MeshProgram:
     """Compile a configuration onto the mesh, one MZI per column.
 
     Phase bookkeeping: each MZI realizing a target block G satisfies
@@ -233,61 +238,32 @@ def compile_program(
                      q_i = q_j = e^{-ia} p_j
       exact swap:    theta_m = 0 (cross), phi_m = 0,
                      q_i = i p_j, q_j = i p_i
-      identity:      theta_m = phi_m = pi (the transfer is exactly 1)
 
     Chaining gives U_mesh diag(d) = diag(q_final) U_modal, so the mesh is
     phase-equivalent to the modal evolution with input phases d and output
-    phases conj(q_final).  The pending phases evolve independently of d (only
-    the emitted phi_m values depend on it), which allows a two-pass scheme:
-    a symbolic pass finds which input phase each final pending traces back
-    to, then d is chosen so the output phases on A and B coincide and the
-    concrete pass emits the settings.
+    phases conj(q_final).  Each final pending phase is one input phase d[m]
+    times a factor that does not depend on d (only the emitted phi_m values
+    do).  So a first walk with d = 1 finds those factors and which input
+    each final pending traces back to; d is then chosen so the output phases
+    on A and B coincide, and a second walk emits the settings.
     """
     check_dense_size(config.k + 3)
-    basis = config.mode_basis()
-    if layout is None:
-        layout = basis.labels
-    if tuple(layout) != basis.labels:
-        raise ValueError(
-            f"mesh layout must place A, B, C, L1..L{config.k} in order on adjacent modes, got {tuple(layout)}"
-        )
-    size = basis.size
-    plan = _plan_mesh(config, force_routers)
+    size = config.mode_basis().size
+    ops = list(_lowered_steps(config))
 
-    # Symbolic pass: pending phase on mode m is coeff[m] * d[source[m]].
-    coeff: list[complex] = [1.0 + 0.0j] * size
-    source = list(range(size))
-    for op in plan:
-        i, j = op.pair, op.pair + 1
-        if op.target == "rotation":
-            q = coeff[j] * cmath.exp(-1j * op.angle)
-            coeff[i] = coeff[j] = q
-            source[i] = source[j]
-        elif op.target == "swap":
-            coeff[i], coeff[j] = 1j * coeff[j], 1j * coeff[i]
-            source[i], source[j] = source[j], source[i]
-
-    d: list[complex] = [1.0 + 0.0j] * size
+    coeff = [1.0 + 0.0j] * size
+    _, source = _phase_walk(ops, coeff)
+    d = [1.0 + 0.0j] * size
     if source[0] != source[1]:
         d[source[0]] = coeff[1] / coeff[0]
     elif abs(coeff[0] - coeff[1]) > 1e-9:  # unreachable: A's source never flows back to B
         raise RuntimeError("cannot equalize output phases on modes A and B")
 
-    # Concrete pass with the chosen input phases.
-    pending = list(d)
-    settings = []
-    for column, op in enumerate(plan):
-        i, j = op.pair, op.pair + 1
-        if op.target == "rotation":
-            theta_m = math.pi - 2 * op.angle
-            phi_m = cmath.phase(-pending[j] / pending[i])
-            pending[i] = pending[j] = pending[j] * cmath.exp(-1j * op.angle)
-        elif op.target == "swap":
-            theta_m, phi_m = 0.0, 0.0
-            pending[i], pending[j] = 1j * pending[j], 1j * pending[i]
-        else:
-            theta_m, phi_m = math.pi, math.pi
-        settings.append(MziSetting(pair=op.pair, column=column, theta=theta_m, phi=phi_m, role=op.role))
+    placed, _ = _phase_walk(ops, d)
+    settings = (
+        MziSetting(pair=pair, column=column, theta=theta_m, phi=phi_m, role=role)
+        for column, (pair, theta_m, phi_m, role) in enumerate(placed)
+    )
     return MeshProgram(mode_count=size, columns=tuple((s,) for s in settings))
 
 
@@ -361,6 +337,18 @@ class _UnionFind:
         return True
 
 
+def _phase_edges(v: np.ndarray, w: np.ndarray) -> list[tuple[int, int]]:
+    """Entries (i, j) above 1e-8 in magnitude in both matrices, strongest
+    (by the smaller of the two magnitudes) first, ties in row-major order."""
+    # np.hypot, not np.abs: it matches Python's abs() on complex entries bit
+    # for bit, while np.abs can differ in the last ulp, which reorders ties
+    # and so changes the spanning tree.
+    mag = np.minimum(np.hypot(v.real, v.imag), np.hypot(w.real, w.imag))
+    rows, cols = np.nonzero(mag > 1e-8)
+    order = np.argsort(-mag[rows, cols], kind="stable")
+    return list(zip(rows[order].tolist(), cols[order].tolist()))
+
+
 def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> MeshEquivalenceReport:
     """Find diagonal phases with D_out U_mesh D_in = U_modal, A/B outputs equal.
 
@@ -379,18 +367,9 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
         raise ValueError(f"dimension mismatch: mesh is {v.shape}, modal evolution is {w.shape}")
     size = v.shape[0]
 
-    floor = 1e-8
-    edges = []
-    for i in range(size):
-        for j in range(size):
-            mag_v, mag_w = abs(v[i, j]), abs(w[i, j])
-            if mag_v > floor and mag_w > floor:
-                edges.append((min(mag_v, mag_w), i, j))
-    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
-
     forest = _UnionFind(2 * size)
     adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * size)]
-    for _, i, j in edges:
+    for i, j in _phase_edges(v, w):
         if forest.union(i, size + j):
             adjacency[i].append((size + j, i, j))
             adjacency[size + j].append((i, i, j))

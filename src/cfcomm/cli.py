@@ -145,12 +145,13 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _run_record(config: protocol.ProtocolConfig, dist: protocol.OutcomeDistribution) -> dict:
+def _run_record(row: protocol.SweepRow, bob: protocol.BobAction, final_block: bool) -> dict:
+    dist = row.distribution
     record = {
-        "K": config.k,
-        "delta": config.delta,
-        "bob": config.bob.label(),
-        "include_final_block": config.include_final_block,
+        "K": row.k,
+        "delta": row.delta,
+        "bob": bob.label(),
+        "include_final_block": final_block,
         "p_D0": dist.p_D0,
         "p_D1": dist.p_D1,
         "p_D3": dist.p_D3,
@@ -177,12 +178,18 @@ def _record_csv_row(record: dict) -> str:
     return ",".join(fields)
 
 
-def _records_text(records: list[dict], fmt: str) -> str:
-    if fmt == "csv":
+def _emit_sweep(ns: argparse.Namespace, k_values: list[int], delta_values: list[float], single: bool) -> int:
+    """Run the grid through ``protocol.sweep`` and emit one record per point;
+    JSON is a list, or the lone record itself when ``single`` is set."""
+    rows = protocol.sweep(k_values, delta_values, ns.bob, ns.final_block)
+    records = [_run_record(row, ns.bob, ns.final_block) for row in rows]
+    if ns.format == "csv":
         lines = [CSV_HEADER] + [_record_csv_row(r) for r in records]
-        return "\n".join(lines) + "\n"
-    doc = records[0] if len(records) == 1 else records
-    return json.dumps(doc, indent=2) + "\n"
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(records[0] if single else records, indent=2) + "\n"
+    _emit(text, ns.out)
+    return EXIT_OK
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
@@ -238,23 +245,11 @@ def _config_from(ns: argparse.Namespace) -> protocol.ProtocolConfig:
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
-    config = _config_from(ns)
-    _, dist = protocol.run(config)
-    _emit(_records_text([_run_record(config, dist)], ns.format), ns.out)
-    return EXIT_OK
+    return _emit_sweep(ns, [ns.k], [ns.delta], single=True)
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
-    records = []
-    for k in ns.k:
-        for delta in ns.delta:
-            config = protocol.ProtocolConfig(k, delta, ns.bob, ns.final_block)
-            records.append(_run_record(config, protocol.run(config)[1]))
-    if ns.format == "json":
-        _emit(json.dumps(records, indent=2) + "\n", ns.out)
-    else:
-        _emit(_records_text(records, "csv"), ns.out)
-    return EXIT_OK
+    return _emit_sweep(ns, ns.k, ns.delta, single=False)
 
 
 def _cmd_trace(ns: argparse.Namespace) -> int:

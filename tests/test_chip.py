@@ -75,12 +75,6 @@ class TestCompile:
             ("inner_rotation", 1),
         ]
 
-    def test_bad_layout_rejected(self):
-        with pytest.raises(ValueError):
-            compile_program(ProtocolConfig(2, 0.0, BLOCK), layout=("A", "C", "B", "L1", "L2"))
-        with pytest.raises(ValueError):
-            compile_program(ProtocolConfig(2, 0.0, BLOCK), layout=("A", "B", "C", "L2", "L1"))
-
 
 class TestMeshUnitary:
     def test_empty_program_is_identity(self):
@@ -145,16 +139,6 @@ class TestVerify:
         config = ProtocolConfig(3, 0.1, splitter(0.6))
         report = verify(mesh_unitary(compile_program(config)), config)
         assert abs(report.output_phases[0] - report.output_phases[1]) <= 1e-9
-
-    def test_forced_routers_still_equivalent(self):
-        for k in range(2, 7):
-            config = ProtocolConfig(k, 0.1, PASS)
-            program = compile_program(config, force_routers=True)
-            assert any(s.role == "router" for s in program.settings) == (k > 2)
-            assert any(s.role == "identity" for s in program.settings)
-            report = verify(mesh_unitary(program), config)
-            assert report.equivalent
-            assert report.residual <= 1e-9
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ Each step acts as a 2x2 block on its mode pair.  The reference these tests
 keep is the dense one: every step's embedded matrix ``step.op.matrix`` (and
 every MZI, multiplied out from its four factors BS P(theta) BS P(phi) and
 embedded into the full mode space) multiplied in time order, and path
-histories walked over full matrix columns.
+histories walked over full matrix columns.  The compiled mesh and the
+phase verifier are checked against the modal evolution itself.
 """
 
 import math
@@ -13,9 +14,28 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcomm.chip import MeshProgram, _input_column, compile_program, mesh_unitary, mzi_block
+from cfcomm.chip import (
+    ROLE_BLOCKER,
+    MeshProgram,
+    _input_column,
+    _phase_edges,
+    compile_program,
+    mesh_unitary,
+    mzi_block,
+    verify,
+)
 from cfcomm.histories import enumerate_histories
-from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, build_steps, evolution_unitary, run, splitter
+from cfcomm.modes import UnitaryOp
+from cfcomm.protocol import (
+    BLOCK,
+    BOB_INTERACTION,
+    PASS,
+    ProtocolConfig,
+    build_steps,
+    evolution_unitary,
+    run,
+    splitter,
+)
 
 TOL = 1e-12
 
@@ -144,3 +164,61 @@ def test_step_op_is_the_embedded_block():
         expected[np.ix_([i, j], [i, j])] = step.block
         np.testing.assert_array_equal(step.op.matrix, expected)
         assert step.op is step.op  # built once, on first read
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(configs(40))
+@example(ProtocolConfig(1, 0.0, PASS))
+@example(ProtocolConfig(1, 0.0, BLOCK, True))
+@example(ProtocolConfig(40, 0.0, BLOCK, True))
+@example(ProtocolConfig(40, 0.0, splitter(0.0), False))
+@example(ProtocolConfig(40, 0.0, splitter(math.pi / 2), True))
+def test_compiled_mesh_lowers_every_step(config):
+    program = compile_program(config)
+    report = verify(mesh_unitary(program), config, tol=1e-9)
+    assert report.equivalent, report.detail
+    k = config.k
+    bob_cycles = k if config.include_final_block else k - 1
+    # Bob's step in cycle n is 2(n-1) routers around one blocker.
+    expected = 1 + k + (bob_cycles**2 if config.bob.interacts else 0)
+    assert len(program.settings) == expected
+    blockers = sum(s.role == ROLE_BLOCKER for s in program.settings)
+    assert blockers == sum(step.kind == BOB_INTERACTION for step in build_steps(config))
+
+
+def loop_phase_edges(v, w):
+    """The verifier's edge list built entry by entry with Python ``abs``."""
+    edges = []
+    for i in range(v.shape[0]):
+        for j in range(v.shape[1]):
+            mag_v, mag_w = abs(v[i, j]), abs(w[i, j])
+            if mag_v > 1e-8 and mag_w > 1e-8:
+                edges.append((min(mag_v, mag_w), i, j))
+    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
+    return [(i, j) for _, i, j in edges]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(configs(40))
+@example(ProtocolConfig(16, 0.0, splitter(0.0)))
+@example(ProtocolConfig(16, 0.0, splitter(0.0), True))
+def test_phase_edges_match_loop(config):
+    v = mesh_unitary(compile_program(config)).matrix
+    w = evolution_unitary(config).matrix
+    assert _phase_edges(v, w) == loop_phase_edges(v, w)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(configs(40), st.integers(0, 2**32 - 1))
+@example(ProtocolConfig(40, 0.0, BLOCK, True), 0)
+@example(ProtocolConfig(1, 0.0, PASS), 1)
+def test_verify_recovers_diagonal_phases(config, seed):
+    rng = np.random.default_rng(seed)
+    size = config.mode_basis().size
+    p = np.exp(1j * rng.uniform(0.0, 2 * math.pi, size))
+    p[1] = p[0]  # equal output phases on A and B
+    q = np.exp(1j * rng.uniform(0.0, 2 * math.pi, size))
+    u = p[:, None] * evolution_unitary(config).matrix * q[None, :]
+    report = verify(UnitaryOp(u), config)
+    assert report.equivalent, report.detail
+    assert report.residual <= 1e-12
