@@ -14,8 +14,9 @@ e^{ix} on the first mode of the pair (Clements et al., Optica 3, 1460,
 ``mzi_block`` builds this 2x2 block from Python complex scalars.
 ``mesh_unitary`` applies each MZI as that block on the two rows of its
 pair, and tomography propagates a single column (the photon entering A)
-through the same blocks; blocks are memoised per call by (theta_m, phi_m),
-since a compiled mesh repeats a handful of settings.
+through the same blocks, both through ``modes.apply_blocks``; blocks are
+memoised per call by (theta_m, phi_m), since a compiled mesh repeats a
+handful of settings.
 
 The compiler takes the protocol from ``protocol.build_steps`` and lowers each
 step onto adjacent mode pairs: an outer or inner rotation is one MZI, and
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .modes import Block, PureState, UnitaryOp, check_block, check_dense_size
+from .modes import Block, PureState, UnitaryOp, apply_blocks, check_block, check_dense_size
 from .protocol import ProtocolConfig, alice_reduced_state
 
 __all__ = [
@@ -63,7 +64,6 @@ __all__ = [
     "compile_program",
     "mesh_unitary",
     "mzi_block",
-    "mzi_transfer",
     "simulate_tomography",
     "trace_distance",
     "verify",
@@ -117,6 +117,8 @@ class MziSetting:
             raise ValueError(f"pair index must be >= 0, got {self.pair}")
         if self.role not in _ROLES:
             raise ValueError(f"unknown MZI role {self.role!r}")
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError(f"MZI phases must be finite, got theta={self.theta!r}, phi={self.phi!r}")
         object.__setattr__(self, "theta", self.theta % TWO_PI)
         object.__setattr__(self, "phi", self.phi % TWO_PI)
 
@@ -173,11 +175,6 @@ def mzi_block(theta_m: float, phi_m: float) -> Block:
     f = cmath.exp(1j * phi_m)
     cross = 0.5j * (t + 1)
     return check_block(((0.5 * (t - 1) * f, cross), (cross * f, 0.5 * (1 - t))))
-
-
-def mzi_transfer(theta_m: float, phi_m: float) -> UnitaryOp:
-    """2x2 transfer matrix BS P(theta_m) BS P(phi_m), as a dense ``UnitaryOp``."""
-    return UnitaryOp(np.array(mzi_block(theta_m, phi_m)))
 
 
 # --- compilation ------------------------------------------------------------
@@ -267,8 +264,8 @@ def compile_program(config: ProtocolConfig) -> MeshProgram:
     return MeshProgram(mode_count=size, columns=tuple((s,) for s in settings))
 
 
-def _mzi_walk(program: MeshProgram) -> Iterator[tuple[int, Block]]:
-    """(pair, block) for every MZI in column order; each distinct
+def _mzi_walk(program: MeshProgram) -> Iterator[tuple[tuple[int, int], Block]]:
+    """((pair, pair+1), block) for every MZI in column order; each distinct
     (theta, phi) setting is built and checked once per walk."""
     blocks: dict[tuple[float, float], Block] = {}
     for column in program.columns:
@@ -277,18 +274,14 @@ def _mzi_walk(program: MeshProgram) -> Iterator[tuple[int, Block]]:
             block = blocks.get(key)
             if block is None:
                 block = blocks[key] = mzi_block(*key)
-            yield setting.pair, block
+            yield (setting.pair, setting.pair + 1), block
 
 
 def mesh_unitary(program: MeshProgram) -> UnitaryOp:
     """Compose the MZIs in column order, each updating the two rows of its pair."""
     check_dense_size(program.mode_count)
     mat = np.eye(program.mode_count, dtype=complex)
-    for i, ((u00, u01), (u10, u11)) in _mzi_walk(program):
-        row_i, row_j = mat[i], mat[i + 1]
-        new_i = u00 * row_i + u01 * row_j
-        mat[i + 1] = u10 * row_i + u11 * row_j
-        mat[i] = new_i
+    apply_blocks(_mzi_walk(program), mat)
     return UnitaryOp(mat)
 
 
@@ -297,10 +290,7 @@ def _input_column(program: MeshProgram) -> np.ndarray:
     amplitudes per MZI."""
     amps = [0j] * program.mode_count
     amps[0] = 1 + 0j
-    for i, ((u00, u01), (u10, u11)) in _mzi_walk(program):
-        ai, aj = amps[i], amps[i + 1]
-        amps[i] = u00 * ai + u01 * aj
-        amps[i + 1] = u10 * ai + u11 * aj
+    apply_blocks(_mzi_walk(program), amps)
     return np.array(amps)
 
 
@@ -322,6 +312,7 @@ class MeshEquivalenceReport:
 class _UnionFind:
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
+        self.count = n  # components
 
     def find(self, x: int) -> int:
         while self.parent[x] != x:
@@ -334,31 +325,38 @@ class _UnionFind:
         if ra == rb:
             return False
         self.parent[rb] = ra
+        self.count -= 1
         return True
 
 
-def _phase_edges(v: np.ndarray, w: np.ndarray) -> list[tuple[int, int]]:
-    """Entries (i, j) above 1e-8 in magnitude in both matrices, strongest
-    (by the smaller of the two magnitudes) first, ties in row-major order."""
+def _phase_edges(v: np.ndarray, w: np.ndarray) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Entries (i, j) nonzero in both matrices, strongest (by the smaller of
+    the two magnitudes) first, ties in row-major order: those above the
+    1e-8 edge floor, and the rest."""
     # np.hypot, not np.abs: it matches Python's abs() on complex entries bit
     # for bit, while np.abs can differ in the last ulp, which reorders ties
     # and so changes the spanning tree.
     mag = np.minimum(np.hypot(v.real, v.imag), np.hypot(w.real, w.imag))
-    rows, cols = np.nonzero(mag > 1e-8)
+    rows, cols = np.nonzero(mag)
     order = np.argsort(-mag[rows, cols], kind="stable")
-    return list(zip(rows[order].tolist(), cols[order].tolist()))
+    edges = list(zip(rows[order].tolist(), cols[order].tolist()))
+    strong = int(np.count_nonzero(mag > 1e-8))
+    return edges[:strong], edges[strong:]
 
 
 def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> MeshEquivalenceReport:
     """Find diagonal phases with D_out U_mesh D_in = U_modal, A/B outputs equal.
 
-    Phases are propagated over the bipartite graph of matrix entries (rows
-    and columns as nodes, entries solidly nonzero in both matrices as edges,
-    strongest entries first).  Within a connected component the phase
-    assignment is unique up to one gauge factor, which never moves the
-    ratio of two output phases; across components the gauge is free, so the
-    A/B output constraint is imposed by rescaling B's component.  Failure is
-    reported, never raised.
+    Phases are propagated over a spanning forest of the bipartite graph of
+    matrix entries (rows and columns as nodes, entries as edges).  Entries
+    above 1e-8 in both matrices come first, strongest first.  Within a
+    connected component the phase assignment is unique up to one gauge
+    factor, which never moves the ratio of two output phases; so if those
+    entries leave rows A and B apart, the A/B output constraint ties them.
+    Components still apart are then joined through their strongest entries
+    below that floor, strongest first: left alone, such an entry would keep
+    an arbitrary relative phase and mismatch by up to twice its magnitude.
+    Failure is reported, never raised.
     """
     target = protocol.evolution_unitary(config)
     v = u_mesh.matrix
@@ -368,50 +366,49 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
     size = v.shape[0]
 
     forest = _UnionFind(2 * size)
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * size)]
-    for i, j in _phase_edges(v, w):
+    # node -> [(neighbor, entry phase ratio, or None for "same phase")]
+    adjacency: list[list[tuple[int, complex | None]]] = [[] for _ in range(2 * size)]
+
+    def join(i: int, j: int) -> None:
         if forest.union(i, size + j):
-            adjacency[i].append((size + j, i, j))
-            adjacency[size + j].append((i, i, j))
+            ratio = w[i, j] / v[i, j]
+            ratio /= abs(ratio)
+            adjacency[i].append((size + j, ratio))
+            adjacency[size + j].append((i, ratio))
+
+    strong, weak = _phase_edges(v, w)
+    for i, j in strong:
+        join(i, j)
+    if forest.union(0, 1):
+        adjacency[0].append((1, None))
+        adjacency[1].append((0, None))
+    for i, j in weak:
+        if forest.count == 1:
+            break
+        join(i, j)
 
     phase: list[complex | None] = [None] * (2 * size)
-    component = [0] * (2 * size)
     for root in range(2 * size):
         if phase[root] is not None:
             continue
         phase[root] = 1.0 + 0.0j
-        component[root] = root
         queue = [root]
         while queue:
             node = queue.pop()
-            for neighbor, i, j in adjacency[node]:
-                if phase[neighbor] is not None:
-                    continue
-                ratio = w[i, j] / v[i, j]
-                ratio /= abs(ratio)
-                phase[neighbor] = ratio / phase[node]
-                component[neighbor] = root
-                queue.append(neighbor)
+            for neighbor, ratio in adjacency[node]:
+                if phase[neighbor] is None:
+                    phase[neighbor] = phase[node] if ratio is None else ratio / phase[node]
+                    queue.append(neighbor)
 
     alpha = np.array(phase[:size], dtype=complex)
     beta = np.array(phase[size:], dtype=complex)
-
-    detail = ""
-    phases_ok = True
-    if component[0] == component[1]:
-        if abs(alpha[0] - alpha[1]) > tol:
-            phases_ok = False
-            detail = "output phases on A and B are forced unequal"
-    else:
-        gauge = alpha[0] / alpha[1]
-        in_b = np.array([component[i] == component[1] for i in range(size)])
-        in_b_cols = np.array([component[size + j] == component[1] for j in range(size)])
-        alpha[in_b] *= gauge
-        beta[in_b_cols] /= gauge
-
     residual = float(np.abs(alpha[:, None] * v * beta[None, :] - w).max())
+    phases_ok = bool(abs(alpha[0] - alpha[1]) <= tol)
     equivalent = phases_ok and residual <= tol
-    if not equivalent and not detail:
+    detail = ""
+    if not phases_ok:
+        detail = "output phases on A and B are forced unequal"
+    elif not equivalent:
         detail = f"residual {residual:.3e} exceeds tolerance {tol:.3e}"
     return MeshEquivalenceReport(
         equivalent=equivalent,
@@ -460,7 +457,7 @@ def _basis_probabilities(psi: np.ndarray, basis_name: str) -> np.ndarray:
     setting = _TOMO_SETTINGS[basis_name]
     out = np.array(psi, dtype=complex)
     if setting is not None:
-        out[:2] = mzi_transfer(*setting).matrix @ out[:2]
+        apply_blocks([((0, 1), mzi_block(*setting))], out)
     return np.abs(out) ** 2
 
 

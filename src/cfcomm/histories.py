@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modes import NORM_TOL
+from .modes import NORM_TOL, apply_blocks
 from .protocol import ProtocolConfig, Step, build_steps
 
 __all__ = [
@@ -60,32 +60,24 @@ class CounterfactualityReport:
     vacuous: bool
 
 
-def _column(step: Step, mode: int, prune: bool) -> list[tuple[int, complex]]:
-    """Column ``mode`` of the step's matrix as (row, entry) pairs in row order.
-
-    A mode in the step's pair branches over the block's column; any other
-    mode passes with amplitude 1.  With ``prune`` exactly-zero entries are
-    dropped, otherwise every row of the mode space appears.
-    """
-    i, j = step.pair
-    (u00, u01), (u10, u11) = step.block
-    if mode == i:
-        entries = {i: u00, j: u10}
-    elif mode == j:
-        entries = {i: u01, j: u11}
-    else:
-        entries = {mode: 1 + 0j}
-    if prune:
-        return [(row, entries[row]) for row in sorted(entries) if entries[row] != 0]
-    return [(row, entries.get(row, 0j)) for row in range(step.size)]
+def _column(step: Step, mode: int) -> list[tuple[int, complex]]:
+    """Column ``mode`` of the step's matrix as (row, entry) pairs in row
+    order, exactly-zero entries dropped.  A mode outside the step's pair
+    passes with amplitude 1; for one inside it, the column is the block
+    applied to that mode's unit vector on the pair."""
+    if mode not in step.pair:
+        return [(mode, 1 + 0j)]
+    unit = [1 + 0j, 0j] if mode == step.pair[0] else [0j, 1 + 0j]
+    apply_blocks([((0, 1), step.block)], unit)
+    return [(row, entry) for row, entry in zip(step.pair, unit) if entry != 0]
 
 
-def enumerate_histories(config: ProtocolConfig, prune: bool = True) -> list[History]:
+def enumerate_histories(config: ProtocolConfig) -> list[History]:
     """All paths through the step sequence starting from mode A.
 
-    With ``prune`` (the default) any transition whose matrix entry is exactly
-    zero is dropped; the threshold is exact equality, never an epsilon, so
-    destructively-interfering paths with small nonzero amplitudes survive.
+    Any transition whose matrix entry is exactly zero is dropped; the
+    threshold is exact equality, never an epsilon, so destructively
+    interfering paths with small nonzero amplitudes survive.
     """
     if config.k > MAX_ENUMERATION_CYCLES:
         raise EnumerationLimitError(
@@ -102,7 +94,7 @@ def enumerate_histories(config: ProtocolConfig, prune: bool = True) -> list[Hist
             return
         column = columns.get((depth, mode))
         if column is None:
-            column = columns[depth, mode] = _column(steps[depth], mode, prune)
+            column = columns[depth, mode] = _column(steps[depth], mode)
         for nxt, entry in column:
             walk(depth + 1, nxt, amplitude * entry, path + (nxt,))
 

@@ -1,13 +1,15 @@
 """Single-photon state vectors over labeled optical modes, plus the two-mode
-unitaries (real rotations and exact swaps) as 2x2 blocks on a mode pair and
-their embeddings into the full mode space.
+unitaries (real rotations and exact swaps) as 2x2 blocks on a mode pair,
+the kernel that applies them, and their embeddings into the full mode space.
 
 Mode convention: channel modes A, B, C sit at indices 0..2, loss modes
 L1..LK behind them.  A two-mode operation is a checked 2x2 ``Block`` of
 Python complex scalars acting on one pair of amplitude slots (a Givens
-rotation); evolving a state touches two amplitudes per step.  Dense M x M
-matrices (M = K+3) are built only on request: by ``embed`` (and so
-``rotation``, ``swap`` and ``protocol.Step.op``),
+rotation).  ``apply_blocks`` is the one place a block is multiplied into
+two slots: two amplitudes of a state, or two rows of a matrix.  Protocol
+steps, path-history columns and every MZI of the mesh go through it.
+Dense M x M matrices (M = K+3) are built only on request: by ``embed`` (and
+so ``rotation``, ``swap`` and ``protocol.Step.op``),
 ``protocol.evolution_unitary`` and ``chip.mesh_unitary``; every dense path
 first checks the mode count against ``MAX_DENSE_CYCLES``.
 """
@@ -15,6 +17,7 @@ first checks the mode count against ``MAX_DENSE_CYCLES``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,7 @@ __all__ = [
     "PureState",
     "UnitaryOp",
     "apply",
+    "apply_blocks",
     "basis_state",
     "check_block",
     "check_dense_size",
@@ -126,7 +130,7 @@ class PureState:
         if amps.shape != (self.basis.size,):
             raise ValueError(f"expected {self.basis.size} amplitudes, got shape {amps.shape}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -145,7 +149,7 @@ class UnitaryOp:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"unitary must be square, got shape {mat.shape}")
         defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-        if defect > NORM_TOL:
+        if not defect <= NORM_TOL:
             raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect!r}")
         object.__setattr__(self, "matrix", _frozen(mat))
 
@@ -177,14 +181,27 @@ def check_block(block: Block) -> Block:
     mode space, since the embedding is exactly the identity elsewhere.
     """
     (a, b), (c, d) = block
+    # The cross term goes first: it is not finite whenever any entry is not,
+    # and max() keeps a leading NaN, so a NaN block fails the check.
     defect = max(
+        abs(a.conjugate() * b + c.conjugate() * d),
         abs(abs(a) ** 2 + abs(c) ** 2 - 1.0),
         abs(abs(b) ** 2 + abs(d) ** 2 - 1.0),
-        abs(a.conjugate() * b + c.conjugate() * d),
     )
-    if defect > NORM_TOL:
+    if not defect <= NORM_TOL:
         raise ValueError(f"block is not unitary: max |B^dag B - I| = {defect!r}")
     return block
+
+
+def apply_blocks(ops: Iterable[tuple[tuple[int, int], Block]], target: list[complex] | np.ndarray) -> None:
+    """Apply each ``((i, j), block)`` in order to slots i and j of ``target``,
+    in place.  ``target`` is a list of amplitudes or a matrix, whose slots
+    are its rows."""
+    for (i, j), ((u00, u01), (u10, u11)) in ops:
+        a, b = target[i], target[j]
+        new = u00 * a + u01 * b
+        target[j] = u10 * a + u11 * b
+        target[i] = new
 
 
 def rotation_block(angle: float) -> Block:

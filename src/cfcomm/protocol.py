@@ -22,6 +22,7 @@ from .modes import (
     ModeBasis,
     PureState,
     UnitaryOp,
+    apply_blocks,
     check_dense_size,
     embed,
     exact_cos_sin,
@@ -211,12 +212,7 @@ def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
     basis = config.mode_basis()
     amps = [0j] * basis.size
     amps[basis.index("A")] = 1 + 0j
-    for step in build_steps(config):
-        i, j = step.pair
-        (u00, u01), (u10, u11) = step.block
-        ai, aj = amps[i], amps[j]
-        amps[i] = u00 * ai + u01 * aj
-        amps[j] = u10 * ai + u11 * aj
+    apply_blocks(((step.pair, step.block) for step in build_steps(config)), amps)
     state = PureState(np.array(amps), basis)
     return state, OutcomeDistribution.from_state(state)
 
@@ -227,13 +223,7 @@ def evolution_unitary(config: ProtocolConfig) -> UnitaryOp:
     size = config.mode_basis().size
     check_dense_size(size)
     mat = np.eye(size, dtype=complex)
-    for step in build_steps(config):
-        i, j = step.pair
-        (u00, u01), (u10, u11) = step.block
-        row_i, row_j = mat[i], mat[j]
-        new_i = u00 * row_i + u01 * row_j
-        mat[j] = u10 * row_i + u11 * row_j
-        mat[i] = new_i
+    apply_blocks(((step.pair, step.block) for step in build_steps(config)), mat)
     return UnitaryOp(mat)
 
 

@@ -9,7 +9,7 @@ from cfcomm.chip import (
     MziSetting,
     compile_program,
     mesh_unitary,
-    mzi_transfer,
+    mzi_block,
     simulate_tomography,
     trace_distance,
     verify,
@@ -22,26 +22,28 @@ SUPERPOSITION_CONFIG = ProtocolConfig(2, 0.2, splitter(math.pi / 4))
 
 
 class TestMziTransfer:
+    """The 2x2 MZI transfer matrix, as built by ``mzi_block``."""
+
     def test_matches_factor_product(self):
         # Oracle: multiply the four 2x2 factors by hand.
         theta, phi = 0.83, 2.1
         bs = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
         expected = bs @ np.diag([np.exp(1j * theta), 1]) @ bs @ np.diag([np.exp(1j * phi), 1])
-        np.testing.assert_allclose(mzi_transfer(theta, phi).matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(np.array(mzi_block(theta, phi)), expected, atol=1e-15)
 
     def test_bar_state(self):
-        t = mzi_transfer(math.pi, 0.0).matrix
+        t = np.array(mzi_block(math.pi, 0.0))
         assert abs(t[0, 0]) == pytest.approx(1.0, abs=1e-12)
         assert abs(t[1, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_state(self):
-        t = mzi_transfer(0.0, 0.0).matrix
+        t = np.array(mzi_block(0.0, 0.0))
         assert abs(t[1, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_unitary_for_random_phases(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            t = mzi_transfer(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)).matrix
+            t = np.array(mzi_block(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
             assert np.abs(t.conj().T @ t - np.eye(2)).max() <= 1e-12
 
 
@@ -153,6 +155,14 @@ class TestSerialization:
         assert set(doc["columns"][0][0]) == {"pair", "theta", "phi", "role"}
         again = MeshProgram.from_json_dict(doc)
         assert again == program
+
+    @pytest.mark.parametrize("field", ["theta", "phi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_phase_rejected(self, field, value):
+        doc = compile_program(ProtocolConfig(2, 0.0, BLOCK)).to_json_dict()
+        doc["columns"][0][0][field] = value
+        with pytest.raises(ValueError, match="finite"):
+            MeshProgram.from_json_dict(doc)
 
 
 class TestTomography:

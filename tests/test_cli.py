@@ -151,6 +151,11 @@ class TestChip:
         assert doc["equivalent"] is True
         assert doc["residual"] <= 1e-9
 
+    def test_tiny_splitter_angle_verifies(self, capsys):
+        code, out, _ = run_cli(capsys, "chip", "--k", "2", "--bob", "split:3e-9", "--final-block")
+        assert code == 0
+        assert json.loads(out)["equivalent"] is True
+
     def test_emit_only(self, capsys):
         code, out, _ = run_cli(capsys, "chip", "--k", "1", "--bob", "pass", "--emit-only")
         assert code == 0

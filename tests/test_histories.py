@@ -140,15 +140,3 @@ class TestPathStructure:
             assert len(surviving) <= 1 + 2**k
             assert len(surviving) >= previous
             previous = len(surviving)
-
-    @pytest.mark.parametrize("bob", ALL_ACTIONS, ids=["pass", "block", "split"])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_pruning_soundness(self, k, bob):
-        # Unpruned enumeration only adds exactly-zero amplitudes.
-        config = ProtocolConfig(k, 0.1, bob)
-        pruned = enumerate_histories(config)
-        unpruned = enumerate_histories(config, prune=False)
-        assert len(unpruned) >= len(pruned)
-        for label in config.mode_basis().labels:
-            delta = amplitude_by_paths(unpruned, label) - amplitude_by_paths(pruned, label)
-            assert abs(delta) <= 1e-14

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from cfcomm.modes import (
+    SWAP_BLOCK,
     ModeBasis,
     PureState,
     UnitaryOp,
     apply,
+    apply_blocks,
     basis_state,
+    check_block,
+    embed,
     mode_probabilities,
     rotation,
+    rotation_block,
     swap,
 )
 
@@ -140,6 +145,26 @@ class TestApply:
             apply(rotation(BASIS4, "A", "B", 0.1), basis_state(BASIS5, "A"))
 
 
+class TestApplyBlocks:
+    OPS = [((1, 2), rotation_block(0.3)), ((0, 3), SWAP_BLOCK), ((3, 2), rotation_block(-1.1))]
+
+    def dense_product(self, start):
+        # Oracle: each block embedded into the full space, multiplied in order.
+        for (i, j), block in self.OPS:
+            start = embed(block, i, j, 4).matrix @ start
+        return start
+
+    def test_amplitudes_match_dense_product(self):
+        amps = [0.6 + 0j, 0.8j, 0j, 0j]
+        apply_blocks(self.OPS, amps)
+        np.testing.assert_allclose(amps, self.dense_product(np.array([0.6, 0.8j, 0, 0])), rtol=0, atol=1e-15)
+
+    def test_matrix_rows_match_dense_product(self):
+        mat = np.eye(4, dtype=complex)
+        apply_blocks(self.OPS, mat)
+        np.testing.assert_allclose(mat, self.dense_product(np.eye(4)), rtol=0, atol=1e-15)
+
+
 class TestModeProbabilities:
     def test_basis_state(self):
         np.testing.assert_array_equal(mode_probabilities(basis_state(BASIS4, "A")), [1, 0, 0, 0])
@@ -166,6 +191,21 @@ class TestValidation:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             UnitaryOp(np.ones((2, 3)))
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValueError):
+            PureState([math.nan, 0.0, 0.0, 0.0], BASIS4)
+
+    def test_nan_unitary_rejected(self):
+        with pytest.raises(ValueError):
+            UnitaryOp(np.full((3, 3), math.nan))
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nan_block_rejected(self, slot):
+        entries = [1 + 0j, 0j, 0j, 1 + 0j]
+        entries[slot] = complex(math.nan, 0.0)
+        with pytest.raises(ValueError):
+            check_block(((entries[0], entries[1]), (entries[2], entries[3])))
 
     def test_values_are_frozen(self):
         state = basis_state(BASIS4, "A")

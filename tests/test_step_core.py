@@ -186,16 +186,29 @@ def test_compiled_mesh_lowers_every_step(config):
     assert blockers == sum(step.kind == BOB_INTERACTION for step in build_steps(config))
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(1, 30), st.floats(math.log(1e-12), math.log(1e-6)).map(math.exp), st.booleans(), deltas)
+@example(2, 3e-9, True, 0.0)
+@example(3, 1e-8, False, 0.0)
+@example(20, 1e-9, True, 0.0)
+def test_verify_accepts_tiny_splitter_angles(k, beta, final_block, delta):
+    # Below beta ~ 3e-8 the entries that link some rows and columns to the
+    # rest fall under the verifier's 1e-8 edge floor.
+    config = ProtocolConfig(k, delta, splitter(beta), final_block)
+    report = verify(mesh_unitary(compile_program(config)), config, tol=1e-9)
+    assert report.equivalent, report.detail
+
+
 def loop_phase_edges(v, w):
-    """The verifier's edge list built entry by entry with Python ``abs``."""
+    """The verifier's edge lists built entry by entry with Python ``abs``."""
     edges = []
     for i in range(v.shape[0]):
         for j in range(v.shape[1]):
-            mag_v, mag_w = abs(v[i, j]), abs(w[i, j])
-            if mag_v > 1e-8 and mag_w > 1e-8:
-                edges.append((min(mag_v, mag_w), i, j))
+            mag = min(abs(v[i, j]), abs(w[i, j]))
+            if mag > 0:
+                edges.append((mag, i, j))
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return [(i, j) for _, i, j in edges]
+    return [(i, j) for m, i, j in edges if m > 1e-8], [(i, j) for m, i, j in edges if m <= 1e-8]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
