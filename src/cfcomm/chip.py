@@ -20,9 +20,12 @@ handful of settings.
 
 The compiler takes the protocol from ``protocol.build_steps`` and lowers each
 step onto adjacent mode pairs: an outer or inner rotation is one MZI, and
-Bob's interaction with loss mode Ln becomes routers (exact swaps) walking Ln
-next to C, the blocker MZI on (C, Ln), and routers walking it back.  Pass
-has no interaction steps, so it compiles to rotations only.  A useful closed
+Bob's interaction with loss mode Ln is the blocker MZI on (C, Ln).  B and C
+travel down the chain as a convoy, so Ln always sits next to C: after each
+Bob step two routers (exact swaps) move C and then B past Ln, and at the
+end B and then C walk home.  That is 1 + K + 5B - 4 MZIs for B >= 1 Bob
+steps, packed into columns as early as their modes allow.  Pass has no
+interaction steps, so it compiles to rotations only.  A useful closed
 form follows:
 
     T(pi - 2a, phi_m) = e^{-ia} R(a) diag(-e^{i phi_m}, 1)
@@ -183,23 +186,35 @@ def mzi_block(theta_m: float, phi_m: float) -> Block:
 def _lowered_steps(config: ProtocolConfig) -> Iterator[tuple[int, float | None, str]]:
     """(pair, rotation angle or None for an exact swap, role) per MZI.
 
-    Rotations already act on adjacent modes.  Bob's step on (C, Ln) becomes
-    routers on pairs n+1 .. 3 walking Ln next to C, the blocker on pair 2
-    (a swap for block, a rotation by beta for a splitter), and routers on
-    pairs 3 .. n+1 walking it back, so every mode ends at its home.
+    B and C travel down the chain as a convoy: B starts on slot 1 and C on
+    slot 2, and the outer rotation acts on pair 0.  Each inner rotation acts
+    on (slot of B, slot of C), and Bob's step in cycle n is the blocker on
+    (slot of C, slot of C + 1), where Ln still sits at its home (a swap for
+    block, a rotation by beta for a splitter).  After every Bob step but the
+    last, one router moves C past Ln and a second moves B past it, so the
+    used loss modes stay behind in order and the next fresh one sits next to
+    C.  At the end B walks home, then C, which moves every loss mode back to
+    its home too: 1 + K MZIs without Bob steps, 1 + K + 5B - 4 with B >= 1.
     """
-    for step in protocol.build_steps(config):
+    steps = protocol.build_steps(config)
+    remaining = sum(step.kind == protocol.BOB_INTERACTION for step in steps)
+    b = 1
+    for step in steps:
         if step.kind == protocol.OUTER_ROTATION:
             yield 0, config.phi, ROLE_OUTER
         elif step.kind == protocol.INNER_ROTATION:
-            yield 1, config.theta, ROLE_INNER
+            yield b, config.theta, ROLE_INNER
         else:
-            home = step.pair[1]
-            for q in range(home - 1, 2, -1):
-                yield q, None, ROLE_ROUTER
-            yield 2, config.bob.beta, ROLE_BLOCKER
-            for q in range(3, home):
-                yield q, None, ROLE_ROUTER
+            yield b + 1, config.bob.beta, ROLE_BLOCKER
+            remaining -= 1
+            if remaining:
+                yield b + 1, None, ROLE_ROUTER
+                yield b, None, ROLE_ROUTER
+                b += 1
+    for q in range(b - 1, 0, -1):  # B walks home from slot b
+        yield q, None, ROLE_ROUTER
+    for q in range(b, 1, -1):  # then C from slot b + 1
+        yield q, None, ROLE_ROUTER
 
 
 def _phase_walk(
@@ -226,7 +241,10 @@ def _phase_walk(
 
 
 def compile_program(config: ProtocolConfig) -> MeshProgram:
-    """Compile a configuration onto the mesh, one MZI per column.
+    """Compile a configuration onto the mesh, each MZI in the column after
+    the last one that touched either of its modes.  MZIs in one column act
+    on disjoint rows and so commute: the packed program multiplies out to
+    the same matrix, bit for bit, as the MZIs one per column in walk order.
 
     Phase bookkeeping: each MZI realizing a target block G satisfies
     T diag(p_i, p_j) = diag(q_i, q_j) G for unit "pending" phases p, q:
@@ -257,11 +275,15 @@ def compile_program(config: ProtocolConfig) -> MeshProgram:
         raise RuntimeError("cannot equalize output phases on modes A and B")
 
     placed, _ = _phase_walk(ops, d)
-    settings = (
-        MziSetting(pair=pair, column=column, theta=theta_m, phi=phi_m, role=role)
-        for column, (pair, theta_m, phi_m, role) in enumerate(placed)
-    )
-    return MeshProgram(mode_count=size, columns=tuple((s,) for s in settings))
+    free = [0] * size  # per mode, the column after the last MZI that touched it
+    columns: list[list[MziSetting]] = []
+    for pair, theta_m, phi_m, role in placed:
+        column = max(free[pair], free[pair + 1])
+        if column == len(columns):
+            columns.append([])
+        columns[column].append(MziSetting(pair=pair, column=column, theta=theta_m, phi=phi_m, role=role))
+        free[pair] = free[pair + 1] = column + 1
+    return MeshProgram(mode_count=size, columns=tuple(map(tuple, columns)))
 
 
 def _mzi_walk(program: MeshProgram) -> Iterator[tuple[tuple[int, int], Block]]:

@@ -43,6 +43,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _delta_value(text: str) -> float:
     try:
         value = float(text)
@@ -233,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tomo = commands.add_parser("tomo", help="simulate tomography of Alice's output qubit on the mesh")
     _add_config_flags(p_tomo)
-    p_tomo.add_argument("--shots", type=int, default=100000, help="shots per basis; 0 = analytic expectations")
-    p_tomo.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p_tomo.add_argument("--shots", type=_non_negative_int, default=100000,
+                        help="shots per basis; 0 = analytic expectations")
+    p_tomo.add_argument("--seed", type=_non_negative_int, default=0, help="sampling seed (>= 0)")
     _add_output_flags(p_tomo, ("json",), "json")
 
     return parser
@@ -282,8 +293,6 @@ def _cmd_chip(ns: argparse.Namespace) -> int:
 
 
 def _cmd_tomo(ns: argparse.Namespace) -> int:
-    if ns.shots < 0:
-        raise ValueError(f"--shots must be >= 0, got {ns.shots}")
     result = chip.simulate_tomography(_config_from(ns), ns.shots, ns.seed)
     doc = {
         "counts": {basis: list(pair) for basis, pair in result.counts.items()},

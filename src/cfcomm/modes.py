@@ -49,7 +49,7 @@ NORM_TOL = 1e-12
 # ``embed`` and ``protocol.Step.op``, ``protocol.evolution_unitary``, and
 # ``chip.compile_program``, ``mesh_unitary``, ``verify`` and
 # ``simulate_tomography``.  At the cap one such matrix holds 515^2 complex
-# entries (about 4.2 MB) and a compiled mesh has about K^2 = 2.6e5 MZIs.
+# entries (about 4.2 MB) and a compiled mesh has at most 6K - 3 = 3,069 MZIs.
 # ``protocol.run`` and ``protocol.sweep`` are O(K) and stay uncapped.
 MAX_DENSE_CYCLES = 512
 

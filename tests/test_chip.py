@@ -70,12 +70,15 @@ class TestCompile:
             ("outer_rotation", 0),
             ("inner_rotation", 1),
             ("blocker", 2),
-            ("inner_rotation", 1),
-            ("router", 3),       # L2 walked next to C
-            ("blocker", 2),
-            ("router", 3),       # and back
-            ("inner_rotation", 1),
+            ("router", 2),       # C moves past L1
+            ("router", 1),       # then B: the convoy sits on slots 2, 3
+            ("inner_rotation", 2),
+            ("blocker", 3),      # L2 is already next to C
+            ("inner_rotation", 2),
+            ("router", 1),       # B walks home
+            ("router", 2),       # then C
         ]
+        assert [s.column for s in program.settings] == list(range(10))
 
 
 class TestMeshUnitary:

@@ -211,19 +211,37 @@ class TestTomo:
         assert code == 1
         assert "postselected" in err
 
+    @pytest.mark.parametrize("flag", ["--shots", "--seed"])
+    @pytest.mark.parametrize("value", ["-1", "1.5", "many"])
+    def test_bad_count_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tomo", "--k", "2", "--bob", "block", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_empty_subspace_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "tomo", "--k", "1", "--delta", "0", "--bob", "block", "--shots", "0")
         assert code == 1
 
 
 class TestDenseCap:
-    # Rejected before any dense matrix or mesh is built.
     @pytest.mark.parametrize("argv", [["chip"], ["tomo", "--shots", "0"]])
     def test_huge_k_is_runtime_error(self, capsys, argv):
+        # Rejected before any dense matrix or mesh is built.
         code, out, err = run_cli(capsys, *argv, "--k", "100000", "--bob", "block")
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "K <= 512" in err
+
+    def test_chip_at_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "chip", "--k", "512", "--bob", "split:0.4", "--final-block")
+        assert code == 0
+        assert json.loads(out)["equivalent"] is True
+
+    def test_tomo_at_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "tomo", "--k", "512", "--bob", "block", "--delta", "0.3", "--shots", "0")
+        assert code == 0
+        assert json.loads(out)["trace_distance"] <= 1e-10
 
 
 class TestOutputPlumbing:

@@ -11,13 +11,17 @@ phase verifier are checked against the modal evolution itself.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcomm.chip import (
     ROLE_BLOCKER,
+    ROLE_INNER,
     MeshProgram,
+    MziSetting,
     _input_column,
+    _lowered_steps,
     _phase_edges,
     compile_program,
     mesh_unitary,
@@ -177,13 +181,48 @@ def test_compiled_mesh_lowers_every_step(config):
     program = compile_program(config)
     report = verify(mesh_unitary(program), config, tol=1e-9)
     assert report.equivalent, report.detail
-    k = config.k
-    bob_cycles = k if config.include_final_block else k - 1
-    # Bob's step in cycle n is 2(n-1) routers around one blocker.
-    expected = 1 + k + (bob_cycles**2 if config.bob.interacts else 0)
+    bob_steps = sum(step.kind == BOB_INTERACTION for step in build_steps(config))
+    # One blocker per Bob step, two routers moving B and C on after each but
+    # the last, and 2(B-1) routers walking them home.
+    expected = 1 + config.k + (5 * bob_steps - 4 if bob_steps else 0)
     assert len(program.settings) == expected
-    blockers = sum(s.role == ROLE_BLOCKER for s in program.settings)
-    assert blockers == sum(step.kind == BOB_INTERACTION for step in build_steps(config))
+    assert sum(s.role == ROLE_BLOCKER for s in program.settings) == bob_steps
+    inner = None
+    for setting in program.settings:
+        if setting.role == ROLE_INNER:
+            inner = setting
+        elif setting.role == ROLE_BLOCKER:
+            assert setting.pair == inner.pair + 1
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_packed_columns_match_walk_order(k):
+    for bob in (BLOCK, PASS, splitter(0.37)):
+        for final_block in (False, True):
+            config = ProtocolConfig(k, 0.3, bob, final_block)
+            program = compile_program(config)
+            # MZIs on one pair share both modes, so packing keeps their order:
+            # the walk-order settings are read back pair by pair.
+            queues = {}
+            for setting in program.settings:
+                queues.setdefault(setting.pair, []).append(setting)
+            walk = []
+            for pair, _, role in _lowered_steps(config):
+                setting = queues[pair].pop(0)
+                assert setting.role == role
+                walk.append(setting)
+            assert not any(queues.values())
+            serial = MeshProgram(
+                program.mode_count,
+                tuple((MziSetting(s.pair, i, s.theta, s.phi, s.role),) for i, s in enumerate(walk)),
+            )
+            np.testing.assert_array_equal(mesh_unitary(program).matrix, mesh_unitary(serial).matrix)
+            np.testing.assert_array_equal(_input_column(program), _input_column(serial))
+            # As soon as possible: every MZI past column 0 shares a mode with
+            # one in the column before.
+            for before, column in zip(program.columns, program.columns[1:]):
+                touched = {m for s in before for m in (s.pair, s.pair + 1)}
+                assert all(s.pair in touched or s.pair + 1 in touched for s in column)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
