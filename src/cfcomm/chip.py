@@ -107,10 +107,10 @@ class InsufficientStatisticsError(RuntimeError):
 @dataclass(frozen=True)
 class MziSetting:
     """One placed MZI: internal/external phases (radians, stored mod 2pi) on
-    the adjacent mode pair (pair, pair+1) in the given column."""
+    the adjacent mode pair (pair, pair+1); its column is where it sits in
+    ``MeshProgram.columns``."""
 
     pair: int
-    column: int
     theta: float
     phi: float
     role: str
@@ -141,8 +141,6 @@ class MeshProgram:
             for setting in column:
                 if setting.pair + 1 >= self.mode_count:
                     raise ValueError(f"MZI pair {setting.pair} does not fit in {self.mode_count} modes")
-                if setting.column != index:
-                    raise ValueError(f"MZI tagged column {setting.column} found in column {index}")
                 if setting.pair in used or setting.pair + 1 in used or setting.pair - 1 in used:
                     raise ValueError(f"overlapping MZIs in column {index} at pair {setting.pair}")
                 used.add(setting.pair)
@@ -164,10 +162,10 @@ class MeshProgram:
     def from_json_dict(cls, doc: dict) -> "MeshProgram":
         columns = tuple(
             tuple(
-                MziSetting(pair=int(m["pair"]), column=i, theta=float(m["theta"]), phi=float(m["phi"]), role=str(m["role"]))
+                MziSetting(pair=int(m["pair"]), theta=float(m["theta"]), phi=float(m["phi"]), role=str(m["role"]))
                 for m in col
             )
-            for i, col in enumerate(doc["columns"])
+            for col in doc["columns"]
         )
         return cls(mode_count=int(doc["mode_count"]), columns=columns)
 
@@ -262,9 +260,8 @@ def compile_program(config: ProtocolConfig) -> MeshProgram:
     each final pending traces back to; d is then chosen so the output phases
     on A and B coincide, and a second walk emits the settings.
     """
-    check_dense_size(config.k + 3)
+    ops = list(_lowered_steps(config))  # checks K against protocol.MAX_CYCLES first
     size = config.mode_basis().size
-    ops = list(_lowered_steps(config))
 
     coeff = [1.0 + 0.0j] * size
     _, source = _phase_walk(ops, coeff)
@@ -281,7 +278,7 @@ def compile_program(config: ProtocolConfig) -> MeshProgram:
         column = max(free[pair], free[pair + 1])
         if column == len(columns):
             columns.append([])
-        columns[column].append(MziSetting(pair=pair, column=column, theta=theta_m, phi=phi_m, role=role))
+        columns[column].append(MziSetting(pair=pair, theta=theta_m, phi=phi_m, role=role))
         free[pair] = free[pair + 1] = column + 1
     return MeshProgram(mode_count=size, columns=tuple(map(tuple, columns)))
 

@@ -109,8 +109,9 @@ def amplitude_by_paths(histories: list[History], outcome: str) -> complex:
 
 def counterfactuality_report(config: ProtocolConfig, outcome: str) -> CounterfactualityReport:
     """Partition the histories reaching ``outcome`` by whether they visit C."""
-    config.mode_basis().index(outcome)  # reject unknown labels early
-    ending = [h for h in enumerate_histories(config) if h.path[-1] == outcome]
+    found = enumerate_histories(config)  # checks the K bound first
+    config.mode_basis().index(outcome)  # rejects unknown labels
+    ending = [h for h in found if h.path[-1] == outcome]
     visiting = [h for h in ending if "C" in h.path]
     total = complex(sum(h.amplitude for h in ending))
     return CounterfactualityReport(

@@ -1,15 +1,15 @@
 """Single-photon state vectors over labeled optical modes, plus the two-mode
 unitaries (real rotations and exact swaps) as 2x2 blocks on a mode pair,
-the kernel that applies them, and their embeddings into the full mode space.
+the kernel that applies them, and their embedding into the full mode space.
 
 Mode convention: channel modes A, B, C sit at indices 0..2, loss modes
-L1..LK behind them.  A two-mode operation is a checked 2x2 ``Block`` of
-Python complex scalars acting on one pair of amplitude slots (a Givens
-rotation).  ``apply_blocks`` is the one place a block is multiplied into
-two slots: two amplitudes of a state, or two rows of a matrix.  Protocol
-steps, path-history columns and every MZI of the mesh go through it.
-Dense M x M matrices (M = K+3) are built only on request: by ``embed`` (and
-so ``rotation``, ``swap`` and ``protocol.Step.op``),
+L1..LK behind them, so K alone fixes the basis.  A two-mode operation is a
+checked 2x2 ``Block`` of Python complex scalars acting on one pair of
+amplitude slots (a Givens rotation).  ``apply_blocks`` is the one place a
+block is multiplied into two slots: two amplitudes of a state, or two rows
+of a matrix.  Protocol steps, path-history columns and every MZI of the
+mesh go through it.  Dense M x M matrices (M = K+3) are built only on
+request: by ``embed`` (and so ``protocol.Step.op``),
 ``protocol.evolution_unitary`` and ``chip.mesh_unitary``; every dense path
 first checks the mode count against ``MAX_DENSE_CYCLES``.
 """
@@ -17,6 +17,8 @@ first checks the mode count against ``MAX_DENSE_CYCLES``.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -38,19 +40,17 @@ __all__ = [
     "embed",
     "exact_cos_sin",
     "mode_probabilities",
-    "rotation",
     "rotation_block",
-    "swap",
 ]
 
 NORM_TOL = 1e-12
 
 # Largest K for which a dense M x M matrix (M = K+3 modes) is built: by
 # ``embed`` and ``protocol.Step.op``, ``protocol.evolution_unitary``, and
-# ``chip.compile_program``, ``mesh_unitary``, ``verify`` and
-# ``simulate_tomography``.  At the cap one such matrix holds 515^2 complex
-# entries (about 4.2 MB) and a compiled mesh has at most 6K - 3 = 3,069 MZIs.
-# ``protocol.run`` and ``protocol.sweep`` are O(K) and stay uncapped.
+# ``chip.mesh_unitary``, ``verify`` and ``simulate_tomography``.  At the cap
+# one such matrix holds 515^2 complex entries (about 4.2 MB).  The O(K)
+# paths (``protocol.run``, ``protocol.sweep`` and ``chip.compile_program``)
+# are bounded by ``protocol.MAX_CYCLES`` instead.
 MAX_DENSE_CYCLES = 512
 
 # cos(pi/2) lands ~6e-17 off zero in doubles.  Matrix entries that are
@@ -79,43 +79,46 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+_CHANNELS = {"A": 0, "B": 1, "C": 2}
+_LOSS_LABEL = re.compile("L([1-9][0-9]*)")
+
+
 @dataclass(frozen=True)
 class ModeBasis:
-    """Ordered mode labels [A, B, C, L1..LK]; ``index(mode)`` is the amplitude slot."""
+    """Modes [A, B, C, L1..LK] for K = ``loss_count``; ``index(mode)`` is the
+    amplitude slot."""
 
-    labels: tuple[str, ...]
+    loss_count: int
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
-        if len(labels) < 4:
-            raise ValueError(f"need at least 4 modes (K >= 1), got {len(labels)}")
-        if labels[:3] != ("A", "B", "C"):
-            raise ValueError(f"modes A, B, C must occupy indices 0..2, got {labels[:3]}")
-        expected_loss = tuple(f"L{n}" for n in range(1, len(labels) - 2))
-        if labels[3:] != expected_loss:
-            raise ValueError(f"loss modes must be L1..L{len(labels) - 3} in order, got {labels[3:]}")
+        k = operator.index(self.loss_count)  # a plain int from any integer type
+        if k < 1:
+            raise ValueError(f"cycle count must be >= 1, got {k}")
+        object.__setattr__(self, "loss_count", k)
 
     @classmethod
     def for_cycles(cls, k: int) -> "ModeBasis":
-        """Basis for a K-cycle protocol: A, B, C plus loss modes L1..LK."""
-        if k < 1:
-            raise ValueError(f"cycle count must be >= 1, got {k}")
-        return cls(("A", "B", "C") + tuple(f"L{n}" for n in range(1, k + 1)))
+        """Basis for a K-cycle protocol; the same as ``ModeBasis(k)``."""
+        return cls(k)
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return self.loss_count + 3
 
     @property
-    def loss_count(self) -> int:
-        return len(self.labels) - 3
+    def labels(self) -> tuple[str, ...]:
+        return ("A", "B", "C") + tuple(f"L{n}" for n in range(1, self.loss_count + 1))
 
     def index(self, mode: str) -> int:
-        try:
-            return self.labels.index(mode)
-        except ValueError:
-            raise ValueError(f"unknown mode {mode!r}; basis has {self.labels}") from None
+        """Slot of "A", "B", "C" or "L<n>" (n in 1..K, plain decimal)."""
+        if isinstance(mode, str):
+            if mode in _CHANNELS:
+                return _CHANNELS[mode]
+            loss = _LOSS_LABEL.fullmatch(mode)
+            # Lengths first: int() refuses very long digit strings.
+            if loss and len(loss[1]) <= len(str(self.loss_count)) and int(loss[1]) <= self.loss_count:
+                return 2 + int(loss[1])
+        raise ValueError(f"unknown mode {mode!r}; basis has {self.labels}")
 
 
 @dataclass(frozen=True)
@@ -222,23 +225,6 @@ def embed(block: Block, i: int, j: int, size: int) -> UnitaryOp:
     mat = np.eye(size, dtype=complex)
     (mat[i, i], mat[i, j]), (mat[j, i], mat[j, j]) = block
     return UnitaryOp(mat)
-
-
-def rotation(basis: ModeBasis, i: str, j: str, angle: float) -> UnitaryOp:
-    """Real rotation between modes i and j, identity elsewhere.
-
-    U|i> = cos(angle)|i> + sin(angle)|j>,  U|j> = -sin(angle)|i> + cos(angle)|j>.
-    """
-    if i == j:
-        raise ValueError(f"rotation needs two distinct modes, got {i!r} twice")
-    return embed(rotation_block(angle), basis.index(i), basis.index(j), basis.size)
-
-
-def swap(basis: ModeBasis, i: str, j: str) -> UnitaryOp:
-    """Exact permutation |i><j| + |j><i| + identity on everything else."""
-    if i == j:
-        raise ValueError(f"swap needs two distinct modes, got {i!r} twice")
-    return embed(SWAP_BLOCK, basis.index(i), basis.index(j), basis.size)
 
 
 def apply(op: UnitaryOp, state: PureState) -> PureState:

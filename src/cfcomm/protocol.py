@@ -32,6 +32,7 @@ from .modes import (
 
 __all__ = [
     "BLOCK",
+    "MAX_CYCLES",
     "PASS",
     "BobAction",
     "OutcomeDistribution",
@@ -51,6 +52,12 @@ __all__ = [
 OUTER_ROTATION = "outer_rotation"
 INNER_ROTATION = "inner_rotation"
 BOB_INTERACTION = "bob_interaction"
+
+# Largest K that ``build_steps`` (and so ``run``, ``sweep`` and
+# ``chip.compile_program``) accepts.  Round-off in the K rotations adds up:
+# max K |c^2 + s^2 - 1| over K <= 4096 is 4.5e-13, but 1.05e-12 at K = 10,000,
+# past the 1e-12 norm tolerance.
+MAX_CYCLES = 4096
 
 
 class PostselectionError(ValueError):
@@ -75,10 +82,6 @@ class BobAction:
                 raise ValueError(f"splitter angle must lie in [0, pi/2], got {self.beta!r}")
         elif self.beta is not None:
             raise ValueError(f"{self.kind!r} action takes no angle")
-
-    @property
-    def interacts(self) -> bool:
-        return self.kind != "pass"
 
     def label(self) -> str:
         if self.kind == "splitter":
@@ -130,17 +133,15 @@ class ProtocolConfig:
         return math.pi / (2 * self.k)
 
     def mode_basis(self) -> ModeBasis:
-        return ModeBasis.for_cycles(self.k)
+        return ModeBasis(self.k)
 
 
 @dataclass(frozen=True)
 class Step:
-    """One labeled evolution step: the 2x2 unitary ``block`` on the mode pair
-    ``modes``, whose amplitude slots in a ``size``-mode basis are ``pair``."""
+    """One labeled evolution step: the 2x2 unitary ``block`` on the amplitude
+    slots ``pair`` of a ``size``-mode basis."""
 
     kind: str
-    cycle: int | None
-    modes: tuple[str, str]
     pair: tuple[int, int]
     block: Block
     size: int
@@ -182,13 +183,23 @@ class OutcomeDistribution:
         return np.array([self.p_D0, self.p_D1, self.p_D3, *self.p_loss])
 
 
+def _check_cycles(k: int) -> None:
+    if k > MAX_CYCLES:
+        raise ValueError(
+            f"protocol runs are limited to K <= {MAX_CYCLES}, past which round-off in the K rotations "
+            f"can push the norm defect beyond 1e-12; got K = {k}"
+        )
+
+
 def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
     """Temporal step sequence: outer rotation, then K inner cycles.
 
     Bob's interaction appears after inner rotations 1..K-1 (fresh loss mode
     each cycle, ascending) and, only when ``include_final_block`` is set,
     once more after the K-th.  Pass inserts identities, which are elided.
+    K above ``MAX_CYCLES`` is rejected before any step is built.
     """
+    _check_cycles(config.k)
     size = config.mode_basis().size
     inner = rotation_block(config.theta)
     bob = None
@@ -198,21 +209,22 @@ def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
         bob = rotation_block(config.bob.beta)
     last_bob_cycle = config.k if config.include_final_block else config.k - 1
 
-    steps = [Step(OUTER_ROTATION, None, ("A", "B"), (0, 1), rotation_block(config.phi), size)]
+    steps = [Step(OUTER_ROTATION, (0, 1), rotation_block(config.phi), size)]
     for n in range(1, config.k + 1):
-        steps.append(Step(INNER_ROTATION, n, ("B", "C"), (1, 2), inner, size))
+        steps.append(Step(INNER_ROTATION, (1, 2), inner, size))
         if bob is not None and n <= last_bob_cycle:
-            steps.append(Step(BOB_INTERACTION, n, ("C", f"L{n}"), (2, 2 + n), bob, size))
+            steps.append(Step(BOB_INTERACTION, (2, 2 + n), bob, size))
     return tuple(steps)
 
 
 def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
     """Apply the step sequence to the photon injected in mode A, two
     amplitudes per step."""
+    steps = build_steps(config)
     basis = config.mode_basis()
     amps = [0j] * basis.size
     amps[basis.index("A")] = 1 + 0j
-    apply_blocks(((step.pair, step.block) for step in build_steps(config)), amps)
+    apply_blocks(((step.pair, step.block) for step in steps), amps)
     state = PureState(np.array(amps), basis)
     return state, OutcomeDistribution.from_state(state)
 
@@ -269,6 +281,9 @@ def sweep(
     """One exact run per (K, delta) pair, K outer, delta inner."""
     if not k_values or not delta_values:
         raise ValueError("sweep needs at least one K and one delta")
+    # Every K is validated, and the largest checked against MAX_CYCLES,
+    # before the first point runs.
+    _check_cycles(max(ProtocolConfig(k, 0.0, bob).k for k in k_values))
     rows = []
     for k in k_values:
         for delta in delta_values:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -78,16 +79,21 @@ class TestCompile:
             ("router", 1),       # B walks home
             ("router", 2),       # then C
         ]
-        assert [s.column for s in program.settings] == list(range(10))
+        # Every MZI shares a mode with the one before, so each has a column
+        # of its own.
+        assert [[(s.role, s.pair) for s in column] for column in program.columns] == [[r] for r in roles]
 
 
 class TestMeshUnitary:
+    def test_setting_fields(self):
+        assert [f.name for f in dataclasses.fields(MziSetting)] == ["pair", "theta", "phi", "role"]
+
     def test_empty_program_is_identity(self):
         program = MeshProgram(mode_count=4, columns=())
         np.testing.assert_array_equal(mesh_unitary(program).matrix, np.eye(4))
 
     def test_single_cross_moves_photon(self):
-        program = MeshProgram(4, ((MziSetting(0, 0, 0.0, 0.0, "router"),),))
+        program = MeshProgram(4, ((MziSetting(0, 0.0, 0.0, "router"),),))
         psi = mesh_unitary(program).matrix @ np.array([1, 0, 0, 0], dtype=complex)
         assert abs(psi[1]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -95,8 +101,8 @@ class TestMeshUnitary:
         program = MeshProgram(
             4,
             (
-                (MziSetting(0, 0, math.pi, 0.0, "identity"),),
-                (MziSetting(2, 1, math.pi, 0.0, "identity"),),
+                (MziSetting(0, math.pi, 0.0, "identity"),),
+                (MziSetting(2, math.pi, 0.0, "identity"),),
             ),
         )
         mat = mesh_unitary(program).matrix
@@ -106,12 +112,12 @@ class TestMeshUnitary:
         with pytest.raises(ValueError):
             MeshProgram(
                 4,
-                ((MziSetting(0, 0, 0.0, 0.0, "router"), MziSetting(1, 0, 0.0, 0.0, "router")),)
+                ((MziSetting(0, 0.0, 0.0, "router"), MziSetting(1, 0.0, 0.0, "router")),)
             )
 
     def test_pair_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            MeshProgram(4, ((MziSetting(3, 0, 0.0, 0.0, "router"),),))
+            MeshProgram(4, ((MziSetting(3, 0.0, 0.0, "router"),),))
 
 
 class TestVerify:
@@ -234,8 +240,13 @@ class TestDenseCap:
     HUGE = ProtocolConfig(100000, 0.0, BLOCK)
 
     def test_compile_program(self):
-        with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
+        # compile_program builds nothing dense: it is bounded by MAX_CYCLES.
+        with pytest.raises(ValueError) as err:
             compile_program(self.HUGE)
+        assert str(err.value) == (
+            "protocol runs are limited to K <= 4096, past which round-off in the K rotations "
+            "can push the norm defect beyond 1e-12; got K = 100000"
+        )
 
     def test_mesh_unitary(self):
         with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):

@@ -224,14 +224,52 @@ class TestTomo:
         assert code == 1
 
 
+def dense_cap_message(k):
+    return f"dense matrices are limited to K <= 512 (515 modes), got {k + 3} modes (K = {k})"
+
+
+def cycle_bound_message(k):
+    return (
+        "protocol runs are limited to K <= 4096, past which round-off in the K rotations "
+        f"can push the norm defect beyond 1e-12; got K = {k}"
+    )
+
+
+class TestCycleBound:
+    @pytest.mark.parametrize(
+        "argv", [["run", "--k", "4097"], ["sweep", "--k", "4096:4097"], ["chip", "--emit-only", "--k", "4097"]]
+    )
+    def test_above_the_bound(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--bob", "block")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {cycle_bound_message(4097)}\n"
+
+
 class TestDenseCap:
     @pytest.mark.parametrize("argv", [["chip"], ["tomo", "--shots", "0"]])
     def test_huge_k_is_runtime_error(self, capsys, argv):
-        # Rejected before any dense matrix or mesh is built.
+        # Rejected before any mesh or dense matrix is built: chip by the
+        # cycle bound of build_steps, tomo by the dense cap.
         code, out, err = run_cli(capsys, *argv, "--k", "100000", "--bob", "block")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "K <= 512" in err
+        if argv[0] == "chip":
+            assert err == f"error: {cycle_bound_message(100000)}\n"
+        else:
+            assert err == f"error: {dense_cap_message(100000)}\n"
+
+    def test_emit_only_past_the_dense_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "chip", "--emit-only", "--k", "600", "--bob", "block")
+        assert code == 0
+        columns = json.loads(out)["program"]["columns"]
+        assert sum(len(col) for col in columns) == 1 + 600 + 5 * 599 - 4
+
+    def test_chip_past_the_dense_cap(self, capsys):
+        code, out, err = run_cli(capsys, "chip", "--k", "600", "--bob", "block")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {dense_cap_message(600)}\n"
 
     def test_chip_at_the_cap(self, capsys):
         code, out, _ = run_cli(capsys, "chip", "--k", "512", "--bob", "split:0.4", "--final-block")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +15,20 @@ from cfcomm.modes import (
     check_block,
     embed,
     mode_probabilities,
-    rotation,
     rotation_block,
-    swap,
 )
 
 BASIS4 = ModeBasis.for_cycles(1)
 BASIS5 = ModeBasis.for_cycles(2)
+
+
+def rotation(angle, i, j, size=4):
+    """The dense real rotation |i> -> cos|i> + sin|j> on slots (i, j)."""
+    return embed(rotation_block(angle), i, j, size)
+
+
+def swap(i, j, size=4):
+    return embed(SWAP_BLOCK, i, j, size)
 
 
 class TestModeBasis:
@@ -34,25 +42,42 @@ class TestModeBasis:
         assert BASIS4.index("L1") == 3
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BASIS4.index("Q")
+        with pytest.raises(ValueError) as err:
+            BASIS5.index("Q")
+        assert str(err.value) == "unknown mode 'Q'; basis has ('A', 'B', 'C', 'L1', 'L2')"
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             ModeBasis.for_cycles(0)
 
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ModeBasis)] == ["loss_count"]
+        assert ModeBasis(2) == BASIS5
+        assert ModeBasis(np.int64(2)).loss_count == 2
+        assert type(ModeBasis(np.int64(2)).loss_count) is int
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_index_of_every_label(self, k):
+        basis = ModeBasis(k)
+        labels = ("A", "B", "C") + tuple(f"L{n}" for n in range(1, k + 1))
+        assert basis.labels == labels
+        assert basis.size == len(labels)
+        for position, label in enumerate(labels):
+            assert basis.index(label) == position
+        with pytest.raises(ValueError, match=f"unknown mode 'L{k + 1}'"):
+            basis.index(f"L{k + 1}")
+
     @pytest.mark.parametrize(
-        "labels",
+        "mode",
         [
-            ("A", "B", "C"),                  # too small
-            ("A", "C", "B", "L1"),            # channel order wrong
-            ("A", "B", "C", "L2", "L1"),      # loss order wrong
-            ("A", "B", "C", "L1", "L1"),      # duplicate
+            "", "L", "L0", "L01", "L+1", "L1_0", " L1", "l1", "L\u00b2", "L\u0661", "L1\u0661", "L1\n", "D", "A ",
+            3, None, pytest.param("L" + "9" * 5000, id="L9x5000"),
         ],
     )
-    def test_bad_labels_rejected(self, labels):
-        with pytest.raises(ValueError):
-            ModeBasis(labels)
+    def test_off_convention_label_rejected(self, mode):
+        for basis in (BASIS4, ModeBasis(12)):
+            with pytest.raises(ValueError, match="unknown mode"):
+                basis.index(mode)
 
 
 class TestBasisState:
@@ -71,14 +96,14 @@ class TestBasisState:
 
 class TestRotation:
     def test_quarter_turn_maps_i_to_j(self):
-        state = apply(rotation(BASIS4, "A", "B", math.pi / 2), basis_state(BASIS4, "A"))
+        state = apply(rotation(math.pi / 2, 0, 1), basis_state(BASIS4, "A"))
         np.testing.assert_allclose(state.amplitudes, [0, 1, 0, 0], atol=1e-15)
 
     def test_zero_angle_is_identity(self):
-        np.testing.assert_array_equal(rotation(BASIS4, "B", "C", 0.0).matrix, np.eye(4))
+        np.testing.assert_array_equal(rotation(0.0, 1, 2).matrix, np.eye(4))
 
     def test_pi_over_4_amplitudes(self):
-        state = apply(rotation(BASIS4, "B", "C", math.pi / 4), basis_state(BASIS4, "B"))
+        state = apply(rotation(math.pi / 4, 1, 2), basis_state(BASIS4, "B"))
         expected = [0.0, 0.7071067811865476, 0.7071067811865476, 0.0]
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
 
@@ -88,34 +113,34 @@ class TestRotation:
         c, s = math.cos(angle), math.sin(angle)
         expected = np.eye(4, dtype=complex)
         expected[1, 1], expected[2, 1], expected[1, 2], expected[2, 2] = c, s, -s, c
-        np.testing.assert_allclose(rotation(BASIS4, "B", "C", angle).matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(rotation(angle, 1, 2).matrix, expected, atol=1e-15)
 
     def test_exact_zero_at_right_angle(self):
         # cos(pi/2) must be stored as exactly 0.0 (path pruning relies on it).
-        mat = rotation(BASIS4, "B", "C", math.pi / 2).matrix
+        mat = rotation(math.pi / 2, 1, 2).matrix
         assert mat[1, 1] == 0.0
         assert mat[2, 2] == 0.0
 
     def test_same_mode_rejected(self):
         with pytest.raises(ValueError):
-            rotation(BASIS4, "B", "B", 0.3)
+            rotation(0.3, 1, 1)
 
 
 class TestSwap:
     def test_swaps_the_pair(self):
-        state = apply(swap(BASIS4, "C", "L1"), basis_state(BASIS4, "C"))
+        state = apply(swap(2, 3), basis_state(BASIS4, "C"))
         np.testing.assert_array_equal(state.amplitudes, [0, 0, 0, 1])
 
     def test_leaves_other_modes_alone(self):
-        state = apply(swap(BASIS4, "C", "L1"), basis_state(BASIS4, "A"))
+        state = apply(swap(2, 3), basis_state(BASIS4, "A"))
         np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0])
 
     def test_involution(self):
-        x = swap(BASIS4, "C", "L1").matrix
+        x = swap(2, 3).matrix
         np.testing.assert_array_equal(x @ x, np.eye(4))
 
     def test_entry_structure(self):
-        mat = swap(BASIS5, "B", "L2").matrix
+        mat = swap(1, 4, BASIS5.size).matrix
         off_diagonal = mat - np.diag(np.diag(mat))
         assert np.count_nonzero(off_diagonal) == 2
         assert np.all(off_diagonal[off_diagonal != 0] == 1.0)
@@ -123,18 +148,18 @@ class TestSwap:
 
     def test_same_mode_rejected(self):
         with pytest.raises(ValueError):
-            swap(BASIS4, "C", "C")
+            swap(2, 2)
 
 
 class TestApply:
     def test_identity(self):
-        state = apply(rotation(BASIS4, "B", "C", math.pi / 4), basis_state(BASIS4, "B"))
+        state = apply(rotation(math.pi / 4, 1, 2), basis_state(BASIS4, "B"))
         same = apply(UnitaryOp(np.eye(4)), state)
         np.testing.assert_array_equal(same.amplitudes, state.amplitudes)
 
     def test_angle_additivity_on_state(self):
         # Oracle: the explicit matrix product of the two factors.
-        half = rotation(BASIS4, "B", "C", math.pi / 4)
+        half = rotation(math.pi / 4, 1, 2)
         once = apply(half, apply(half, basis_state(BASIS4, "B")))
         product = half.matrix @ half.matrix
         np.testing.assert_allclose(once.amplitudes, product @ [0, 1, 0, 0], atol=1e-15)
@@ -142,7 +167,7 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply(rotation(BASIS4, "A", "B", 0.1), basis_state(BASIS5, "A"))
+            apply(rotation(0.1, 0, 1), basis_state(BASIS5, "A"))
 
 
 class TestApplyBlocks:
@@ -174,7 +199,7 @@ class TestModeProbabilities:
         np.testing.assert_allclose(mode_probabilities(state), [0.36, 0.64, 0, 0], atol=1e-15)
 
     def test_balanced_rotation(self):
-        state = apply(rotation(BASIS4, "B", "C", math.pi / 4), basis_state(BASIS4, "B"))
+        state = apply(rotation(math.pi / 4, 1, 2), basis_state(BASIS4, "B"))
         probs = mode_probabilities(state)
         np.testing.assert_allclose([probs[1], probs[2]], [0.5, 0.5], atol=1e-15)
 
@@ -219,8 +244,7 @@ class TestProperties:
         for _ in range(100):
             angle = rng.uniform(-2 * math.pi, 2 * math.pi)
             i, j = rng.choice(BASIS5.size, size=2, replace=False)
-            labels = BASIS5.labels
-            for op in (rotation(BASIS5, labels[i], labels[j], angle), swap(BASIS5, labels[i], labels[j])):
+            for op in (rotation(angle, i, j, BASIS5.size), swap(i, j, BASIS5.size)):
                 defect = np.abs(op.matrix.conj().T @ op.matrix - np.eye(BASIS5.size)).max()
                 assert defect <= 1e-12
 
@@ -228,21 +252,20 @@ class TestProperties:
         rng = np.random.default_rng(7)
         for _ in range(100):
             a, b = rng.uniform(-math.pi, math.pi, size=2)
-            lhs = rotation(BASIS4, "B", "C", a).matrix @ rotation(BASIS4, "B", "C", b).matrix
-            rhs = rotation(BASIS4, "B", "C", a + b).matrix
+            lhs = rotation(a, 1, 2).matrix @ rotation(b, 1, 2).matrix
+            rhs = rotation(a + b, 1, 2).matrix
             assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_apply_preserves_norm(self):
         rng = np.random.default_rng(99)
-        labels = BASIS5.labels
         for _ in range(100):
             raw = rng.normal(size=BASIS5.size) + 1j * rng.normal(size=BASIS5.size)
             state = PureState(raw / np.linalg.norm(raw), BASIS5)
             for _ in range(rng.integers(1, 51)):
                 i, j = rng.choice(BASIS5.size, size=2, replace=False)
                 if rng.random() < 0.5:
-                    op = rotation(BASIS5, labels[i], labels[j], rng.uniform(0, 2 * math.pi))
+                    op = rotation(rng.uniform(0, 2 * math.pi), i, j, BASIS5.size)
                 else:
-                    op = swap(BASIS5, labels[i], labels[j])
+                    op = swap(i, j, BASIS5.size)
                 state = apply(op, state)
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12

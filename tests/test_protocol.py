@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cfcomm import protocol
 from cfcomm.protocol import (
     BLOCK,
+    MAX_CYCLES,
     PASS,
     BobAction,
     OutcomeDistribution,
@@ -37,9 +40,51 @@ class TestDenseCap:
             evolution_unitary(ProtocolConfig(100000, 0.0, BLOCK))
 
     def test_step_op_above_the_cap(self):
-        step = Step("bob_interaction", 1, ("C", "L1"), (2, 3), SWAP_BLOCK, 100003)
+        step = Step("bob_interaction", (2, 3), SWAP_BLOCK, 100003)
         with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
             step.op
+
+
+def cycle_bound_message(k):
+    return (
+        "protocol runs are limited to K <= 4096, past which round-off in the K rotations "
+        f"can push the norm defect beyond 1e-12; got K = {k}"
+    )
+
+
+class TestCycleBound:
+    @pytest.mark.parametrize("bob", [BLOCK, PASS])
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    @pytest.mark.parametrize("k", [4072, MAX_CYCLES])
+    def test_closed_form_at_the_bound(self, k, delta, bob):
+        # K = 4072 is where K |c^2 + s^2 - 1| peaks for K <= 4096.
+        config = ProtocolConfig(k, delta, bob)
+        np.testing.assert_allclose(run(config)[1].as_array(), closed_form(config).as_array(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.4, math.pi / 2])
+    @pytest.mark.parametrize("k", [4072, MAX_CYCLES])
+    def test_splitter_normalized_at_the_bound(self, k, beta):
+        state, _ = run(ProtocolConfig(k, 0.3, splitter(beta), True))
+        assert abs(math.fsum(abs(a) ** 2 for a in state.amplitudes) - 1.0) <= 1e-12
+
+    def test_build_steps_and_run_above_the_bound(self):
+        config = ProtocolConfig(MAX_CYCLES + 1, 0.0, BLOCK)
+        for call in (build_steps, run):
+            with pytest.raises(ValueError) as err:
+                call(config)
+            assert str(err.value) == cycle_bound_message(MAX_CYCLES + 1)
+
+    def test_sweep_checks_the_largest_k_first(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(protocol, "run", lambda config: calls.append(config))
+        with pytest.raises(ValueError) as err:
+            sweep([1, 2, MAX_CYCLES + 1], [0.0], BLOCK)
+        assert str(err.value) == cycle_bound_message(MAX_CYCLES + 1)
+        assert calls == []
+
+    def test_sweep_validates_every_k_first(self):
+        with pytest.raises(ValueError, match="integer"):
+            sweep([2, "3"], [0.0], BLOCK)
 
 
 class TestConfigValidation:
@@ -91,6 +136,9 @@ class TestConfigValidation:
 
 
 class TestBuildSteps:
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(Step)] == ["kind", "pair", "block", "size"]
+
     def test_k1_block_has_no_swap(self):
         kinds = [s.kind for s in build_steps(ProtocolConfig(1, 0.0, BLOCK))]
         assert kinds == ["outer_rotation", "inner_rotation"]
@@ -103,11 +151,11 @@ class TestBuildSteps:
 
     def test_k2_block_sequence(self):
         steps = build_steps(ProtocolConfig(2, 0.0, BLOCK))
-        assert [(s.kind, s.modes) for s in steps] == [
-            ("outer_rotation", ("A", "B")),
-            ("inner_rotation", ("B", "C")),
-            ("bob_interaction", ("C", "L1")),
-            ("inner_rotation", ("B", "C")),
+        assert [(s.kind, s.pair, s.size) for s in steps] == [
+            ("outer_rotation", (0, 1), 5),
+            ("inner_rotation", (1, 2), 5),
+            ("bob_interaction", (2, 3), 5),
+            ("inner_rotation", (1, 2), 5),
         ]
 
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -119,8 +167,8 @@ class TestBuildSteps:
 
     def test_fresh_loss_mode_per_cycle(self):
         steps = build_steps(ProtocolConfig(4, 0.0, BLOCK, include_final_block=True))
-        bob_targets = [s.modes[1] for s in steps if s.kind == "bob_interaction"]
-        assert bob_targets == ["L1", "L2", "L3", "L4"]
+        bob_pairs = [s.pair for s in steps if s.kind == "bob_interaction"]
+        assert bob_pairs == [(2, 3), (2, 4), (2, 5), (2, 6)]
 
 
 class TestRun:

@@ -214,7 +214,7 @@ def test_packed_columns_match_walk_order(k):
             assert not any(queues.values())
             serial = MeshProgram(
                 program.mode_count,
-                tuple((MziSetting(s.pair, i, s.theta, s.phi, s.role),) for i, s in enumerate(walk)),
+                tuple((MziSetting(s.pair, s.theta, s.phi, s.role),) for s in walk),
             )
             np.testing.assert_array_equal(mesh_unitary(program).matrix, mesh_unitary(serial).matrix)
             np.testing.assert_array_equal(_input_column(program), _input_column(serial))
