@@ -490,11 +490,11 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
     detections are discarded as aborts.  ``shots_per_basis = 0`` switches to
     analytic expectations, which invert exactly.  Sampling is reproducible:
     the three bases draw from ``numpy.random.SeedSequence(seed).spawn(3)``
-    substreams in Z, X, Y order.
+    substreams in Z, X, Y order.  Nothing dense is built, so K is bounded by
+    ``protocol.MAX_CYCLES`` (through ``protocol.run``), not by the dense cap.
     """
     if shots_per_basis < 0:
         raise ValueError(f"shots per basis must be >= 0, got {shots_per_basis}")
-    check_dense_size(config.k + 3)
     final_state, _ = protocol.run(config)
     exact_rho, p_ab = alice_reduced_state(final_state)
     psi = PureState(_input_column(compile_program(config)), config.mode_basis()).amplitudes

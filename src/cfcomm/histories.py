@@ -1,17 +1,26 @@
 """Feynman path histories of the protocol evolution.
 
-Every nonzero path through the step sequence is enumerated with its complex
-amplitude; summing amplitudes per final mode must reproduce the direct
-state-vector evolution, which makes the enumeration an independent oracle.
-Partitioning the paths that reach a given outcome by whether they ever
-visited mode C mechanizes the weak-trace counterfactuality check.
+``enumerate_histories`` lists every nonzero path through the step sequence
+with its complex amplitude; summing amplitudes per final mode must reproduce
+the direct state-vector evolution, which makes the enumeration an
+independent oracle.  Its cost grows with the path count, about 2^K with a
+splitter, so it is bounded by ``MAX_ENUMERATION_CYCLES``.
+
+``counterfactuality_report`` mechanizes the weak-trace check (Vaidman, PRA
+87, 052104, 2013) without listing paths.  The paths that never visit mode C
+are exactly those of the evolution with C set to 0 after every step, so two
+forward passes through ``apply_blocks`` give the total amplitude of an
+outcome and its never-C part; the difference is the C-visiting amplitude.
+Path counts follow the same recurrence on exact integers, with each block
+replaced by its 0/1 nonzero pattern.  The report costs O(K) and is bounded
+by ``protocol.MAX_CYCLES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modes import NORM_TOL, apply_blocks
+from .modes import NORM_TOL, Block, apply_blocks
 from .protocol import ProtocolConfig, Step, build_steps
 
 __all__ = [
@@ -107,19 +116,45 @@ def amplitude_by_paths(histories: list[History], outcome: str) -> complex:
     return complex(sum(h.amplitude for h in histories if h.path[-1] == outcome))
 
 
+def _pattern(block: Block) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The 0/1 matrix of the block's nonzero entries: the number of one-step
+    transitions between its two modes, pruned on exact zeros as in
+    ``enumerate_histories``."""
+    (a, b), (c, d) = block
+    return ((int(a != 0), int(b != 0)), (int(c != 0), int(d != 0)))
+
+
 def counterfactuality_report(config: ProtocolConfig, outcome: str) -> CounterfactualityReport:
-    """Partition the histories reaching ``outcome`` by whether they visit C."""
-    found = enumerate_histories(config)  # checks the K bound first
-    config.mode_basis().index(outcome)  # rejects unknown labels
-    ending = [h for h in found if h.path[-1] == outcome]
-    visiting = [h for h in ending if "C" in h.path]
-    total = complex(sum(h.amplitude for h in ending))
+    """Split the amplitude and the paths reaching ``outcome`` by whether they
+    visit C, with two forward passes over the steps: ``full`` from A, and
+    ``never``, the same evolution with C set to 0 after every step."""
+    basis = config.mode_basis()
+    slot = basis.index(outcome)  # rejects unknown labels first
+    steps = build_steps(config)  # checks the K bound before anything is built
+    a, c = basis.index("A"), basis.index("C")
+    full = [0j] * basis.size
+    full[a] = 1 + 0j
+    never = list(full)
+    full_n = [0] * basis.size
+    full_n[a] = 1
+    never_n = list(full_n)
+    for step in steps:
+        amplitudes = [(step.pair, step.block)]
+        counts = [(step.pair, _pattern(step.block))]
+        apply_blocks(amplitudes, full)
+        apply_blocks(amplitudes, never)
+        apply_blocks(counts, full_n)
+        apply_blocks(counts, never_n)
+        never[c] = 0j
+        never_n[c] = 0
+    total = full[slot]
+    c_visiting_paths = full_n[slot] - never_n[slot]
     return CounterfactualityReport(
         outcome_mode=outcome,
         total_amplitude=total,
-        c_visiting_amplitude=complex(sum(h.amplitude for h in visiting)),
-        c_visiting_paths=len(visiting),
-        verdict=not visiting,
+        c_visiting_amplitude=total - never[slot],
+        c_visiting_paths=c_visiting_paths,
+        verdict=c_visiting_paths == 0,
         probability=abs(total) ** 2,
         vacuous=abs(total) <= NORM_TOL,
     )

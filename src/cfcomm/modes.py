@@ -7,11 +7,12 @@ L1..LK behind them, so K alone fixes the basis.  A two-mode operation is a
 checked 2x2 ``Block`` of Python complex scalars acting on one pair of
 amplitude slots (a Givens rotation).  ``apply_blocks`` is the one place a
 block is multiplied into two slots: two amplitudes of a state, or two rows
-of a matrix.  Protocol steps, path-history columns and every MZI of the
-mesh go through it.  Dense M x M matrices (M = K+3) are built only on
-request: by ``embed`` (and so ``protocol.Step.op``),
-``protocol.evolution_unitary`` and ``chip.mesh_unitary``; every dense path
-first checks the mode count against ``MAX_DENSE_CYCLES``.
+of a matrix.  Protocol steps, the counterfactuality report's forward
+passes, path-history columns and every MZI of the mesh go through it.
+Dense M x M matrices (M = K+3) are built only on request: by ``embed``
+(and so ``protocol.Step.op``), ``protocol.evolution_unitary`` and
+``chip.mesh_unitary``; every dense path first checks the mode count
+against ``MAX_DENSE_CYCLES``.
 """
 
 from __future__ import annotations
@@ -47,15 +48,17 @@ NORM_TOL = 1e-12
 
 # Largest K for which a dense M x M matrix (M = K+3 modes) is built: by
 # ``embed`` and ``protocol.Step.op``, ``protocol.evolution_unitary``, and
-# ``chip.mesh_unitary``, ``verify`` and ``simulate_tomography``.  At the cap
-# one such matrix holds 515^2 complex entries (about 4.2 MB).  The O(K)
-# paths (``protocol.run``, ``protocol.sweep`` and ``chip.compile_program``)
-# are bounded by ``protocol.MAX_CYCLES`` instead.
+# ``chip.mesh_unitary`` and ``verify``.  At the cap one such matrix holds
+# 515^2 complex entries (about 4.2 MB).  The O(K) paths (``protocol.run``,
+# ``protocol.sweep``, ``histories.counterfactuality_report``,
+# ``chip.compile_program`` and ``chip.simulate_tomography``) are bounded by
+# ``protocol.MAX_CYCLES`` instead.
 MAX_DENSE_CYCLES = 512
 
 # cos(pi/2) lands ~6e-17 off zero in doubles.  Matrix entries that are
-# mathematically zero must be exactly 0.0 because path enumeration prunes on
-# exact zeros; any legitimate protocol angle keeps cos/sin far above this.
+# mathematically zero must be exactly 0.0 because path enumeration and path
+# counts prune on exact zeros; any legitimate protocol angle keeps cos/sin
+# far above this.
 _TRIG_SNAP = 1e-15
 
 
@@ -118,7 +121,7 @@ class ModeBasis:
             # Lengths first: int() refuses very long digit strings.
             if loss and len(loss[1]) <= len(str(self.loss_count)) and int(loss[1]) <= self.loss_count:
                 return 2 + int(loss[1])
-        raise ValueError(f"unknown mode {mode!r}; basis has {self.labels}")
+        raise ValueError(f"unknown mode {mode!r}; basis has A, B, C, L1..L{self.loss_count}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,8 @@ def check_block(block: Block) -> Block:
 def apply_blocks(ops: Iterable[tuple[tuple[int, int], Block]], target: list[complex] | np.ndarray) -> None:
     """Apply each ``((i, j), block)`` in order to slots i and j of ``target``,
     in place.  ``target`` is a list of amplitudes or a matrix, whose slots
-    are its rows."""
+    are its rows.  With 0/1 integer blocks on a list of Python ints it
+    counts paths exactly."""
     for (i, j), ((u00, u01), (u10, u11)) in ops:
         a, b = target[i], target[j]
         new = u00 * a + u01 * b

@@ -137,10 +137,30 @@ class TestTrace:
         assert doc["vacuous"] is False
         assert doc["probability"] == pytest.approx(COS8_PI_8, abs=1e-12)
 
-    def test_enumeration_bound_is_runtime_error(self, capsys):
-        code, _, err = run_cli(capsys, "trace", "--k", "13", "--bob", "block", "--outcome", "B")
+    def test_past_the_enumeration_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--k", "13", "--bob", "block", "--outcome", "B")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] is True
+        assert doc["c_visiting_paths"] == 0
+
+    def test_at_the_cycle_bound(self, capsys):
+        # Every step of a splitter run with the final block has four nonzero
+        # entries, so 2^(K-1) paths reach B and one of them never visits C.
+        code, out, _ = run_cli(
+            capsys, "trace", "--k", "4096", "--bob", "split:0.4", "--final-block", "--outcome", "B"
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["verdict"] is False
+        assert doc["c_visiting_paths"] == 2**4095 - 1
+        assert len(str(doc["c_visiting_paths"])) == 1233  # below the 4,300-digit int/str limit
+
+    def test_unknown_outcome_at_the_cycle_bound(self, capsys):
+        code, out, err = run_cli(capsys, "trace", "--k", "4096", "--bob", "block", "--outcome", "L4097")
         assert code == 1
-        assert "K <= 12" in err
+        assert out == ""
+        assert err == "error: unknown mode 'L4097'; basis has A, B, C, L1..L4096\n"
 
 
 class TestChip:
@@ -237,7 +257,13 @@ def cycle_bound_message(k):
 
 class TestCycleBound:
     @pytest.mark.parametrize(
-        "argv", [["run", "--k", "4097"], ["sweep", "--k", "4096:4097"], ["chip", "--emit-only", "--k", "4097"]]
+        "argv",
+        [
+            ["run", "--k", "4097"],
+            ["sweep", "--k", "4096:4097"],
+            ["chip", "--emit-only", "--k", "4097"],
+            ["trace", "--k", "4097", "--outcome", "B"],
+        ],
     )
     def test_above_the_bound(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--bob", "block")
@@ -245,19 +271,22 @@ class TestCycleBound:
         assert out == ""
         assert err == f"error: {cycle_bound_message(4097)}\n"
 
+    def test_tomo_at_the_bound(self, capsys):
+        # Tomography propagates one column, so the dense cap does not apply.
+        code, out, _ = run_cli(capsys, "tomo", "--k", "4096", "--bob", "block", "--delta", "0.3", "--shots", "0")
+        assert code == 0
+        assert json.loads(out)["trace_distance"] <= 1e-10
+
 
 class TestDenseCap:
     @pytest.mark.parametrize("argv", [["chip"], ["tomo", "--shots", "0"]])
     def test_huge_k_is_runtime_error(self, capsys, argv):
-        # Rejected before any mesh or dense matrix is built: chip by the
-        # cycle bound of build_steps, tomo by the dense cap.
+        # Rejected by the cycle bound of build_steps before any mesh, column
+        # or dense matrix is built.
         code, out, err = run_cli(capsys, *argv, "--k", "100000", "--bob", "block")
         assert code == 1
         assert out == ""
-        if argv[0] == "chip":
-            assert err == f"error: {cycle_bound_message(100000)}\n"
-        else:
-            assert err == f"error: {dense_cap_message(100000)}\n"
+        assert err == f"error: {cycle_bound_message(100000)}\n"
 
     def test_emit_only_past_the_dense_cap(self, capsys):
         code, out, _ = run_cli(capsys, "chip", "--emit-only", "--k", "600", "--bob", "block")

@@ -126,9 +126,19 @@ class TestCounterfactuality:
         with pytest.raises(ValueError):
             counterfactuality_report(ProtocolConfig(2, 0.1, PASS), "Q")
 
-    def test_enumeration_bound(self):
-        with pytest.raises(EnumerationLimitError):
-            counterfactuality_report(ProtocolConfig(13, 0.1, PASS), "B")
+    def test_cycle_bound(self):
+        # Past the enumeration bound up to MAX_CYCLES, and no further.
+        for k in (13, 4096):
+            config = ProtocolConfig(k, 0.1, splitter(0.4), True)
+            state, _ = run(config)
+            for label in ("A", "B", "C", f"L{k}"):
+                assert counterfactuality_report(config, label).total_amplitude == state.amplitude(label)
+        with pytest.raises(ValueError) as err:
+            counterfactuality_report(ProtocolConfig(4097, 0.1, PASS), "B")
+        assert str(err.value) == (
+            "protocol runs are limited to K <= 4096, past which round-off in the K rotations "
+            "can push the norm defect beyond 1e-12; got K = 4097"
+        )
 
 
 class TestPathStructure:

@@ -44,7 +44,15 @@ class TestModeBasis:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError) as err:
             BASIS5.index("Q")
-        assert str(err.value) == "unknown mode 'Q'; basis has ('A', 'B', 'C', 'L1', 'L2')"
+        assert str(err.value) == "unknown mode 'Q'; basis has A, B, C, L1..L2"
+
+    @pytest.mark.parametrize("k", [1, 9, 12, 4096, 100000])
+    def test_unknown_mode_message_names_the_range(self, k):
+        # The message names K, not every label, so only K's digits add length.
+        with pytest.raises(ValueError) as err:
+            ModeBasis(k).index("Q")
+        assert str(err.value) == f"unknown mode 'Q'; basis has A, B, C, L1..L{k}"
+        assert len(str(err.value)) - len(str(k)) == 42
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):

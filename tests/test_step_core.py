@@ -28,8 +28,8 @@ from cfcomm.chip import (
     mzi_block,
     verify,
 )
-from cfcomm.histories import enumerate_histories
-from cfcomm.modes import UnitaryOp
+from cfcomm.histories import counterfactuality_report, enumerate_histories
+from cfcomm.modes import NORM_TOL, UnitaryOp
 from cfcomm.protocol import (
     BLOCK,
     BOB_INTERACTION,
@@ -158,6 +158,35 @@ def test_histories_match_dense_walk(config):
     want = dense_histories(config)
     assert [path for path, _ in got] == [path for path, _ in want]
     np.testing.assert_allclose([a for _, a in got], [a for _, a in want], rtol=0, atol=TOL)
+
+
+tiny_betas = st.floats(math.log(1e-12), math.log(1e-6)).map(math.exp)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.builds(ProtocolConfig, st.integers(1, 10), deltas, st.one_of(actions, tiny_betas.map(splitter)), st.booleans()))
+@example(ProtocolConfig(1, 0.0, PASS))
+@example(ProtocolConfig(2, 0.1, PASS))
+@example(ProtocolConfig(10, 0.0, splitter(math.pi / 2), True))
+@example(ProtocolConfig(10, 0.3, splitter(0.37), True))
+@example(ProtocolConfig(9, 0.0, splitter(3e-9), False))
+@example(ProtocolConfig(8, 0.0, splitter(0.0), True))
+def test_report_matches_enumeration(config):
+    found = enumerate_histories(config)
+    state, _ = run(config)
+    for label in config.mode_basis().labels:
+        ending = [h for h in found if h.path[-1] == label]
+        visiting = [h for h in ending if "C" in h.path]
+        total = complex(sum(h.amplitude for h in ending))
+        report = counterfactuality_report(config, label)
+        assert report.total_amplitude == state.amplitude(label)  # the same kernel, bit for bit
+        assert abs(report.total_amplitude - total) <= TOL
+        assert abs(report.c_visiting_amplitude - complex(sum(h.amplitude for h in visiting))) <= TOL
+        assert report.c_visiting_paths == len(visiting)
+        assert report.verdict is (not visiting)
+        assert report.vacuous is (abs(total) <= NORM_TOL)
+        if report.c_visiting_paths == 0:
+            assert report.c_visiting_amplitude == 0
 
 
 def test_step_op_is_the_embedded_block():
