@@ -8,6 +8,7 @@ deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -215,7 +216,11 @@ def _add_output_flags(sub: argparse.ArgumentParser, formats: tuple[str, ...], de
     sub.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    after it: ``parse_args`` returns a fresh namespace each time and no
+    default is mutated."""
     parser = argparse.ArgumentParser(prog="cfcomm", description="Counterfactual communication protocol toolkit")
     commands = parser.add_subparsers(dest="command", required=True)
 

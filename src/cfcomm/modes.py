@@ -38,6 +38,7 @@ __all__ = [
     "basis_state",
     "check_block",
     "check_dense_size",
+    "check_norm",
     "embed",
     "exact_cos_sin",
     "mode_probabilities",
@@ -135,9 +136,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.basis.size,):
             raise ValueError(f"expected {self.basis.size} amplitudes, got shape {amps.shape}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
+        check_norm(float(np.sum(np.abs(amps) ** 2)))
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
     def amplitude(self, mode: str) -> complex:
@@ -169,6 +168,13 @@ def basis_state(basis: ModeBasis, mode: str) -> PureState:
     amps = np.zeros(basis.size, dtype=complex)
     amps[basis.index(mode)] = 1.0
     return PureState(amps, basis)
+
+
+def check_norm(norm_sq: float) -> None:
+    """Raise ``ValueError`` unless a squared norm lies within ``NORM_TOL`` of 1
+    (NaN fails too)."""
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
+        raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
 
 
 def check_dense_size(size: int) -> None:

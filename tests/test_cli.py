@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, main
+from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, build_parser, main
 
 COS8_PI_8 = 0.5307900429449552
 SIN_SQ_01 = 0.009966711079379185
@@ -338,6 +338,25 @@ class TestOutputPlumbing:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_reused_parser_matches_fresh_processes(self, capsys):
+        # The parser is built once per process; flags and defaults of one
+        # call must not carry into the next, so each call, run twice over,
+        # prints what it prints in a fresh process.
+        assert build_parser() is build_parser()
+        calls = [
+            ("sweep", "--k", "2:3", "--bob", "split:0.7", "--final-block", "--delta", "0:0.2:0.1"),
+            ("run", "--k", "3", "--bob", "split:0.7"),
+            ("sweep", "--k", "3", "--bob", "split:0.7"),
+        ]
+        fresh = {
+            argv: subprocess.run([sys.executable, "-m", "cfcomm", *argv], capture_output=True, text=True, check=True).stdout
+            for argv in calls
+        }
+        for argv in calls + calls:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out == fresh[argv]
 
     def test_subprocess_byte_identical(self):
         argv = [sys.executable, "-m", "cfcomm", "tomo", "--k", "2", "--delta", "0.2",

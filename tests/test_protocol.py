@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfcomm import protocol
 from cfcomm.protocol import (
@@ -76,7 +78,7 @@ class TestCycleBound:
 
     def test_sweep_checks_the_largest_k_first(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(protocol, "run", lambda config: calls.append(config))
+        monkeypatch.setattr(protocol, "build_steps", lambda config: calls.append(config))
         with pytest.raises(ValueError) as err:
             sweep([1, 2, MAX_CYCLES + 1], [0.0], BLOCK)
         assert str(err.value) == cycle_bound_message(MAX_CYCLES + 1)
@@ -85,6 +87,23 @@ class TestCycleBound:
     def test_sweep_validates_every_k_first(self):
         with pytest.raises(ValueError, match="integer"):
             sweep([2, "3"], [0.0], BLOCK)
+
+    @pytest.mark.parametrize("bob", [BLOCK, PASS])
+    def test_sweep_closed_form_at_the_bound(self, bob):
+        deltas = [0.1 * n for n in range(16)]
+        rows = sweep([4072, MAX_CYCLES], deltas, bob)
+        assert [(r.k, r.delta) for r in rows] == [(k, d) for k in (4072, MAX_CYCLES) for d in deltas]
+        for row in rows:
+            want = closed_form(ProtocolConfig(row.k, row.delta, bob))
+            np.testing.assert_allclose(row.distribution.as_array(), want.as_array(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.pi / 2, math.nan, -0.1])
+    def test_sweep_rejects_a_late_bad_delta_before_evolving(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(protocol, "build_steps", lambda config: calls.append(config))
+        with pytest.raises(ValueError, match="delta must"):
+            sweep([4072, MAX_CYCLES], [0.1 * n for n in range(15)] + [bad], BLOCK)
+        assert calls == []
 
 
 class TestConfigValidation:
@@ -278,6 +297,70 @@ class TestSweep:
             sweep([], [0.1], BLOCK)
         with pytest.raises(ValueError):
             sweep([2], [], BLOCK)
+
+    @pytest.mark.parametrize("final", [False, True])
+    @pytest.mark.parametrize("bob", [BLOCK, PASS, splitter(0.4), splitter(1e-12), splitter(math.pi / 2)])
+    def test_delta_zero_rows_are_run_bit_for_bit(self, bob, final):
+        deltas = [0.0, 0.3, 0.0]
+        rows = sweep([1, 2, 7, 64, MAX_CYCLES], deltas, bob, final)
+        for row in rows[::3] + rows[2::3]:
+            assert row.distribution == run(ProtocolConfig(row.k, 0.0, bob, final))[1]
+
+    def test_build_steps_once_per_k(self, monkeypatch):
+        calls = []
+
+        def counting(config):
+            calls.append(config.k)
+            return build_steps(config)
+
+        monkeypatch.setattr(protocol, "build_steps", counting)
+        rows = sweep([3, 1, 64, 3], [0.0, 0.1, 0.2, 0.5], splitter(0.4), True)
+        assert calls == [3, 1, 64, 3]
+        assert len(rows) == 16
+
+    def test_norm_check_per_row(self, monkeypatch):
+        # K = 1 block sends |B> exactly to |C>, so an outer (cos, sin) of
+        # (1, 1) gives that row a squared norm of exactly 2.
+        exact = protocol.exact_cos_sin
+        bad_phi = ProtocolConfig(1, 0.2, BLOCK).phi
+        monkeypatch.setattr(protocol, "exact_cos_sin", lambda angle: (1.0, 1.0) if angle == bad_phi else exact(angle))
+        with pytest.raises(ValueError) as err:
+            sweep([1], [0.1, 0.2], BLOCK)
+        assert str(err.value) == "state is not normalized: sum |a_i|^2 = 2.0"
+
+
+# K from 1..64 plus two large values, delta including 0 and values just
+# below pi/2, and splitter angles down to 1e-12 (uniform and log-uniform).
+sweep_ks = st.lists(st.one_of(st.integers(1, 64), st.sampled_from([1024, MAX_CYCLES])), min_size=1, max_size=3)
+sweep_deltas = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(0.0, math.pi / 2, exclude_max=True),
+        st.floats(math.pi / 2 - 1e-6, math.pi / 2, exclude_max=True),
+    ),
+    min_size=1,
+    max_size=4,
+)
+sweep_actions = st.one_of(
+    st.sampled_from([BLOCK, PASS]),
+    st.floats(1e-12, math.pi / 2).map(splitter),
+    st.floats(math.log(1e-12), math.log(math.pi / 2)).map(lambda x: splitter(min(math.exp(x), math.pi / 2))),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(sweep_ks, sweep_deltas, sweep_actions, st.booleans())
+@example([1, 64, 1024, MAX_CYCLES], [0.0, 0.3, math.nextafter(math.pi / 2, 0.0)], splitter(1e-12), True)
+@example([MAX_CYCLES, 1], [math.nextafter(math.pi / 2, 0.0), 0.0], BLOCK, False)
+@example([64, MAX_CYCLES], [0.0, 1.2], PASS, True)
+def test_sweep_matches_run_per_point(k_values, delta_values, bob, final):
+    rows = sweep(k_values, delta_values, bob, final)
+    assert [(r.k, r.delta) for r in rows] == [(k, d) for k in k_values for d in delta_values]
+    for row in rows:
+        got = row.distribution
+        want = run(ProtocolConfig(row.k, row.delta, bob, final))[1]
+        np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=0, atol=1e-12)
+        assert abs(got.p_loss_total - want.p_loss_total) <= 1e-12
 
 
 class TestAliceReducedState:
