@@ -12,11 +12,13 @@ e^{ix} on the first mode of the pair (Clements et al., Optica 3, 1460,
                                [i (t + 1) f, 1 - t    ]]
 
 ``mzi_block`` builds this 2x2 block from Python complex scalars.
-``mesh_unitary`` applies each MZI as that block on the two rows of its
-pair, and tomography propagates a single column (the photon entering A)
-through the same blocks, both through ``modes.apply_blocks``; blocks are
-memoised per call by (theta_m, phi_m), since a compiled mesh repeats a
-handful of settings.
+``mesh_unitary`` composes the blocks through ``modes.compose_unitary``:
+routers and, under block, Bob's blockers are exact swaps up to phase
+(theta_m = 0), so they are routed, and every other MZI is applied as its
+block on the two rows of its pair.  Tomography propagates a single column
+(the photon entering A) through the same blocks with ``modes.apply_blocks``.
+Blocks are memoised per call by (theta_m, phi_m), since a compiled mesh
+repeats a handful of settings.
 
 The compiler takes the protocol from ``protocol.build_steps`` and lowers each
 step onto adjacent mode pairs: an outer or inner rotation is one MZI, and
@@ -49,10 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .modes import Block, PureState, UnitaryOp, apply_blocks, check_block, check_dense_size
+from .modes import Block, PureState, UnitaryOp, apply_blocks, check_block, compose_unitary
 from .protocol import ProtocolConfig, alice_reduced_state
 
 __all__ = [
+    "MAX_SHOTS",
     "ROLE_BLOCKER",
     "ROLE_IDENTITY",
     "ROLE_INNER",
@@ -64,6 +67,7 @@ __all__ = [
     "MeshProgram",
     "MziSetting",
     "TomographyResult",
+    "check_tolerance",
     "compile_program",
     "mesh_unitary",
     "mzi_block",
@@ -73,6 +77,9 @@ __all__ = [
 ]
 
 TWO_PI = 2 * math.pi
+
+# Largest shot count per basis: numpy's multinomial takes it as a C long.
+MAX_SHOTS = 2**63 - 1
 
 ROLE_IDENTITY = "identity"
 ROLE_OUTER = "outer_rotation"
@@ -297,11 +304,10 @@ def _mzi_walk(program: MeshProgram) -> Iterator[tuple[tuple[int, int], Block]]:
 
 
 def mesh_unitary(program: MeshProgram) -> UnitaryOp:
-    """Compose the MZIs in column order, each updating the two rows of its pair."""
-    check_dense_size(program.mode_count)
-    mat = np.eye(program.mode_count, dtype=complex)
-    apply_blocks(_mzi_walk(program), mat)
-    return UnitaryOp(mat)
+    """Compose the MZIs in column order through ``modes.compose_unitary``:
+    routers and block-mode blockers are routed, every other MZI updates the
+    two rows of its pair."""
+    return compose_unitary(_mzi_walk(program), program.mode_count)
 
 
 def _input_column(program: MeshProgram) -> np.ndarray:
@@ -363,6 +369,15 @@ def _phase_edges(v: np.ndarray, w: np.ndarray) -> tuple[list[tuple[int, int]], l
     return edges[:strong], edges[strong:]
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite real number >= 0: the
+    rule for ``verify`` and for ``cfcomm chip --tol``."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise ValueError(f"tolerance must be a real number, got {tol!r}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+
+
 def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> MeshEquivalenceReport:
     """Find diagonal phases with D_out U_mesh D_in = U_modal, A/B outputs equal.
 
@@ -375,8 +390,10 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
     Components still apart are then joined through their strongest entries
     below that floor, strongest first: left alone, such an entry would keep
     an arbitrary relative phase and mismatch by up to twice its magnitude.
-    Failure is reported, never raised.
+    Failure is reported, never raised; a ``tol`` that is not a finite real
+    number >= 0 raises ``ValueError`` before anything is computed.
     """
+    check_tolerance(tol)
     target = protocol.evolution_unitary(config)
     v = u_mesh.matrix
     w = target.matrix
@@ -480,6 +497,13 @@ def _basis_probabilities(psi: np.ndarray, basis_name: str) -> np.ndarray:
     return np.abs(out) ** 2
 
 
+def _integer(value: object, name: str) -> int:
+    """``value`` as a plain int; ``ValueError`` for bools and non-integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int = 0) -> TomographyResult:
     """Tomography of Alice's output qubit on the compiled mesh.
 
@@ -492,9 +516,15 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
     the three bases draw from ``numpy.random.SeedSequence(seed).spawn(3)``
     substreams in Z, X, Y order.  Nothing dense is built, so K is bounded by
     ``protocol.MAX_CYCLES`` (through ``protocol.run``), not by the dense cap.
+    ``shots_per_basis`` (an integer in [0, ``MAX_SHOTS``]) and ``seed`` (an
+    integer >= 0) are checked first, before anything runs.
     """
-    if shots_per_basis < 0:
-        raise ValueError(f"shots per basis must be >= 0, got {shots_per_basis}")
+    shots_per_basis = _integer(shots_per_basis, "shots per basis")
+    if not 0 <= shots_per_basis <= MAX_SHOTS:
+        raise ValueError(f"shots per basis must lie in [0, 2**63 - 1], got {shots_per_basis}")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     final_state, _ = protocol.run(config)
     exact_rho, p_ab = alice_reduced_state(final_state)
     psi = PureState(_input_column(compile_program(config)), config.mode_basis()).amplitudes

@@ -69,8 +69,10 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {value}")
+    try:
+        chip.check_tolerance(value)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     return value
 
 

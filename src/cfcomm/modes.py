@@ -5,14 +5,18 @@ the kernel that applies them, and their embedding into the full mode space.
 Mode convention: channel modes A, B, C sit at indices 0..2, loss modes
 L1..LK behind them, so K alone fixes the basis.  A two-mode operation is a
 checked 2x2 ``Block`` of Python complex scalars acting on one pair of
-amplitude slots (a Givens rotation).  ``apply_blocks`` is the one place a
-block is multiplied into two slots: two amplitudes of a state, or two rows
-of a matrix.  Protocol steps, the counterfactuality report's forward
-passes, path-history columns and every MZI of the mesh go through it.
-Dense M x M matrices (M = K+3) are built only on request: by ``embed``
-(and so ``protocol.Step.op``), ``protocol.evolution_unitary`` and
-``chip.mesh_unitary``; every dense path first checks the mode count
-against ``MAX_DENSE_CYCLES``.
+amplitude slots (a Givens rotation).  ``apply_blocks`` multiplies blocks
+into two slots of a vector in place: the amplitudes of a state (protocol
+steps, the counterfactuality report's forward passes, path-history
+columns, the tomography column) or exact path counts.  ``compose_unitary``
+builds the dense matrix of a block sequence, for
+``protocol.evolution_unitary`` and ``chip.mesh_unitary``: a block with an
+exactly zero diagonal (an exact swap up to phases) is routed, by swapping
+which stored row each slot reads and carrying its phases to the end;
+every other block updates two stored rows.  Dense M x M matrices
+(M = K+3) are built only on request: by ``embed`` (and so
+``protocol.Step.op``) and ``compose_unitary``; every dense path first
+checks the mode count against ``MAX_DENSE_CYCLES``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "check_block",
     "check_dense_size",
     "check_norm",
+    "compose_unitary",
     "embed",
     "exact_cos_sin",
     "mode_probabilities",
@@ -215,6 +220,57 @@ def apply_blocks(ops: Iterable[tuple[tuple[int, int], Block]], target: list[comp
         new = u00 * a + u01 * b
         target[j] = u10 * a + u11 * b
         target[i] = new
+
+
+def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> UnitaryOp:
+    """The ``size``-mode unitary of the ``((i, j), block)`` sequence applied
+    in order to the identity, checked against the dense cap first.
+
+    A block with an exactly zero diagonal (an exact swap up to phases:
+    routers, Bob's blocker under block, ``SWAP_BLOCK``) is routed, not
+    multiplied: it swaps which stored row each of its two slots reads and
+    multiplies their pending phases by u01 and u10.  Every other block
+    first folds the pending phases of its slots into its entries, then
+    updates the two stored rows as ``apply_blocks`` would.  At the end the
+    rows are gathered through the map in place, and scaled unless every
+    pending phase is 1.  With nothing routed the matrix is returned as
+    built, entry for entry what ``apply_blocks`` on the identity gives.
+    """
+    check_dense_size(size)
+    mat = np.eye(size, dtype=complex)
+    rows = list(range(size))  # slot -> the stored row it reads
+    phases = [1 + 0j] * size  # slot -> the phase pending on that row
+    for (i, j), ((u00, u01), (u10, u11)) in ops:
+        if u00 == 0 and u11 == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+            phases[i], phases[j] = u01 * phases[j], u10 * phases[i]
+            continue
+        p, q = phases[i], phases[j]
+        if p != 1:
+            u00, u10 = u00 * p, u10 * p
+            phases[i] = 1 + 0j
+        if q != 1:
+            u01, u11 = u01 * q, u11 * q
+            phases[j] = 1 + 0j
+        a, b = mat[rows[i]], mat[rows[j]]
+        new = u00 * a + u01 * b
+        b[:] = u10 * a + u11 * b
+        a[:] = new
+    # Gather in place, one cycle of the map at a time (slot s takes stored
+    # row rows[s]): a gathered copy would add an M x M array to the peak.
+    for start in range(size):
+        if rows[start] == start:
+            continue
+        first = mat[start].copy()
+        slot = start
+        while rows[slot] != start:
+            mat[slot] = mat[rows[slot]]
+            rows[slot], slot = slot, rows[slot]
+        mat[slot] = first
+        rows[slot] = slot
+    if any(p != 1 for p in phases):
+        mat *= np.array(phases)[:, None]
+    return UnitaryOp(mat)
 
 
 def rotation_block(angle: float) -> Block:

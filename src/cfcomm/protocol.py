@@ -25,6 +25,7 @@ from .modes import (
     apply_blocks,
     check_dense_size,
     check_norm,
+    compose_unitary,
     embed,
     exact_cos_sin,
     mode_probabilities,
@@ -235,13 +236,13 @@ def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
 
 
 def evolution_unitary(config: ProtocolConfig) -> UnitaryOp:
-    """The full evolution as a single matrix (steps composed in time order),
-    each step updating the two rows of its mode pair."""
+    """The full evolution as a single matrix, the steps composed in time order
+    by ``modes.compose_unitary``; Bob's swaps under block are routed."""
     size = config.mode_basis().size
+    # Checked here as well: the generator expression calls build_steps (O(K))
+    # before compose_unitary runs.
     check_dense_size(size)
-    mat = np.eye(size, dtype=complex)
-    apply_blocks(((step.pair, step.block) for step in build_steps(config)), mat)
-    return UnitaryOp(mat)
+    return compose_unitary(((step.pair, step.block) for step in build_steps(config)), size)
 
 
 def closed_form(config: ProtocolConfig) -> OutcomeDistribution:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cfcomm.chip import (
+    MAX_SHOTS,
     InsufficientStatisticsError,
     MeshProgram,
     MziSetting,
@@ -155,6 +156,28 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(UnitaryOp(np.eye(4)), ProtocolConfig(2, 0.0, BLOCK))
 
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (math.nan, "tolerance must be finite and >= 0, got nan"),
+            (math.inf, "tolerance must be finite and >= 0, got inf"),
+            (-1, "tolerance must be finite and >= 0, got -1"),
+            ("1e-9", "tolerance must be a real number, got '1e-9'"),
+            (True, "tolerance must be a real number, got True"),
+        ],
+    )
+    def test_bad_tolerance_rejected(self, tol, message):
+        # Checked before the modal evolution is built: HUGE would fail there.
+        with pytest.raises(ValueError) as err:
+            verify(UnitaryOp(np.eye(4)), TestDenseCap.HUGE, tol=tol)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("tol", [0, 0.0, np.float64(1e-9), np.int64(1)])
+    def test_real_tolerance_accepted(self, tol):
+        config = ProtocolConfig(3, 0.1, BLOCK)
+        report = verify(mesh_unitary(compile_program(config)), config, tol=tol)
+        assert report.equivalent is (report.residual <= tol)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -225,6 +248,38 @@ class TestTomography:
     def test_negative_shots_rejected(self):
         with pytest.raises(ValueError):
             simulate_tomography(SUPERPOSITION_CONFIG, -1)
+
+    @pytest.mark.parametrize(
+        "shots, seed, message",
+        [
+            (10.5, 0, "shots per basis must be an integer, got 10.5"),
+            (True, 0, "shots per basis must be an integer, got True"),
+            ("10", 0, "shots per basis must be an integer, got '10'"),
+            (-1, 0, "shots per basis must lie in [0, 2**63 - 1], got -1"),
+            (2**63, 0, "shots per basis must lie in [0, 2**63 - 1], got 9223372036854775808"),
+            (10, 0.5, "seed must be an integer, got 0.5"),
+            (10, False, "seed must be an integer, got False"),
+            (10, -1, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_shots_or_seed_rejected_first(self, shots, seed, message):
+        # Checked before the run and the compilation: HUGE would fail there.
+        with pytest.raises(ValueError) as err:
+            simulate_tomography(TestDenseCap.HUGE, shots, seed)
+        assert str(err.value) == message
+
+    def test_numpy_integers_accepted(self):
+        result = simulate_tomography(SUPERPOSITION_CONFIG, np.int64(1000), np.uint32(3))
+        plain = simulate_tomography(SUPERPOSITION_CONFIG, 1000, 3)
+        assert type(result.shots_per_basis) is int
+        assert result.counts == plain.counts
+        assert result.postselected_fraction == plain.postselected_fraction
+
+    def test_shots_at_the_multinomial_limit(self):
+        result = simulate_tomography(SUPERPOSITION_CONFIG, MAX_SHOTS, 2**100)
+        assert MAX_SHOTS == 2**63 - 1
+        assert result.shots_per_basis == MAX_SHOTS
+        assert all(0 < n0 + n1 <= MAX_SHOTS for n0, n1 in result.counts.values())
 
     def test_scaling_with_shots(self):
         # Median trace distance at 1e4 shots should sit well above 1e6 shots.

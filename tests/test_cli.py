@@ -243,6 +243,23 @@ class TestTomo:
         code, _, _ = run_cli(capsys, "tomo", "--k", "1", "--delta", "0", "--bob", "block", "--shots", "0")
         assert code == 1
 
+    def test_shots_past_the_multinomial_limit(self, capsys):
+        code, out, err = run_cli(capsys, "tomo", "--k", "2", "--delta", "0.2", "--bob", "block", "--shots", str(2**63))
+        assert code == 1
+        assert out == ""
+        assert err == "error: shots per basis must lie in [0, 2**63 - 1], got 9223372036854775808\n"
+
+    def test_shots_at_the_multinomial_limit(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "tomo", "--k", "2", "--delta", "0.2", "--bob", "split:0.7853981633974483",
+            "--shots", str(2**63 - 1), "--seed", "5",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["shots_per_basis"] == 2**63 - 1
+        assert all(0 < sum(pair) <= 2**63 - 1 for pair in doc["counts"].values())
+        assert doc["trace_distance"] <= 1e-6
+
 
 def dense_cap_message(k):
     return f"dense matrices are limited to K <= 512 (515 modes), got {k + 3} modes (K = {k})"

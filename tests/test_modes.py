@@ -13,6 +13,7 @@ from cfcomm.modes import (
     apply_blocks,
     basis_state,
     check_block,
+    compose_unitary,
     embed,
     mode_probabilities,
     rotation_block,
@@ -196,6 +197,27 @@ class TestApplyBlocks:
         mat = np.eye(4, dtype=complex)
         apply_blocks(self.OPS, mat)
         np.testing.assert_allclose(mat, self.dense_product(np.eye(4)), rtol=0, atol=1e-15)
+
+
+class TestComposeUnitary:
+    def test_routed_swaps_move_rows_with_their_phases(self):
+        # Rows follow the swaps; each routed row carries u01 or u10.
+        ops = [((0, 2), ((0j, 1j), (-1 + 0j, 0j))), ((2, 1), SWAP_BLOCK)]
+        expected = np.array([[0, 0, 1j], [-1, 0, 0], [0, 1, 0]], dtype=complex)
+        np.testing.assert_array_equal(compose_unitary(ops, 3).matrix, expected)
+
+    def test_pending_phase_folds_into_a_mixing_block(self):
+        ops = [((0, 1), ((0j, 1j), (1j, 0j))), ((1, 2), rotation_block(0.3))]
+        dense = embed(rotation_block(0.3), 1, 2, 3).matrix @ embed(((0j, 1j), (1j, 0j)), 0, 1, 3).matrix
+        np.testing.assert_allclose(compose_unitary(ops, 3).matrix, dense, rtol=0, atol=1e-15)
+
+    def test_dense_cap_checked_before_the_ops(self):
+        def ops():
+            raise AssertionError("ops consumed before the size check")
+            yield
+
+        with pytest.raises(ValueError, match="dense matrices are limited to K <= 512"):
+            compose_unitary(ops(), 516)
 
 
 class TestModeProbabilities:

@@ -8,6 +8,7 @@ histories walked over full matrix columns.  The compiled mesh and the
 phase verifier are checked against the modal evolution itself.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from cfcomm.chip import (
     MziSetting,
     _input_column,
     _lowered_steps,
+    _mzi_walk,
     _phase_edges,
     compile_program,
     mesh_unitary,
@@ -29,7 +31,16 @@ from cfcomm.chip import (
     verify,
 )
 from cfcomm.histories import counterfactuality_report, enumerate_histories
-from cfcomm.modes import NORM_TOL, UnitaryOp
+from cfcomm.modes import (
+    NORM_TOL,
+    SWAP_BLOCK,
+    UnitaryOp,
+    apply_blocks,
+    check_block,
+    compose_unitary,
+    embed,
+    rotation_block,
+)
 from cfcomm.protocol import (
     BLOCK,
     BOB_INTERACTION,
@@ -303,3 +314,86 @@ def test_verify_recovers_diagonal_phases(config, seed):
     report = verify(UnitaryOp(u), config)
     assert report.equivalent, report.detail
     assert report.residual <= 1e-12
+
+
+def routed_swap(a, b):
+    """An exact swap with generic phases: ((0, e^{ia}), (e^{ib}, 0))."""
+    return check_block(((0j, cmath.exp(1j * a)), (cmath.exp(1j * b), 0j)))
+
+
+def unrouted(ops, size):
+    """The identity with every block multiplied into two rows by ``apply_blocks``."""
+    mat = np.eye(size, dtype=complex)
+    apply_blocks(ops, mat)
+    return mat
+
+
+def embedded_product(ops, size):
+    mat = np.eye(size, dtype=complex)
+    for (i, j), block in ops:
+        mat = embed(block, i, j, size).matrix @ mat
+    return mat
+
+
+angles = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]),  # right angles: zero diagonals
+    st.floats(-2 * math.pi, 2 * math.pi),
+)
+blocks = st.one_of(
+    st.just(SWAP_BLOCK),
+    st.builds(routed_swap, phases, phases),
+    angles.map(rotation_block),
+    st.builds(mzi_block, st.one_of(st.just(0.0), phases), phases),  # theta 0: a router
+)
+
+
+@st.composite
+def block_sequences(draw):
+    # Few slots, so pairs repeat, reverse ((j, i) with j > i) and skip slots.
+    size = draw(st.integers(2, 7))
+    slot = st.integers(0, size - 1)
+    pair = st.tuples(slot, slot).filter(lambda p: p[0] != p[1])
+    return size, draw(st.lists(st.tuples(pair, blocks), max_size=40))
+
+
+ROT = rotation_block(0.4)
+MZI = mzi_block(1.1, 2.3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(block_sequences())
+@example((2, []))
+@example((3, [((2, 0), routed_swap(0.3, 1.9)), ((0, 2), MZI), ((1, 0), ROT), ((2, 0), SWAP_BLOCK)]))
+@example((4, [((3, 1), routed_swap(2.0, -1.0)), ((1, 3), routed_swap(0.5, 0.7)), ((0, 3), ROT), ((3, 2), MZI)]))
+@example((5, [((0, 4), SWAP_BLOCK), ((4, 1), mzi_block(0.0, 0.9)), ((1, 0), MZI), ((2, 4), mzi_block(0.0, 0.0))]))
+def test_compose_unitary_matches_embedded_product(sequence):
+    size, ops = sequence
+    got = compose_unitary(ops, size).matrix
+    np.testing.assert_allclose(got, embedded_product(ops, size), rtol=0, atol=TOL)
+    if not any(u00 == 0 and u11 == 0 for _, ((u00, _), (_, u11)) in ops):
+        # Nothing routed: the matrix apply_blocks builds, entry for entry.
+        np.testing.assert_array_equal(got, unrouted(ops, size))
+
+
+ALL_ACTIONS = [BLOCK, PASS, splitter(0.7), splitter(math.pi / 2), splitter(0.0), splitter(1e-12)]
+ACTION_IDS = ["block", "pass", "split-0.7", "split-pi/2", "split-0", "split-1e-12"]
+GRID_K = [1, 2, 3, 17, 64, 511, 512]
+
+
+@pytest.mark.parametrize("final_block", [False, True])
+@pytest.mark.parametrize("bob", ALL_ACTIONS, ids=ACTION_IDS)
+def test_evolution_unitary_is_the_unrouted_product_bit_for_bit(bob, final_block):
+    for k in GRID_K:
+        config = ProtocolConfig(k, 0.3, bob, final_block)
+        steps = [(step.pair, step.block) for step in build_steps(config)]
+        reference = unrouted(steps, config.mode_basis().size)
+        np.testing.assert_array_equal(evolution_unitary(config).matrix, reference)
+
+
+@pytest.mark.parametrize("final_block", [False, True])
+@pytest.mark.parametrize("bob", ALL_ACTIONS, ids=ACTION_IDS)
+def test_mesh_unitary_matches_the_unrouted_product(bob, final_block):
+    for k in GRID_K:
+        program = compile_program(ProtocolConfig(k, 0.3, bob, final_block))
+        reference = unrouted(_mzi_walk(program), program.mode_count)
+        np.testing.assert_allclose(mesh_unitary(program).matrix, reference, rtol=0, atol=TOL)
