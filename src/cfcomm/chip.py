@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,26 +111,58 @@ class InsufficientStatisticsError(RuntimeError):
     """Raised when a tomography basis collects zero postselected events."""
 
 
-@dataclass(frozen=True)
+def _integer(value: object, name: str) -> int:
+    """``value`` as a plain int; ``ValueError`` for bools and non-integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+_REALS = (int, float, np.integer, np.floating)
+
+
+@dataclass(frozen=True, init=False)
 class MziSetting:
     """One placed MZI: internal/external phases (radians, stored mod 2pi) on
     the adjacent mode pair (pair, pair+1); its column is where it sits in
-    ``MeshProgram.columns``."""
+    ``MeshProgram.columns``.
+
+    ``__init__`` checks every field in one pass and stores each once:
+    ``pair`` a non-negative integer (bools rejected), ``theta`` and ``phi``
+    finite real numbers, stored as floats already reduced mod 2pi, and
+    ``role`` one of the ``ROLE_*`` names; anything else raises
+    ``ValueError``."""
 
     pair: int
     theta: float
     phi: float
     role: str
 
-    def __post_init__(self) -> None:
-        if self.pair < 0:
-            raise ValueError(f"pair index must be >= 0, got {self.pair}")
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown MZI role {self.role!r}")
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"MZI phases must be finite, got theta={self.theta!r}, phi={self.phi!r}")
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+    def __init__(self, pair: int, theta: float, phi: float, role: str) -> None:
+        # The exact-type tests pass the compiler's own int/float fields
+        # without a call; every other type gets the full check.
+        if type(pair) is not int:
+            pair = _integer(pair, "pair index")
+        if pair < 0:
+            raise ValueError(f"pair index must be >= 0, got {pair}")
+        if role not in _ROLES:
+            raise ValueError(f"unknown MZI role {role!r}")
+        if type(theta) is not float or type(phi) is not float:
+            real = isinstance(theta, _REALS) and isinstance(phi, _REALS)
+            if not real or isinstance(theta, bool) or isinstance(phi, bool):
+                raise ValueError(f"MZI phases must be real numbers, got theta={theta!r}, phi={phi!r}")
+            try:
+                theta, phi = float(theta), float(phi)
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"MZI phases must be finite, got theta={theta!r}, phi={phi!r}") from None
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError(f"MZI phases must be finite, got theta={theta!r}, phi={phi!r}")
+        # The frozen __setattr__ refuses; the instance dict takes each field once.
+        fields = self.__dict__
+        fields["pair"] = pair
+        fields["theta"] = theta % TWO_PI
+        fields["phi"] = phi % TWO_PI
+        fields["role"] = role
 
 
 @dataclass(frozen=True)
@@ -141,11 +173,14 @@ class MeshProgram:
     columns: tuple[tuple[MziSetting, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode_count", _integer(self.mode_count, "mode count"))
         columns = tuple(tuple(col) for col in self.columns)
         object.__setattr__(self, "columns", columns)
         for index, column in enumerate(columns):
             used: set[int] = set()
             for setting in column:
+                if not isinstance(setting, MziSetting):
+                    raise ValueError(f"mesh columns must hold MziSetting instances, got {setting!r}")
                 if setting.pair + 1 >= self.mode_count:
                     raise ValueError(f"MZI pair {setting.pair} does not fit in {self.mode_count} modes")
                 if setting.pair in used or setting.pair + 1 in used or setting.pair - 1 in used:
@@ -167,14 +202,14 @@ class MeshProgram:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeshProgram":
+        """The inverse of ``to_json_dict``.  Values are passed on uncast, so
+        the records' own checks reject a non-integer pair or mode count and
+        a non-numeric phase rather than truncating or parsing them."""
         columns = tuple(
-            tuple(
-                MziSetting(pair=int(m["pair"]), theta=float(m["theta"]), phi=float(m["phi"]), role=str(m["role"]))
-                for m in col
-            )
+            tuple(MziSetting(pair=m["pair"], theta=m["theta"], phi=m["phi"], role=m["role"]) for m in col)
             for col in doc["columns"]
         )
-        return cls(mode_count=int(doc["mode_count"]), columns=columns)
+        return cls(mode_count=doc["mode_count"], columns=columns)
 
 
 def mzi_block(theta_m: float, phi_m: float) -> Block:
@@ -353,26 +388,55 @@ class _UnionFind:
         self.count -= 1
         return True
 
+    def roots(self) -> np.ndarray:
+        """Every node's root, by pointer jumping on a copy of the parents."""
+        parent = np.array(self.parent)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                return parent
+            parent = grand
 
-def _phase_edges(v: np.ndarray, w: np.ndarray) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Entries (i, j) nonzero in both matrices, strongest (by the smaller of
-    the two magnitudes) first, ties in row-major order: those above the
-    1e-8 edge floor, and the rest."""
+
+def _phase_edges(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rows and columns of the entries nonzero in both matrices, strongest
+    (by the smaller of the two magnitudes) first, ties in row-major order,
+    and how many of them lead the order above the 1e-8 edge floor."""
     # np.hypot, not np.abs: it matches Python's abs() on complex entries bit
     # for bit, while np.abs can differ in the last ulp, which reorders ties
     # and so changes the spanning tree.
-    mag = np.minimum(np.hypot(v.real, v.imag), np.hypot(w.real, w.imag))
-    rows, cols = np.nonzero(mag)
-    order = np.argsort(-mag[rows, cols], kind="stable")
-    edges = list(zip(rows[order].tolist(), cols[order].tolist()))
-    strong = int(np.count_nonzero(mag > 1e-8))
-    return edges[:strong], edges[strong:]
+    mag = np.minimum(np.hypot(v.real, v.imag), np.hypot(w.real, w.imag)).ravel()
+    entries = np.flatnonzero(mag)
+    entries = entries[np.argsort(-mag[entries], kind="stable")]
+    rows, cols = np.divmod(entries, v.shape[1])
+    return rows, cols, int(np.count_nonzero(mag > 1e-8))
+
+
+def _kruskal(forest: _UnionFind, ends: np.ndarray, others: np.ndarray, join: Callable[[int, int], None]) -> None:
+    """Offer the edges (ends[n], others[n]) to ``join`` in order, one batch
+    of as many edges as the forest has nodes at a time, until the forest is
+    one tree.  After each batch every node's root is computed once, and the
+    edges left whose two ends already share a root are dropped: ``union``
+    would refuse them, as it refuses every edge once the forest is one tree.
+    So the edges joined, and their order, are those of offering every edge
+    one by one."""
+    batch = len(forest.parent)
+    while len(ends):
+        for a, b in zip(ends[:batch].tolist(), others[:batch].tolist()):
+            if forest.count == 1:
+                return
+            join(a, b)
+        ends, others = ends[batch:], others[batch:]
+        if len(ends):
+            roots = forest.roots()
+            apart = roots[ends] != roots[others]
+            ends, others = ends[apart], others[apart]
 
 
 def check_tolerance(tol: float) -> None:
     """Raise ``ValueError`` unless ``tol`` is a finite real number >= 0: the
     rule for ``verify`` and for ``cfcomm chip --tol``."""
-    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+    if isinstance(tol, bool) or not isinstance(tol, _REALS):
         raise ValueError(f"tolerance must be a real number, got {tol!r}")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
@@ -390,8 +454,14 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
     Components still apart are then joined through their strongest entries
     below that floor, strongest first: left alone, such an entry would keep
     an arbitrary relative phase and mismatch by up to twice its magnitude.
-    Failure is reported, never raised; a ``tol`` that is not a finite real
-    number >= 0 raises ``ValueError`` before anything is computed.
+    Both passes are Kruskal's algorithm run in batches of 2M edges
+    (``_kruskal``): after each batch the edges that would close a cycle are
+    dropped in numpy, so the forest is the one that offering every edge in
+    turn builds.  At K=512 (block, final block, delta 0) the union-find
+    sees 1,031 offers (one batch and the A/B tie), against 132,356 when
+    every strong entry is offered.  Failure is reported, never raised; a
+    ``tol`` that is not a finite real number >= 0 raises ``ValueError``
+    before anything is computed.
     """
     check_tolerance(tol)
     target = protocol.evolution_unitary(config)
@@ -405,23 +475,20 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
     # node -> [(neighbor, entry phase ratio, or None for "same phase")]
     adjacency: list[list[tuple[int, complex | None]]] = [[] for _ in range(2 * size)]
 
-    def join(i: int, j: int) -> None:
-        if forest.union(i, size + j):
-            ratio = w[i, j] / v[i, j]
+    def join(i: int, node: int) -> None:
+        if forest.union(i, node):
+            ratio = w[i, node - size] / v[i, node - size]
             ratio /= abs(ratio)
-            adjacency[i].append((size + j, ratio))
-            adjacency[size + j].append((i, ratio))
+            adjacency[i].append((node, ratio))
+            adjacency[node].append((i, ratio))
 
-    strong, weak = _phase_edges(v, w)
-    for i, j in strong:
-        join(i, j)
+    rows, cols, strong = _phase_edges(v, w)
+    cols += size  # column j is graph node size + j
+    _kruskal(forest, rows[:strong], cols[:strong], join)
     if forest.union(0, 1):
         adjacency[0].append((1, None))
         adjacency[1].append((0, None))
-    for i, j in weak:
-        if forest.count == 1:
-            break
-        join(i, j)
+    _kruskal(forest, rows[strong:], cols[strong:], join)
 
     phase: list[complex | None] = [None] * (2 * size)
     for root in range(2 * size):
@@ -495,13 +562,6 @@ def _basis_probabilities(psi: np.ndarray, basis_name: str) -> np.ndarray:
     if setting is not None:
         apply_blocks([((0, 1), mzi_block(*setting))], out)
     return np.abs(out) ** 2
-
-
-def _integer(value: object, name: str) -> int:
-    """``value`` as a plain int; ``ValueError`` for bools and non-integers."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int = 0) -> TomographyResult:

@@ -197,6 +197,91 @@ class TestSerialization:
             MeshProgram.from_json_dict(doc)
 
 
+class TestRecordChecks:
+    """Bad mesh records fail at construction with an exact ``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.5, 0.0, 0.0, "router"), "pair index must be an integer, got 1.5"),
+            ((True, 0.0, 0.0, "router"), "pair index must be an integer, got True"),
+            (("1", 0.0, 0.0, "router"), "pair index must be an integer, got '1'"),
+            ((-1, 0.0, 0.0, "router"), "pair index must be >= 0, got -1"),
+            ((0, 0.0, 0.0, "mirror"), "unknown MZI role 'mirror'"),
+            ((0, "1", 0.0, "router"), "MZI phases must be real numbers, got theta='1', phi=0.0"),
+            ((0, 0.0, True, "router"), "MZI phases must be real numbers, got theta=0.0, phi=True"),
+            ((0, 1j, 0.0, "router"), "MZI phases must be real numbers, got theta=1j, phi=0.0"),
+            ((0, None, 0.0, "router"), "MZI phases must be real numbers, got theta=None, phi=0.0"),
+            ((0, 0.0, math.inf, "router"), "MZI phases must be finite, got theta=0.0, phi=inf"),
+            ((0, 10**400, 0.0, "router"), f"MZI phases must be finite, got theta={10**400!r}, phi=0.0"),
+        ],
+    )
+    def test_bad_setting_rejected(self, args, message):
+        with pytest.raises(ValueError) as err:
+            MziSetting(*args)
+        assert str(err.value) == message
+
+    def test_setting_stores_plain_reduced_fields(self):
+        setting = MziSetting(np.int64(2), 7, np.float64(-0.5), "blocker")
+        assert type(setting.pair) is int and setting.pair == 2
+        assert setting.theta == 7 % (2 * math.pi)
+        assert setting.phi == -0.5 % (2 * math.pi)
+        assert setting == MziSetting(2, 7.0, -0.5, "blocker")
+        assert hash(setting) == hash(MziSetting(2, 7.0, -0.5, "blocker"))
+        assert type(setting.theta) is float and type(setting.phi) is float
+        theta, phi = 7 % (2 * math.pi), -0.5 % (2 * math.pi)
+        assert repr(setting) == f"MziSetting(pair=2, theta={theta!r}, phi={phi!r}, role='blocker')"
+
+    def test_replace_checks_and_reduces(self):
+        setting = MziSetting(1, 0.5, 0.25, "router")
+        assert dataclasses.replace(setting, theta=7.0) == MziSetting(1, 7.0 - 2 * math.pi, 0.25, "router")
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(setting, pair=1.0)
+        assert str(err.value) == "pair index must be an integer, got 1.0"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setting.theta = 1.0
+
+    @pytest.mark.parametrize(
+        "mode_count, columns, message",
+        [
+            (4.5, (), "mode count must be an integer, got 4.5"),
+            (True, (), "mode count must be an integer, got True"),
+            ("4", (), "mode count must be an integer, got '4'"),
+            (4, (("router",),), "mesh columns must hold MziSetting instances, got 'router'"),
+            (4, ((None,),), "mesh columns must hold MziSetting instances, got None"),
+        ],
+    )
+    def test_bad_program_rejected(self, mode_count, columns, message):
+        with pytest.raises(ValueError) as err:
+            MeshProgram(mode_count, columns)
+        assert str(err.value) == message
+
+    def test_program_stores_plain_mode_count(self):
+        program = MeshProgram(np.int64(4), ())
+        assert type(program.mode_count) is int and program == MeshProgram(4, ())
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("pair",), 1.7, "pair index must be an integer, got 1.7"),
+            (("pair",), 1.0, "pair index must be an integer, got 1.0"),
+            (("pair",), "1", "pair index must be an integer, got '1'"),
+            (("theta",), "0.5", "MZI phases must be real numbers, got theta='0.5', phi=0.0"),
+            (("mode_count",), 6.0, "mode count must be an integer, got 6.0"),
+        ],
+    )
+    def test_from_json_dict_does_not_cast(self, path, value, message):
+        program = MeshProgram(6, ((MziSetting(1, 0.0, 0.0, "router"),),))
+        doc = program.to_json_dict()
+        if path == ("mode_count",):
+            doc["mode_count"] = value
+        else:
+            doc["columns"][0][0][path[0]] = value
+        with pytest.raises(ValueError) as err:
+            MeshProgram.from_json_dict(doc)
+        assert str(err.value) == message
+
+
 class TestTomography:
     def test_analytic_mode_is_exact(self):
         result = simulate_tomography(SUPERPOSITION_CONFIG, 0)

@@ -5,7 +5,8 @@ keep is the dense one: every step's embedded matrix ``step.op.matrix`` (and
 every MZI, multiplied out from its four factors BS P(theta) BS P(phi) and
 embedded into the full mode space) multiplied in time order, and path
 histories walked over full matrix columns.  The compiled mesh and the
-phase verifier are checked against the modal evolution itself.
+phase verifier are checked against the modal evolution itself, and the
+batched verifier against Kruskal's loop offering one edge at a time.
 """
 
 import cmath
@@ -21,6 +22,7 @@ from cfcomm.chip import (
     ROLE_INNER,
     MeshProgram,
     MziSetting,
+    _UnionFind,
     _input_column,
     _lowered_steps,
     _mzi_walk,
@@ -281,9 +283,9 @@ def test_verify_accepts_tiny_splitter_angles(k, beta, final_block, delta):
 def loop_phase_edges(v, w):
     """The verifier's edge lists built entry by entry with Python ``abs``."""
     edges = []
-    for i in range(v.shape[0]):
-        for j in range(v.shape[1]):
-            mag = min(abs(v[i, j]), abs(w[i, j]))
+    for i, (v_row, w_row) in enumerate(zip(v.tolist(), w.tolist())):
+        for j, (v_ij, w_ij) in enumerate(zip(v_row, w_row)):
+            mag = min(abs(v_ij), abs(w_ij))
             if mag > 0:
                 edges.append((mag, i, j))
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
@@ -294,10 +296,98 @@ def loop_phase_edges(v, w):
 @given(configs(40))
 @example(ProtocolConfig(16, 0.0, splitter(0.0)))
 @example(ProtocolConfig(16, 0.0, splitter(0.0), True))
+@example(ProtocolConfig(16, 0.0, splitter(1e-9), True))
 def test_phase_edges_match_loop(config):
     v = mesh_unitary(compile_program(config)).matrix
     w = evolution_unitary(config).matrix
-    assert _phase_edges(v, w) == loop_phase_edges(v, w)
+    rows, cols, strong = _phase_edges(v, w)
+    edges = list(zip(rows.tolist(), cols.tolist()))
+    assert (edges[:strong], edges[strong:]) == loop_phase_edges(v, w)
+
+
+def loop_verify(u_mesh, config, tol=1e-9):
+    """``verify`` offering every edge to the union-find one at a time: the
+    strong entries all, then the A/B tie, then the weak ones until the
+    forest is one tree."""
+    v = u_mesh.matrix
+    w = evolution_unitary(config).matrix
+    size = v.shape[0]
+    forest = _UnionFind(2 * size)
+    adjacency = [[] for _ in range(2 * size)]
+
+    def join(i, j):
+        if forest.union(i, size + j):
+            ratio = w[i, j] / v[i, j]
+            ratio /= abs(ratio)
+            adjacency[i].append((size + j, ratio))
+            adjacency[size + j].append((i, ratio))
+
+    strong, weak = loop_phase_edges(v, w)
+    for i, j in strong:
+        join(i, j)
+    if forest.union(0, 1):
+        adjacency[0].append((1, None))
+        adjacency[1].append((0, None))
+    for i, j in weak:
+        if forest.count == 1:
+            break
+        join(i, j)
+
+    phase = [None] * (2 * size)
+    for root in range(2 * size):
+        if phase[root] is not None:
+            continue
+        phase[root] = 1.0 + 0.0j
+        queue = [root]
+        while queue:
+            node = queue.pop()
+            for neighbor, ratio in adjacency[node]:
+                if phase[neighbor] is None:
+                    phase[neighbor] = phase[node] if ratio is None else ratio / phase[node]
+                    queue.append(neighbor)
+    alpha = np.array(phase[:size], dtype=complex)
+    beta = np.array(phase[size:], dtype=complex)
+    residual = float(np.abs(alpha[:, None] * v * beta[None, :] - w).max())
+    return bool(abs(alpha[0] - alpha[1]) <= tol) and residual <= tol, residual, tuple(alpha), tuple(beta)
+
+
+# beta = 1e-9 leaves loss-mode rows below the edge floor: the weak pass runs.
+tiny_or_any_actions = st.one_of(actions, st.just(splitter(1e-9)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.builds(ProtocolConfig, st.integers(1, 40), deltas, tiny_or_any_actions, st.booleans()))
+@example(ProtocolConfig(40, 0.0, splitter(1e-9), True))
+@example(ProtocolConfig(40, 0.3, splitter(1e-9), False))
+@example(ProtocolConfig(512, 0.0, BLOCK, True))
+@example(ProtocolConfig(512, 0.0, splitter(0.7), True))
+def test_verify_matches_one_edge_at_a_time_kruskal(config):
+    # Batching drops only edges the union-find would refuse, so the forest,
+    # and with it every phase and the residual, is the same to the bit.
+    u_mesh = mesh_unitary(compile_program(config))
+    report = verify(u_mesh, config)
+    assert (report.equivalent, report.residual, report.output_phases, report.input_phases) == loop_verify(
+        u_mesh, config
+    )
+
+
+def test_verify_offers_few_edges_at_k512(monkeypatch):
+    # The forest has 2M nodes; at K=512 (block, final block) it is one tree
+    # within the first batch of 2M strong edges: 1,031 offers with the A/B
+    # tie, where offering every strong entry made 132,356.
+    offers = []
+    union = _UnionFind.union
+
+    def counted(forest, a, b):
+        offers.append((a, b))
+        return union(forest, a, b)
+
+    monkeypatch.setattr(_UnionFind, "union", counted)
+    config = ProtocolConfig(512, 0.0, BLOCK, True)
+    u_mesh = mesh_unitary(compile_program(config))
+    offers.clear()
+    assert verify(u_mesh, config).equivalent
+    assert len(offers) <= 2 * config.mode_basis().size + 1
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
