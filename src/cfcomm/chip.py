@@ -52,7 +52,7 @@ import numpy as np
 
 from . import protocol
 from .modes import Block, PureState, UnitaryOp, apply_blocks, check_block, compose_unitary
-from .protocol import ProtocolConfig, alice_reduced_state
+from .protocol import _REALS, ProtocolConfig, alice_reduced_state
 
 __all__ = [
     "MAX_SHOTS",
@@ -116,9 +116,6 @@ def _integer(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-_REALS = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True, init=False)

@@ -4,17 +4,22 @@ the kernel that applies them, and their embedding into the full mode space.
 
 Mode convention: channel modes A, B, C sit at indices 0..2, loss modes
 L1..LK behind them, so K alone fixes the basis.  A two-mode operation is a
-checked 2x2 ``Block`` of Python complex scalars acting on one pair of
-amplitude slots (a Givens rotation).  ``apply_blocks`` multiplies blocks
-into two slots of a vector in place: the amplitudes of a state (protocol
-steps, the counterfactuality report's forward passes, path-history
-columns, the tomography column) or exact path counts.  ``compose_unitary``
-builds the dense matrix of a block sequence, for
-``protocol.evolution_unitary`` and ``chip.mesh_unitary``: a block with an
-exactly zero diagonal (an exact swap up to phases) is routed, by swapping
-which stored row each slot reads and carrying its phases to the end;
-every other block updates two stored rows.  Dense M x M matrices
-(M = K+3) are built only on request: by ``embed`` (and so
+checked 2x2 ``Block`` of Python scalars acting on one pair of amplitude
+slots (a Givens rotation).  The modal layer is real: ``rotation_block`` and
+``SWAP_BLOCK`` hold Python floats, so the protocol evolves float amplitudes
+and ``protocol.evolution_unitary`` is a float64 matrix; only the MZI blocks
+of ``chip`` are complex.  ``apply_blocks`` multiplies blocks into two
+slots of a vector in place: the amplitudes of a state (protocol steps, the
+counterfactuality report's forward passes, path-history columns, the
+tomography column) or exact path counts.  ``compose_unitary`` builds the
+dense matrix of a block sequence, float64 if every block entry is a float
+and complex128 otherwise, for ``protocol.evolution_unitary`` and
+``chip.mesh_unitary``: a block with an exactly zero diagonal (an exact
+swap up to phases) is routed, by swapping which stored row each slot reads
+and carrying its phases to the end; every other block updates two stored
+rows.  ``UnitaryOp`` checks a float64 matrix with the real Gram product
+U^T U and any other matrix, as complex128, with U^dag U.  Dense M x M
+matrices (M = K+3) are built only on request: by ``embed`` (and so
 ``protocol.Step.op``) and ``compose_unitary``; every dense path first
 checks the mode count against ``MAX_DENSE_CYCLES``.
 """
@@ -55,7 +60,7 @@ NORM_TOL = 1e-12
 # Largest K for which a dense M x M matrix (M = K+3 modes) is built: by
 # ``embed`` and ``protocol.Step.op``, ``protocol.evolution_unitary``, and
 # ``chip.mesh_unitary`` and ``verify``.  At the cap one such matrix holds
-# 515^2 complex entries (about 4.2 MB).  The O(K) paths (``protocol.run``,
+# 515^2 entries (about 4.2 MB complex, 2.1 MB real).  The O(K) paths (``protocol.run``,
 # ``protocol.sweep``, ``histories.counterfactuality_report``,
 # ``chip.compile_program`` and ``chip.simulate_tomography``) are bounded by
 # ``protocol.MAX_CYCLES`` instead.
@@ -79,7 +84,8 @@ def exact_cos_sin(angle: float) -> tuple[float, float]:
     return c, s
 
 
-# A 2x2 unitary ((u00, u01), (u10, u11)) acting on one mode pair.
+# A 2x2 unitary ((u00, u01), (u10, u11)) acting on one mode pair: Python
+# floats for the real modal blocks, complex for the MZI blocks of ``chip``.
 Block = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
@@ -150,17 +156,30 @@ class PureState:
 
 @dataclass(frozen=True)
 class UnitaryOp:
-    """A square complex matrix, checked unitary entrywise at 1e-12."""
+    """A square matrix, checked unitary entrywise at 1e-12.
+
+    A float64 matrix stays float64 and is checked as max |U^T U - I|, a
+    real Gram product (BLAS syrk); any other matrix is stored as complex128
+    and checked as max |U^dag U - I|.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix)
+        real = mat.dtype == np.float64
+        if not real:
+            mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"unitary must be square, got shape {mat.shape}")
-        defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
+        if mat.size == 0:
+            raise ValueError("unitary must act on at least one mode, got shape (0, 0)")
+        gram = mat.T @ mat if real else mat.conj().T @ mat
+        gram.flat[:: mat.shape[0] + 1] -= 1.0  # minus I, in place
+        defect = float(np.abs(gram).max())
         if not defect <= NORM_TOL:
-            raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect!r}")
+            gram_name = "U^T U" if real else "U^dag U"
+            raise ValueError(f"matrix is not unitary: max |{gram_name} - I| = {defect!r}")
         object.__setattr__(self, "matrix", _frozen(mat))
 
     @property
@@ -224,7 +243,9 @@ def apply_blocks(ops: Iterable[tuple[tuple[int, int], Block]], target: list[comp
 
 def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> UnitaryOp:
     """The ``size``-mode unitary of the ``((i, j), block)`` sequence applied
-    in order to the identity, checked against the dense cap first.
+    in order to the identity, checked against the dense cap first.  The
+    matrix is float64 when every block entry is a Python float (the real
+    modal blocks) and complex128 otherwise.
 
     A block with an exactly zero diagonal (an exact swap up to phases:
     routers, Bob's blocker under block, ``SWAP_BLOCK``) is routed, not
@@ -237,9 +258,12 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
     built, entry for entry what ``apply_blocks`` on the identity gives.
     """
     check_dense_size(size)
-    mat = np.eye(size, dtype=complex)
+    ops = list(ops)
+    real = all(isinstance(u, float) for _, block in ops for row in block for u in row)
+    one = 1.0 if real else 1 + 0j
+    mat = np.eye(size, dtype=float if real else complex)
     rows = list(range(size))  # slot -> the stored row it reads
-    phases = [1 + 0j] * size  # slot -> the phase pending on that row
+    phases = [one] * size  # slot -> the phase pending on that row
     for (i, j), ((u00, u01), (u10, u11)) in ops:
         if u00 == 0 and u11 == 0:
             rows[i], rows[j] = rows[j], rows[i]
@@ -248,10 +272,10 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
         p, q = phases[i], phases[j]
         if p != 1:
             u00, u10 = u00 * p, u10 * p
-            phases[i] = 1 + 0j
+            phases[i] = one
         if q != 1:
             u01, u11 = u01 * q, u11 * q
-            phases[j] = 1 + 0j
+            phases[j] = one
         a, b = mat[rows[i]], mat[rows[j]]
         new = u00 * a + u01 * b
         b[:] = u10 * a + u11 * b
@@ -277,10 +301,10 @@ def rotation_block(angle: float) -> Block:
     """Real rotation on a mode pair (i, j): |i> -> cos|i> + sin|j>,
     |j> -> -sin|i> + cos|j>."""
     c, s = exact_cos_sin(angle)
-    return check_block(((complex(c), complex(-s)), (complex(s), complex(c))))
+    return check_block(((c, -s), (s, c)))
 
 
-SWAP_BLOCK: Block = check_block(((0j, 1 + 0j), (1 + 0j, 0j)))
+SWAP_BLOCK: Block = check_block(((0.0, 1.0), (1.0, 0.0)))
 
 
 def embed(block: Block, i: int, j: int, size: int) -> UnitaryOp:

@@ -61,6 +61,9 @@ BOB_INTERACTION = "bob_interaction"
 # past the 1e-12 norm tolerance.
 MAX_CYCLES = 4096
 
+# The types accepted as real numbers (bools excluded separately).
+_REALS = (int, float, np.integer, np.floating)
+
 
 class PostselectionError(ValueError):
     """Raised when the {A, B} subspace carries no amplitude at all."""
@@ -69,7 +72,8 @@ class PostselectionError(ValueError):
 @dataclass(frozen=True)
 class BobAction:
     """What Bob does each cycle: block (exact swap into the loss mode), pass
-    (do nothing), or a partial splitter rotation by beta."""
+    (do nothing), or a partial splitter rotation by beta, a real number in
+    [0, pi/2] stored as a float."""
 
     kind: str
     beta: float | None = None
@@ -80,8 +84,15 @@ class BobAction:
         if self.kind == "splitter":
             if self.beta is None:
                 raise ValueError("splitter action needs an angle")
-            if not 0.0 <= self.beta <= math.pi / 2:
-                raise ValueError(f"splitter angle must lie in [0, pi/2], got {self.beta!r}")
+            if isinstance(self.beta, bool) or not isinstance(self.beta, _REALS):
+                raise ValueError(f"splitter angle must be a real number, got {self.beta!r}")
+            try:
+                beta = float(self.beta)
+            except OverflowError:  # an int beyond the float range
+                beta = math.inf
+            if not 0.0 <= beta <= math.pi / 2:
+                raise ValueError(f"splitter angle must lie in [0, pi/2], got {beta!r}")
+            object.__setattr__(self, "beta", beta)
         elif self.beta is not None:
             raise ValueError(f"{self.kind!r} action takes no angle")
 
@@ -96,7 +107,7 @@ PASS = BobAction("pass")
 
 
 def splitter(beta: float) -> BobAction:
-    return BobAction("splitter", float(beta))
+    return BobAction("splitter", beta)
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,9 @@ class ProtocolConfig:
             raise ValueError(f"cycle count K must be an integer, got {self.k!r}")
         if not isinstance(self.bob, BobAction):
             raise ValueError(f"bob must be a BobAction, got {self.bob!r}")
-        if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float, np.integer, np.floating)):
+        if not isinstance(self.include_final_block, bool):
+            raise ValueError(f"include_final_block must be a bool, got {self.include_final_block!r}")
+        if isinstance(self.delta, bool) or not isinstance(self.delta, _REALS):
             raise ValueError(f"delta must be a real number, got {self.delta!r}")
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta!r}")
@@ -203,11 +216,12 @@ def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
     Bob's interaction appears after inner rotations 1..K-1 (fresh loss mode
     each cycle, ascending) and, only when ``include_final_block`` is set,
     once more after the K-th.  Pass inserts identities, which are elided.
-    K above ``MAX_CYCLES`` is rejected before any step is built.
+    The K inner rotations are one shared ``Step`` object.  K above
+    ``MAX_CYCLES`` is rejected before any step is built.
     """
     _check_cycles(config.k)
     size = config.mode_basis().size
-    inner = rotation_block(config.theta)
+    inner = Step(INNER_ROTATION, (1, 2), rotation_block(config.theta), size)
     bob = None
     if config.bob.kind == "block":
         bob = SWAP_BLOCK
@@ -217,27 +231,28 @@ def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
 
     steps = [Step(OUTER_ROTATION, (0, 1), rotation_block(config.phi), size)]
     for n in range(1, config.k + 1):
-        steps.append(Step(INNER_ROTATION, (1, 2), inner, size))
+        steps.append(inner)
         if bob is not None and n <= last_bob_cycle:
             steps.append(Step(BOB_INTERACTION, (2, 2 + n), bob, size))
     return tuple(steps)
 
 
 def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
-    """Apply the step sequence to the photon injected in mode A, two
+    """Apply the step sequence to the photon injected in mode A, two real
     amplitudes per step."""
     steps = build_steps(config)
     basis = config.mode_basis()
-    amps = [0j] * basis.size
-    amps[basis.index("A")] = 1 + 0j
+    amps = [0.0] * basis.size
+    amps[basis.index("A")] = 1.0
     apply_blocks(((step.pair, step.block) for step in steps), amps)
     state = PureState(np.array(amps), basis)
     return state, OutcomeDistribution.from_state(state)
 
 
 def evolution_unitary(config: ProtocolConfig) -> UnitaryOp:
-    """The full evolution as a single matrix, the steps composed in time order
-    by ``modes.compose_unitary``; Bob's swaps under block are routed."""
+    """The full evolution as a single float64 matrix (every step is real), the
+    steps composed in time order by ``modes.compose_unitary``; Bob's swaps
+    under block are routed."""
     size = config.mode_basis().size
     # Checked here as well: the generator expression calls build_steps (O(K))
     # before compose_unitary runs.
@@ -288,10 +303,11 @@ def sweep(
 
     delta enters only through the outer A/B rotation by phi = pi/2 - delta,
     and the inner evolution U_in leaves A alone, so the final state is
-    cos(phi)|A> + sin(phi) U_in|B>.  Each K costs one O(K) evolution of |B>
-    through ``build_steps``; each delta then costs O(K) to scale it, check
-    the norm and build the ``OutcomeDistribution``.  Rows agree with ``run``
-    up to round-off in the last ulps, and bit for bit at delta = 0.
+    cos(phi)|A> + sin(phi) U_in|B>.  Each K costs one O(K) evolution of the
+    real amplitudes of |B> through ``build_steps``; each delta then costs
+    O(K) to scale it, check the norm and build the ``OutcomeDistribution``.
+    Rows agree with ``run`` up to round-off in the last ulps, and bit for
+    bit at delta = 0.
     """
     if not k_values or not delta_values:
         raise ValueError("sweep needs at least one K and one delta")
@@ -306,8 +322,8 @@ def sweep(
     rows = []
     for config in configs:
         basis = config.mode_basis()
-        inner = [0j] * basis.size
-        inner[basis.index("B")] = 1 + 0j
+        inner = [0.0] * basis.size
+        inner[basis.index("B")] = 1.0
         # Every step after the outer rotation is the same for every delta.
         apply_blocks(((step.pair, step.block) for step in build_steps(config)[1:]), inner)
         amps = np.outer(outer[:, 1], inner)

@@ -255,6 +255,37 @@ class TestValidation:
         with pytest.raises(ValueError):
             UnitaryOp(np.full((3, 3), math.nan))
 
+    @pytest.mark.parametrize(
+        ("matrix", "message"),
+        [
+            (np.full((3, 3), math.nan), "matrix is not unitary: max |U^T U - I| = nan"),
+            (np.full((3, 3), complex(math.nan, 0.0)), "matrix is not unitary: max |U^dag U - I| = nan"),
+            (np.eye(2) * 2, "matrix is not unitary: max |U^T U - I| = 3.0"),
+            (np.eye(2, dtype=complex) * 2j, "matrix is not unitary: max |U^dag U - I| = 3.0"),
+            ([[2, 0], [0, 2]], "matrix is not unitary: max |U^dag U - I| = 3.0"),
+            (np.zeros((0, 0)), "unitary must act on at least one mode, got shape (0, 0)"),
+            (np.zeros((0, 0), dtype=complex), "unitary must act on at least one mode, got shape (0, 0)"),
+            (np.zeros((0, 3)), "unitary must be square, got shape (0, 3)"),
+        ],
+    )
+    def test_unitary_error_messages(self, matrix, message):
+        with pytest.raises(ValueError) as err:
+            UnitaryOp(matrix)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        ("matrix", "dtype"),
+        [
+            (np.eye(3), np.float64),
+            ([[0.0, 1.0], [1.0, 0.0]], np.float64),
+            (np.eye(3, dtype=np.float32), np.complex128),
+            ([[0, 1], [1, 0]], np.complex128),
+            (np.eye(3, dtype=complex), np.complex128),
+        ],
+    )
+    def test_unitary_keeps_float64_and_stores_the_rest_as_complex(self, matrix, dtype):
+        assert UnitaryOp(matrix).matrix.dtype == dtype
+
     @pytest.mark.parametrize("slot", range(4))
     def test_nan_block_rejected(self, slot):
         entries = [1 + 0j, 0j, 0j, 1 + 0j]

@@ -139,6 +139,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="real number"):
             ProtocolConfig(2, delta, BLOCK)
 
+    @pytest.mark.parametrize(
+        ("flag", "shown"), [("no", "'no'"), (None, "None"), (1, "1"), (0, "0"), (np.bool_(True), repr(np.bool_(True)))]
+    )
+    def test_include_final_block_must_be_a_bool(self, flag, shown):
+        with pytest.raises(ValueError) as err:
+            ProtocolConfig(2, 0.0, BLOCK, flag)
+        assert str(err.value) == f"include_final_block must be a bool, got {shown}"
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_include_final_block_accepts_bools(self, flag):
+        assert ProtocolConfig(2, 0.0, BLOCK, flag).include_final_block is flag
+
     def test_derived_angles(self):
         config = ProtocolConfig(4, 0.1, PASS)
         assert config.phi == math.pi / 2 - 0.1
@@ -152,6 +164,33 @@ class TestConfigValidation:
     def test_bad_action_kind(self):
         with pytest.raises(ValueError):
             BobAction("dither")
+
+    @pytest.mark.parametrize(
+        ("beta", "message"),
+        [
+            ("0.5", "splitter angle must be a real number, got '0.5'"),
+            (0.5j, "splitter angle must be a real number, got 0.5j"),
+            (True, "splitter angle must be a real number, got True"),
+            (np.bool_(True), f"splitter angle must be a real number, got {np.bool_(True)!r}"),
+            (math.nan, "splitter angle must lie in [0, pi/2], got nan"),
+            (math.inf, "splitter angle must lie in [0, pi/2], got inf"),
+            (10**400, "splitter angle must lie in [0, pi/2], got inf"),
+            (2, "splitter angle must lie in [0, pi/2], got 2.0"),
+        ],
+    )
+    def test_splitter_angle_is_checked_at_the_edge(self, beta, message):
+        for make in (lambda: BobAction("splitter", beta), lambda: splitter(beta)):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("beta", [1, np.int64(1), np.float32(1.0), np.float64(1.0)])
+    def test_splitter_angle_is_stored_as_a_float(self, beta):
+        action = BobAction("splitter", beta)
+        assert type(action.beta) is float
+        assert action.beta == 1.0
+        assert action.label() == "split:1"
+        assert action == splitter(1.0)
 
 
 class TestBuildSteps:

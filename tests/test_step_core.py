@@ -6,7 +6,10 @@ every MZI, multiplied out from its four factors BS P(theta) BS P(phi) and
 embedded into the full mode space) multiplied in time order, and path
 histories walked over full matrix columns.  The compiled mesh and the
 phase verifier are checked against the modal evolution itself, and the
-batched verifier against Kruskal's loop offering one edge at a time.
+batched verifier against Kruskal's loop offering one edge at a time.  The
+real modal evolution (float blocks, float amplitudes, a float64
+``evolution_unitary``) is checked bit for bit against the same evolution
+run on complex amplitudes and complex blocks.
 """
 
 import cmath
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfcomm import protocol
 from cfcomm.chip import (
     ROLE_BLOCKER,
     ROLE_INNER,
@@ -36,22 +40,28 @@ from cfcomm.histories import counterfactuality_report, enumerate_histories
 from cfcomm.modes import (
     NORM_TOL,
     SWAP_BLOCK,
+    PureState,
     UnitaryOp,
     apply_blocks,
     check_block,
     compose_unitary,
     embed,
+    exact_cos_sin,
     rotation_block,
 )
 from cfcomm.protocol import (
     BLOCK,
     BOB_INTERACTION,
+    INNER_ROTATION,
     PASS,
+    OutcomeDistribution,
     ProtocolConfig,
+    SweepRow,
     build_steps,
     evolution_unitary,
     run,
     splitter,
+    sweep,
 )
 
 TOL = 1e-12
@@ -210,6 +220,17 @@ def test_step_op_is_the_embedded_block():
         expected[np.ix_([i, j], [i, j])] = step.block
         np.testing.assert_array_equal(step.op.matrix, expected)
         assert step.op is step.op  # built once, on first read
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("bob", [BLOCK, PASS, splitter(0.4)], ids=["block", "pass", "split"])
+def test_inner_rotations_are_one_step(k, bob):
+    steps = build_steps(ProtocolConfig(k, 0.2, bob, True))
+    inner = [step for step in steps if step.kind == INNER_ROTATION]
+    assert len(inner) == k
+    assert all(step is inner[0] for step in inner)
+    assert inner[0].op is inner[0].op
+    assert steps[0] is not inner[0]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -487,3 +508,96 @@ def test_mesh_unitary_matches_the_unrouted_product(bob, final_block):
         program = compile_program(ProtocolConfig(k, 0.3, bob, final_block))
         reference = unrouted(_mzi_walk(program), program.mode_count)
         np.testing.assert_allclose(mesh_unitary(program).matrix, reference, rtol=0, atol=TOL)
+
+
+# --- the real modal layer against a complex oracle ------------------------
+
+def as_complex(ops):
+    """The ``(pair, block)`` sequence with every block entry cast to complex."""
+    return [(pair, tuple(tuple(complex(u) for u in row) for row in block)) for pair, block in ops]
+
+
+def complex_ops(config, first=0):
+    return as_complex((step.pair, step.block) for step in build_steps(config)[first:])
+
+
+def complex_evolution(config):
+    """``evolution_unitary`` composed from complex blocks: a complex128 matrix."""
+    return compose_unitary(complex_ops(config), config.mode_basis().size)
+
+
+def complex_run(config):
+    """``run`` evolving complex amplitudes through complex blocks."""
+    basis = config.mode_basis()
+    amps = [0j] * basis.size
+    amps[basis.index("A")] = 1 + 0j
+    apply_blocks(complex_ops(config), amps)
+    state = PureState(np.array(amps), basis)
+    return state, OutcomeDistribution.from_state(state)
+
+
+def complex_sweep(k_values, delta_values, bob, include_final_block):
+    """``sweep`` evolving the inner |B> as complex amplitudes."""
+    rows = []
+    for k in k_values:
+        config = ProtocolConfig(k, 0.0, bob, include_final_block)
+        outer = np.array([exact_cos_sin(ProtocolConfig(k, d, bob, include_final_block).phi) for d in delta_values])
+        inner = [0j] * config.mode_basis().size
+        inner[1] = 1 + 0j
+        apply_blocks(complex_ops(config, first=1), inner)
+        amps = np.outer(outer[:, 1], inner)
+        amps[:, 0] = outer[:, 0]
+        for delta, probs in zip(delta_values, np.abs(amps) ** 2):
+            rows.append(SweepRow(k, delta, OutcomeDistribution.from_probabilities(probs)))
+    return rows
+
+
+@core_settings
+@given(st.builds(ProtocolConfig, st.integers(1, 24), deltas, tiny_or_any_actions, st.booleans()))
+@example(ProtocolConfig(24, 0.0, BLOCK, True))
+@example(ProtocolConfig(24, 0.3, splitter(1e-9), True))
+@example(ProtocolConfig(1, 0.0, PASS, False))
+def test_evolution_unitary_is_real_and_equals_the_complex_composition(config):
+    got = evolution_unitary(config).matrix
+    want = complex_evolution(config).matrix
+    assert got.dtype == np.float64
+    assert want.dtype == np.complex128
+    assert np.array_equal(got, want)
+    assert not want.imag.any()
+
+
+@core_settings
+@given(st.integers(1, 24), st.lists(deltas, min_size=1, max_size=4), tiny_or_any_actions, st.booleans())
+@example(24, [0.0, 0.3], BLOCK, True)
+@example(24, [0.0], splitter(1e-9), True)
+@example(1, [0.7], PASS, False)
+def test_run_and_sweep_equal_a_complex_amplitude_oracle_bit_for_bit(k, delta_values, bob, final_block):
+    for delta in delta_values:
+        config = ProtocolConfig(k, delta, bob, final_block)
+        state, dist = run(config)
+        want_state, want_dist = complex_run(config)
+        assert state.amplitudes.tobytes() == want_state.amplitudes.tobytes()
+        assert dist == want_dist
+    k_values = [k, k + 1]
+    assert sweep(k_values, delta_values, bob, final_block) == complex_sweep(k_values, delta_values, bob, final_block)
+
+
+def test_unitary_op_keeps_float64_and_checks_the_real_gram_product():
+    accepted = UnitaryOp(np.array(rotation_block(0.3)))
+    assert accepted.matrix.dtype == np.float64
+    assert UnitaryOp(np.eye(4) * (1 + 4e-13)).matrix.dtype == np.float64
+    # (1 + 1e-12)^2 - 1 is a 2e-12 defect on the diagonal of U^T U.
+    with pytest.raises(ValueError, match=r"max \|U\^T U - I\| = 2\.0"):
+        UnitaryOp(np.eye(4) * (1 + 1e-12))
+    with pytest.raises(ValueError, match=r"max \|U\^T U - I\|"):
+        UnitaryOp(np.array([[1.0, 2e-12], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bob", [BLOCK, splitter(0.7)], ids=["block", "split-0.7"])
+def test_k512_verify_report_equals_the_complex_target_report(bob, monkeypatch):
+    config = ProtocolConfig(512, 0.0, bob, True)
+    u_mesh = mesh_unitary(compile_program(config))
+    report = verify(u_mesh, config)
+    monkeypatch.setattr(protocol, "evolution_unitary", complex_evolution)
+    assert report == verify(u_mesh, config)
+    assert report.equivalent, report.detail
