@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .modes import Block, PureState, UnitaryOp, apply_blocks, check_block, compose_unitary
-from .protocol import _REALS, ProtocolConfig, alice_reduced_state
+from .modes import Block, PureState, UnitaryOp, apply_blocks, check_block, compose_unitary, plain_float, plain_int
+from .protocol import ProtocolConfig, alice_reduced_state
 
 __all__ = [
     "MAX_SHOTS",
@@ -67,6 +67,8 @@ __all__ = [
     "MeshProgram",
     "MziSetting",
     "TomographyResult",
+    "check_seed",
+    "check_shots",
     "check_tolerance",
     "compile_program",
     "mesh_unitary",
@@ -111,24 +113,16 @@ class InsufficientStatisticsError(RuntimeError):
     """Raised when a tomography basis collects zero postselected events."""
 
 
-def _integer(value: object, name: str) -> int:
-    """``value`` as a plain int; ``ValueError`` for bools and non-integers."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True, init=False)
 class MziSetting:
     """One placed MZI: internal/external phases (radians, stored mod 2pi) on
     the adjacent mode pair (pair, pair+1); its column is where it sits in
     ``MeshProgram.columns``.
 
-    ``__init__`` checks every field in one pass and stores each once:
-    ``pair`` a non-negative integer (bools rejected), ``theta`` and ``phi``
-    finite real numbers, stored as floats already reduced mod 2pi, and
-    ``role`` one of the ``ROLE_*`` names; anything else raises
-    ``ValueError``."""
+    ``__init__`` checks every field and stores each once: ``pair`` a
+    non-negative integer, stored as a plain int, ``theta`` and ``phi``
+    finite real numbers, stored as floats reduced mod 2pi, and ``role`` one
+    of the ``ROLE_*`` names; anything else raises ``ValueError``."""
 
     pair: int
     theta: float
@@ -139,38 +133,39 @@ class MziSetting:
         # The exact-type tests pass the compiler's own int/float fields
         # without a call; every other type gets the full check.
         if type(pair) is not int:
-            pair = _integer(pair, "pair index")
+            pair = plain_int(pair, "pair index")
         if pair < 0:
             raise ValueError(f"pair index must be >= 0, got {pair}")
         if role not in _ROLES:
             raise ValueError(f"unknown MZI role {role!r}")
-        if type(theta) is not float or type(phi) is not float:
-            real = isinstance(theta, _REALS) and isinstance(phi, _REALS)
-            if not real or isinstance(theta, bool) or isinstance(phi, bool):
-                raise ValueError(f"MZI phases must be real numbers, got theta={theta!r}, phi={phi!r}")
+        t, f = theta, phi
+        if type(t) is not float or type(f) is not float:
             try:
-                theta, phi = float(theta), float(phi)
-            except OverflowError:  # an int beyond the float range
-                raise ValueError(f"MZI phases must be finite, got theta={theta!r}, phi={phi!r}") from None
-        if not (math.isfinite(theta) and math.isfinite(phi)):
+                t, f = plain_float(theta, "theta"), plain_float(phi, "phi")
+            except ValueError:
+                raise ValueError(f"MZI phases must be real numbers, got theta={theta!r}, phi={phi!r}") from None
+        if not (math.isfinite(t) and math.isfinite(f)):
             raise ValueError(f"MZI phases must be finite, got theta={theta!r}, phi={phi!r}")
         # The frozen __setattr__ refuses; the instance dict takes each field once.
         fields = self.__dict__
         fields["pair"] = pair
-        fields["theta"] = theta % TWO_PI
-        fields["phi"] = phi % TWO_PI
+        fields["theta"] = t % TWO_PI
+        fields["phi"] = f % TWO_PI
         fields["role"] = role
 
 
 @dataclass(frozen=True)
 class MeshProgram:
-    """Ordered columns of non-overlapping MZI settings on ``mode_count`` modes."""
+    """Ordered columns of non-overlapping MZI settings on ``mode_count`` >= 1 modes."""
 
     mode_count: int
     columns: tuple[tuple[MziSetting, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode_count", _integer(self.mode_count, "mode count"))
+        mode_count = plain_int(self.mode_count, "mode count")
+        if mode_count < 1:
+            raise ValueError(f"mode count must be >= 1, got {mode_count}")
+        object.__setattr__(self, "mode_count", mode_count)
         columns = tuple(tuple(col) for col in self.columns)
         object.__setattr__(self, "columns", columns)
         for index, column in enumerate(columns):
@@ -410,13 +405,11 @@ def _phase_edges(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _kruskal(forest: _UnionFind, ends: np.ndarray, others: np.ndarray, join: Callable[[int, int], None]) -> None:
-    """Offer the edges (ends[n], others[n]) to ``join`` in order, one batch
-    of as many edges as the forest has nodes at a time, until the forest is
-    one tree.  After each batch every node's root is computed once, and the
-    edges left whose two ends already share a root are dropped: ``union``
-    would refuse them, as it refuses every edge once the forest is one tree.
-    So the edges joined, and their order, are those of offering every edge
-    one by one."""
+    """Offer the edges (ends[n], others[n]) to ``join`` in order until the
+    forest is one tree, in batches of as many edges as the forest has
+    nodes.  After each batch the edges left whose two ends already share a
+    root are dropped, since ``union`` would refuse them, so the edges joined
+    and their order are those of offering every edge one by one."""
     batch = len(forest.parent)
     while len(ends):
         for a, b in zip(ends[:batch].tolist(), others[:batch].tolist()):
@@ -430,13 +423,13 @@ def _kruskal(forest: _UnionFind, ends: np.ndarray, others: np.ndarray, join: Cal
             ends, others = ends[apart], others[apart]
 
 
-def check_tolerance(tol: float) -> None:
-    """Raise ``ValueError`` unless ``tol`` is a finite real number >= 0: the
-    rule for ``verify`` and for ``cfcomm chip --tol``."""
-    if isinstance(tol, bool) or not isinstance(tol, _REALS):
-        raise ValueError(f"tolerance must be a real number, got {tol!r}")
-    if not 0 <= tol < math.inf:
+def check_tolerance(tol: object) -> float:
+    """``tol`` as a plain float; ``ValueError`` unless it is a finite real
+    number >= 0."""
+    value = plain_float(tol, "tolerance")
+    if not 0 <= value < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    return value
 
 
 def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> MeshEquivalenceReport:
@@ -451,14 +444,9 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
     Components still apart are then joined through their strongest entries
     below that floor, strongest first: left alone, such an entry would keep
     an arbitrary relative phase and mismatch by up to twice its magnitude.
-    Both passes are Kruskal's algorithm run in batches of 2M edges
-    (``_kruskal``): after each batch the edges that would close a cycle are
-    dropped in numpy, so the forest is the one that offering every edge in
-    turn builds.  At K=512 (block, final block, delta 0) the union-find
-    sees 1,031 offers (one batch and the A/B tie), against 132,356 when
-    every strong entry is offered.  Failure is reported, never raised; a
-    ``tol`` that is not a finite real number >= 0 raises ``ValueError``
-    before anything is computed.
+    Both passes are Kruskal's algorithm (``_kruskal``).  Failure is
+    reported, never raised; a ``tol`` that is not a finite real number >= 0
+    raises ``ValueError`` before anything is computed.
     """
     check_tolerance(tol)
     target = protocol.evolution_unitary(config)
@@ -561,6 +549,24 @@ def _basis_probabilities(psi: np.ndarray, basis_name: str) -> np.ndarray:
     return np.abs(out) ** 2
 
 
+def check_shots(shots: object) -> int:
+    """Shots per basis as a plain int; ``ValueError`` unless it is an integer
+    in [0, ``MAX_SHOTS``]."""
+    shots = plain_int(shots, "shots per basis")
+    if not 0 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots per basis must lie in [0, 2**63 - 1], got {shots}")
+    return shots
+
+
+def check_seed(seed: object) -> int:
+    """The sampling seed as a plain int; ``ValueError`` unless it is an
+    integer >= 0."""
+    seed = plain_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int = 0) -> TomographyResult:
     """Tomography of Alice's output qubit on the compiled mesh.
 
@@ -573,15 +579,11 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
     the three bases draw from ``numpy.random.SeedSequence(seed).spawn(3)``
     substreams in Z, X, Y order.  Nothing dense is built, so K is bounded by
     ``protocol.MAX_CYCLES`` (through ``protocol.run``), not by the dense cap.
-    ``shots_per_basis`` (an integer in [0, ``MAX_SHOTS``]) and ``seed`` (an
-    integer >= 0) are checked first, before anything runs.
+    ``shots_per_basis`` and ``seed`` pass ``check_shots`` and ``check_seed``
+    first, before anything runs.
     """
-    shots_per_basis = _integer(shots_per_basis, "shots per basis")
-    if not 0 <= shots_per_basis <= MAX_SHOTS:
-        raise ValueError(f"shots per basis must lie in [0, 2**63 - 1], got {shots_per_basis}")
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    shots_per_basis = check_shots(shots_per_basis)
+    seed = check_seed(seed)
     final_state, _ = protocol.run(config)
     exact_rho, p_ab = alice_reduced_state(final_state)
     psi = PureState(_input_column(compile_program(config)), config.mode_basis()).amplitudes

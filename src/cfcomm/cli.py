@@ -12,10 +12,11 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
-from . import chip, histories, protocol
+from . import chip, histories, modes, protocol
 
 CSV_HEADER = "K,delta,bob,final_block,p_D0,p_D1,p_D3,p_loss_total,p_D1_renorm"
 
@@ -34,60 +35,29 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"K must be >= 1, got {value}")
-    return value
+def _flag(*steps: Callable) -> Callable[[str], object]:
+    """An argparse ``type=`` converter: the flag's text passed through each of
+    ``steps`` in turn, the library's own checks among them; any
+    ``ValueError`` they raise is a usage error."""
 
+    def convert(text: str) -> object:
+        value = text
+        try:
+            for step in steps:
+                value = step(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        return value
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _delta_value(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value < math.pi / 2:
-        raise argparse.ArgumentTypeError(f"delta must lie in [0, pi/2), got {value}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    try:
-        chip.check_tolerance(value)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    return value
+    return convert
 
 
 def _bob_action(text: str) -> protocol.BobAction:
-    if text == "block":
-        return protocol.BLOCK
-    if text == "pass":
-        return protocol.PASS
+    if text in ("block", "pass"):
+        return protocol.BobAction(text)
     if text.startswith("split:"):
-        try:
-            beta = float(text.partition(":")[2])
-            return protocol.splitter(beta)
-        except ValueError as err:
-            raise argparse.ArgumentTypeError(f"bad splitter spec {text!r}: {err}") from None
-    raise argparse.ArgumentTypeError(f"bob must be 'block', 'pass' or 'split:<beta>', got {text!r}")
+        return protocol.splitter(float(text.partition(":")[2]))
+    raise ValueError(f"bob must be 'block', 'pass' or 'split:<beta>', got {text!r}")
 
 
 def _int_range(text: str) -> list[int]:
@@ -96,23 +66,21 @@ def _int_range(text: str) -> list[int]:
     try:
         numbers = [int(p) for p in parts]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer range {text!r}") from None
+        raise ValueError(f"bad integer range {text!r}") from None
     if len(numbers) == 1:
         values = numbers
     elif len(numbers) in (2, 3):
         start, stop = numbers[0], numbers[1]
         step = numbers[2] if len(numbers) == 3 else 1
         if step < 1 or stop < start:
-            raise argparse.ArgumentTypeError(f"bad integer range {text!r}")
+            raise ValueError(f"bad integer range {text!r}")
         points = range(start, stop + 1, step)
         if len(points) > MAX_GRID_POINTS:
-            raise argparse.ArgumentTypeError(f"range {text!r} has {len(points)} points, more than {MAX_GRID_POINTS}")
+            raise ValueError(f"range {text!r} has {len(points)} points, more than {MAX_GRID_POINTS}")
         values = list(points)
     else:
-        raise argparse.ArgumentTypeError(f"bad integer range {text!r}")
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"K values must be >= 1 in {text!r}")
-    return values
+        raise ValueError(f"bad integer range {text!r}")
+    return [modes.check_cycle_count(v) for v in values]
 
 
 def _float_range(text: str) -> list[float]:
@@ -121,25 +89,22 @@ def _float_range(text: str) -> list[float]:
     try:
         numbers = [float(p) for p in parts]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}") from None
+        raise ValueError(f"bad range {text!r}") from None
     if len(numbers) == 1:
         values = numbers
     elif len(numbers) in (2, 3):
         start, stop = numbers[0], numbers[1]
         step = numbers[2] if len(numbers) == 3 else 0.1
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
-            raise argparse.ArgumentTypeError(f"bad range {text!r}")
+            raise ValueError(f"bad range {text!r}")
         intervals = (stop - start) / step + 1e-9
         if not intervals < MAX_GRID_POINTS:
-            raise argparse.ArgumentTypeError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
+            raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
         count = int(math.floor(intervals)) + 1
         values = [start + i * step for i in range(count)]
     else:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}")
-    for v in values:
-        if not 0.0 <= v < math.pi / 2:
-            raise argparse.ArgumentTypeError(f"delta values must lie in [0, pi/2), got {v}")
-    return values
+        raise ValueError(f"bad range {text!r}")
+    return [protocol.check_delta(v) for v in values]
 
 
 def _complex_json(z: complex) -> dict:
@@ -206,9 +171,11 @@ def _emit_sweep(ns: argparse.Namespace, k_values: list[int], delta_values: list[
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=_positive_int, required=True, help="number of inner cycles (K >= 1)")
-    sub.add_argument("--delta", type=_delta_value, default=0.0, help="outer rotation offset, radians in [0, pi/2)")
-    sub.add_argument("--bob", type=_bob_action, required=True, help="block | pass | split:<beta radians>")
+    sub.add_argument("--k", type=_flag(int, modes.check_cycle_count), required=True,
+                     help="number of inner cycles (K >= 1)")
+    sub.add_argument("--delta", type=_flag(float, protocol.check_delta), default=0.0,
+                     help="outer rotation offset, radians in [0, pi/2)")
+    sub.add_argument("--bob", type=_flag(_bob_action), required=True, help="block | pass | split:<beta radians>")
     sub.add_argument("--final-block", dest="final_block", action="store_true",
                      help="let Bob interact once more after the K-th inner rotation")
 
@@ -231,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_run, ("json", "csv"), "json")
 
     p_sweep = commands.add_parser("sweep", help="run a (K, delta) grid and emit one record per point")
-    p_sweep.add_argument("--k", type=_int_range, required=True, help="K value or range a:b[:step]")
-    p_sweep.add_argument("--delta", type=_float_range, default=[0.0], help="delta value or range a:b[:step]")
-    p_sweep.add_argument("--bob", type=_bob_action, required=True, help="block | pass | split:<beta radians>")
+    p_sweep.add_argument("--k", type=_flag(_int_range), required=True, help="K value or range a:b[:step]")
+    p_sweep.add_argument("--delta", type=_flag(_float_range), default=[0.0], help="delta value or range a:b[:step]")
+    p_sweep.add_argument("--bob", type=_flag(_bob_action), required=True, help="block | pass | split:<beta radians>")
     p_sweep.add_argument("--final-block", dest="final_block", action="store_true")
     _add_output_flags(p_sweep, ("csv", "json"), "csv")
 
@@ -244,15 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chip = commands.add_parser("chip", help="compile onto the MZI mesh and verify against the modal evolution")
     _add_config_flags(p_chip)
-    p_chip.add_argument("--tol", type=_tolerance, default=1e-9, help="verification residual tolerance")
+    p_chip.add_argument("--tol", type=_flag(float, chip.check_tolerance), default=1e-9,
+                        help="verification residual tolerance")
     p_chip.add_argument("--emit-only", dest="emit_only", action="store_true", help="emit the program, skip verification")
     _add_output_flags(p_chip, ("json",), "json")
 
     p_tomo = commands.add_parser("tomo", help="simulate tomography of Alice's output qubit on the mesh")
     _add_config_flags(p_tomo)
-    p_tomo.add_argument("--shots", type=_non_negative_int, default=100000,
+    p_tomo.add_argument("--shots", type=_flag(int, chip.check_shots), default=100000,
                         help="shots per basis; 0 = analytic expectations")
-    p_tomo.add_argument("--seed", type=_non_negative_int, default=0, help="sampling seed (>= 0)")
+    p_tomo.add_argument("--seed", type=_flag(int, chip.check_seed), default=0, help="sampling seed (>= 0)")
     _add_output_flags(p_tomo, ("json",), "json")
 
     return parser

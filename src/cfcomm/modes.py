@@ -1,6 +1,8 @@
 """Single-photon state vectors over labeled optical modes, plus the two-mode
 unitaries (real rotations and exact swaps) as 2x2 blocks on a mode pair,
 the kernel that applies them, and their embedding into the full mode space.
+``plain_int`` and ``plain_float`` are the package's one rule for what counts
+as an integer or a real number; every record stores what they return.
 
 Mode convention: channel modes A, B, C sit at indices 0..2, loss modes
 L1..LK behind them, so K alone fixes the basis.  A two-mode operation is a
@@ -27,7 +29,6 @@ checks the mode count against ``MAX_DENSE_CYCLES``.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -46,12 +47,14 @@ __all__ = [
     "apply_blocks",
     "basis_state",
     "check_block",
+    "check_cycle_count",
     "check_dense_size",
     "check_norm",
     "compose_unitary",
     "embed",
     "exact_cos_sin",
-    "mode_probabilities",
+    "plain_float",
+    "plain_int",
     "rotation_block",
 ]
 
@@ -71,6 +74,35 @@ MAX_DENSE_CYCLES = 512
 # counts prune on exact zeros; any legitimate protocol angle keeps cos/sin
 # far above this.
 _TRIG_SNAP = 1e-15
+
+
+def plain_int(value: object, name: str) -> int:
+    """``value`` as a plain int.  A Python or numpy integer counts; a bool, a
+    float and every other type raise ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def plain_float(value: object, name: str) -> float:
+    """``value`` as a plain float.  A Python or numpy integer or float counts,
+    an int past the float range as +-inf; a bool and every other type
+    raise ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def check_cycle_count(k: object) -> int:
+    """The cycle count K as a plain int; ``ValueError`` unless it is an
+    integer >= 1."""
+    k = plain_int(k, "cycle count K")
+    if k < 1:
+        raise ValueError(f"cycle count K must be >= 1, got {k}")
+    return k
 
 
 def exact_cos_sin(angle: float) -> tuple[float, float]:
@@ -106,15 +138,7 @@ class ModeBasis:
     loss_count: int
 
     def __post_init__(self) -> None:
-        k = operator.index(self.loss_count)  # a plain int from any integer type
-        if k < 1:
-            raise ValueError(f"cycle count must be >= 1, got {k}")
-        object.__setattr__(self, "loss_count", k)
-
-    @classmethod
-    def for_cycles(cls, k: int) -> "ModeBasis":
-        """Basis for a K-cycle protocol; the same as ``ModeBasis(k)``."""
-        return cls(k)
+        object.__setattr__(self, "loss_count", check_cycle_count(self.loss_count))
 
     @property
     def size(self) -> int:
@@ -322,8 +346,3 @@ def apply(op: UnitaryOp, state: PureState) -> PureState:
     if op.dim != state.basis.size:
         raise ValueError(f"dimension mismatch: operator is {op.dim}, state has {state.basis.size} modes")
     return PureState(op.matrix @ state.amplitudes, state.basis)
-
-
-def mode_probabilities(state: PureState) -> np.ndarray:
-    """Born-rule readout: p_i = |a_i|^2."""
-    return _frozen(np.abs(state.amplitudes) ** 2)

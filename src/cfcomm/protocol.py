@@ -23,12 +23,13 @@ from .modes import (
     PureState,
     UnitaryOp,
     apply_blocks,
+    check_cycle_count,
     check_dense_size,
     check_norm,
     compose_unitary,
     embed,
     exact_cos_sin,
-    mode_probabilities,
+    plain_float,
     rotation_block,
 )
 
@@ -44,6 +45,7 @@ __all__ = [
     "SweepRow",
     "alice_reduced_state",
     "build_steps",
+    "check_delta",
     "closed_form",
     "evolution_unitary",
     "run",
@@ -60,9 +62,6 @@ BOB_INTERACTION = "bob_interaction"
 # max K |c^2 + s^2 - 1| over K <= 4096 is 4.5e-13, but 1.05e-12 at K = 10,000,
 # past the 1e-12 norm tolerance.
 MAX_CYCLES = 4096
-
-# The types accepted as real numbers (bools excluded separately).
-_REALS = (int, float, np.integer, np.floating)
 
 
 class PostselectionError(ValueError):
@@ -84,12 +83,7 @@ class BobAction:
         if self.kind == "splitter":
             if self.beta is None:
                 raise ValueError("splitter action needs an angle")
-            if isinstance(self.beta, bool) or not isinstance(self.beta, _REALS):
-                raise ValueError(f"splitter angle must be a real number, got {self.beta!r}")
-            try:
-                beta = float(self.beta)
-            except OverflowError:  # an int beyond the float range
-                beta = math.inf
+            beta = plain_float(self.beta, "splitter angle")
             if not 0.0 <= beta <= math.pi / 2:
                 raise ValueError(f"splitter angle must lie in [0, pi/2], got {beta!r}")
             object.__setattr__(self, "beta", beta)
@@ -110,6 +104,17 @@ def splitter(beta: float) -> BobAction:
     return BobAction("splitter", beta)
 
 
+def check_delta(delta: object) -> float:
+    """The offset delta as a plain float; ``ValueError`` unless it is a finite
+    real number in [0, pi/2)."""
+    value = plain_float(delta, "delta")
+    if not math.isfinite(value):
+        raise ValueError(f"delta must be finite, got {value!r}")
+    if not 0.0 <= value < math.pi / 2:
+        raise ValueError(f"delta must lie in [0, pi/2), got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Full description of one run: cycle count K, offset delta, Bob's action,
@@ -121,21 +126,12 @@ class ProtocolConfig:
     include_final_block: bool = False
 
     def __post_init__(self) -> None:
-        # Plain isinstance checks: sweeps build one config per grid point.
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ValueError(f"cycle count K must be an integer, got {self.k!r}")
+        object.__setattr__(self, "k", check_cycle_count(self.k))
         if not isinstance(self.bob, BobAction):
             raise ValueError(f"bob must be a BobAction, got {self.bob!r}")
         if not isinstance(self.include_final_block, bool):
             raise ValueError(f"include_final_block must be a bool, got {self.include_final_block!r}")
-        if isinstance(self.delta, bool) or not isinstance(self.delta, _REALS):
-            raise ValueError(f"delta must be a real number, got {self.delta!r}")
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta!r}")
-        if self.k < 1:
-            raise ValueError(f"cycle count K must be >= 1, got {self.k}")
-        if not 0.0 <= self.delta < math.pi / 2:
-            raise ValueError(f"delta must lie in [0, pi/2), got {self.delta!r}")
+        object.__setattr__(self, "delta", check_delta(self.delta))
 
     @property
     def phi(self) -> float:
@@ -190,10 +186,6 @@ class OutcomeDistribution:
         """From Born probabilities in mode order A, B, C, L1..LK."""
         return cls(float(probs[0]), float(probs[1]), float(probs[2]), tuple(probs[3:].tolist()))
 
-    @classmethod
-    def from_state(cls, state: PureState) -> "OutcomeDistribution":
-        return cls.from_probabilities(mode_probabilities(state))
-
     @property
     def p_loss_total(self) -> float:
         return math.fsum(self.p_loss)
@@ -246,7 +238,7 @@ def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
     amps[basis.index("A")] = 1.0
     apply_blocks(((step.pair, step.block) for step in steps), amps)
     state = PureState(np.array(amps), basis)
-    return state, OutcomeDistribution.from_state(state)
+    return state, OutcomeDistribution.from_probabilities(np.abs(state.amplitudes) ** 2)
 
 
 def evolution_unitary(config: ProtocolConfig) -> UnitaryOp:
@@ -315,10 +307,9 @@ def sweep(
     # against MAX_CYCLES, before the first evolution.
     configs = [ProtocolConfig(k, 0.0, bob, include_final_block) for k in k_values]
     _check_cycles(max(config.k for config in configs))
+    deltas = [check_delta(delta) for delta in delta_values]
     # (cos phi, sin phi) per delta, the entries of run's outer rotation block.
-    outer = np.array(
-        [exact_cos_sin(ProtocolConfig(k_values[0], delta, bob, include_final_block).phi) for delta in delta_values]
-    )
+    outer = np.array([exact_cos_sin(math.pi / 2 - delta) for delta in deltas])
     rows = []
     for config in configs:
         basis = config.mode_basis()
@@ -329,7 +320,7 @@ def sweep(
         amps = np.outer(outer[:, 1], inner)
         amps[:, 0] = outer[:, 0]
         probs = np.abs(amps) ** 2
-        for delta, row_probs in zip(delta_values, probs):
+        for delta, row_probs in zip(deltas, probs):
             check_norm(float(np.sum(row_probs)))
             rows.append(SweepRow(config.k, delta, OutcomeDistribution.from_probabilities(row_probs)))
     return rows

@@ -249,6 +249,8 @@ class TestRecordChecks:
             ("4", (), "mode count must be an integer, got '4'"),
             (4, (("router",),), "mesh columns must hold MziSetting instances, got 'router'"),
             (4, ((None,),), "mesh columns must hold MziSetting instances, got None"),
+            (-3, (), "mode count must be >= 1, got -3"),
+            (0, (), "mode count must be >= 1, got 0"),
         ],
     )
     def test_bad_program_rejected(self, mode_count, columns, message):
@@ -268,6 +270,7 @@ class TestRecordChecks:
             (("pair",), "1", "pair index must be an integer, got '1'"),
             (("theta",), "0.5", "MZI phases must be real numbers, got theta='0.5', phi=0.0"),
             (("mode_count",), 6.0, "mode count must be an integer, got 6.0"),
+            (("mode_count",), -3, "mode count must be >= 1, got -3"),
         ],
     )
     def test_from_json_dict_does_not_cast(self, path, value, message):

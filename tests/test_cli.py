@@ -244,10 +244,14 @@ class TestTomo:
         assert code == 1
 
     def test_shots_past_the_multinomial_limit(self, capsys):
-        code, out, err = run_cli(capsys, "tomo", "--k", "2", "--delta", "0.2", "--bob", "block", "--shots", str(2**63))
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tomo", "--k", "2", "--delta", "0.2", "--bob", "block", "--shots", str(2**63)])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: shots per basis must lie in [0, 2**63 - 1], got 9223372036854775808\n"
+        assert err.endswith(
+            "cfcomm tomo: error: argument --shots: shots per basis must lie in [0, 2**63 - 1], got 9223372036854775808\n"
+        )
 
     def test_shots_at_the_multinomial_limit(self, capsys):
         code, out, _ = run_cli(
@@ -270,6 +274,34 @@ def cycle_bound_message(k):
         "protocol runs are limited to K <= 4096, past which round-off in the K rotations "
         f"can push the norm defect beyond 1e-12; got K = {k}"
     )
+
+
+class TestUsageErrors:
+    """Each flag's value passes the library's own check, and a bad one is a
+    usage error that names the flag and carries the library's message."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["run", "--k", "0", "--bob", "block"], "argument --k: cycle count K must be >= 1, got 0"),
+            (["run", "--k", "2", "--delta", "2", "--bob", "block"],
+             "argument --delta: delta must lie in [0, pi/2), got 2.0"),
+            (["run", "--k", "2", "--bob", "split:2"], "argument --bob: splitter angle must lie in [0, pi/2], got 2.0"),
+            (["sweep", "--k", "0:3", "--bob", "block"], "argument --k: cycle count K must be >= 1, got 0"),
+            (["chip", "--k", "2", "--bob", "block", "--tol", "-1"],
+             "argument --tol: tolerance must be finite and >= 0, got -1.0"),
+            (["tomo", "--k", "2", "--bob", "block", "--shots", "-1"],
+             "argument --shots: shots per basis must lie in [0, 2**63 - 1], got -1"),
+            (["tomo", "--k", "2", "--bob", "block", "--seed", "-1"], "argument --seed: seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"cfcomm {argv[0]}: error: {message}\n")
 
 
 class TestCycleBound:

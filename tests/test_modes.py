@@ -15,12 +15,11 @@ from cfcomm.modes import (
     check_block,
     compose_unitary,
     embed,
-    mode_probabilities,
     rotation_block,
 )
 
-BASIS4 = ModeBasis.for_cycles(1)
-BASIS5 = ModeBasis.for_cycles(2)
+BASIS4 = ModeBasis(1)
+BASIS5 = ModeBasis(2)
 
 
 def rotation(angle, i, j, size=4):
@@ -57,7 +56,21 @@ class TestModeBasis:
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            ModeBasis.for_cycles(0)
+            ModeBasis(0)
+
+    @pytest.mark.parametrize(
+        ("k", "message"),
+        [
+            (True, "cycle count K must be an integer, got True"),
+            (2.0, "cycle count K must be an integer, got 2.0"),
+            ("2", "cycle count K must be an integer, got '2'"),
+            (-3, "cycle count K must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_cycle_count_rejected(self, k, message):
+        with pytest.raises(ValueError) as err:
+            ModeBasis(k)
+        assert str(err.value) == message
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(ModeBasis)] == ["loss_count"]
@@ -221,16 +234,18 @@ class TestComposeUnitary:
 
 
 class TestModeProbabilities:
+    """Born-rule readout p_i = |a_i|^2 of the stored amplitudes."""
+
     def test_basis_state(self):
-        np.testing.assert_array_equal(mode_probabilities(basis_state(BASIS4, "A")), [1, 0, 0, 0])
+        np.testing.assert_array_equal(np.abs(basis_state(BASIS4, "A").amplitudes) ** 2, [1, 0, 0, 0])
 
     def test_modulus_squared(self):
         state = PureState([0.6, 0.8j, 0.0, 0.0], BASIS4)
-        np.testing.assert_allclose(mode_probabilities(state), [0.36, 0.64, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(np.abs(state.amplitudes) ** 2, [0.36, 0.64, 0, 0], atol=1e-15)
 
     def test_balanced_rotation(self):
         state = apply(rotation(math.pi / 4, 1, 2), basis_state(BASIS4, "B"))
-        probs = mode_probabilities(state)
+        probs = np.abs(state.amplitudes) ** 2
         np.testing.assert_allclose([probs[1], probs[2]], [0.5, 0.5], atol=1e-15)
 
 

@@ -124,12 +124,31 @@ class TestConfigValidation:
     def test_numpy_integer_k_accepted(self):
         assert ProtocolConfig(np.int64(3), 0.0, BLOCK).theta == math.pi / 6
 
+    @pytest.mark.parametrize(
+        ("k", "delta"),
+        [(4, np.float32(0.1)), (np.int64(4), 0.1), (np.uint8(4), np.float64(0.3)), (np.int32(4), np.int64(0))],
+    )
+    def test_numpy_numbers_are_stored_plain(self, k, delta):
+        config = ProtocolConfig(k, delta, BLOCK)
+        plain = ProtocolConfig(int(k), float(delta), BLOCK)
+        assert type(config.k) is int and type(config.delta) is float
+        state, dist = run(config)
+        plain_state, plain_dist = run(plain)
+        assert state.amplitudes.tobytes() == plain_state.amplitudes.tobytes()
+        assert dist == plain_dist
+        rows = sweep([k], [delta], BLOCK)
+        assert rows == sweep([int(k)], [float(delta)], BLOCK)
+        assert [(type(row.k), type(row.delta)) for row in rows] == [(int, float)]
+
     @pytest.mark.parametrize("bob", ["block", None, 0.5])
     def test_bob_must_be_an_action(self, bob):
         with pytest.raises(ValueError, match="BobAction"):
             ProtocolConfig(2, 0.0, bob)
 
-    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "delta",
+        [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
+    )
     def test_delta_must_be_finite(self, delta):
         with pytest.raises(ValueError, match="finite"):
             ProtocolConfig(2, delta, BLOCK)

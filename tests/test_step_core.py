@@ -533,7 +533,7 @@ def complex_run(config):
     amps[basis.index("A")] = 1 + 0j
     apply_blocks(complex_ops(config), amps)
     state = PureState(np.array(amps), basis)
-    return state, OutcomeDistribution.from_state(state)
+    return state, OutcomeDistribution.from_probabilities(np.abs(state.amplitudes) ** 2)
 
 
 def complex_sweep(k_values, delta_values, bob, include_final_block):
