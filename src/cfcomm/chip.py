@@ -16,8 +16,10 @@ e^{ix} on the first mode of the pair (Clements et al., Optica 3, 1460,
 routers and, under block, Bob's blockers are exact swaps up to phase
 (theta_m = 0), so they are routed, and every other MZI is applied as its
 block on the two rows of its pair.  Tomography propagates a single column
-(the photon entering A) through the same blocks with ``modes.apply_blocks``.
-Blocks are memoised per call by (theta_m, phi_m), since a compiled mesh
+(the photon entering A) with ``modes.apply_blocks`` through the compiler's
+MZIs in walk order, before they are packed into columns and records; the
+blocks and the column are those of the compiled program, bit for bit.
+Blocks are memoised per walk by (theta_m, phi_m), since a compiled mesh
 repeats a handful of settings.
 
 The compiler takes the protocol from ``protocol.build_steps`` and lowers each
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,6 +274,24 @@ def _phase_walk(
     return placed, source
 
 
+def _placed(config: ProtocolConfig) -> list[tuple[int, float, float, str]]:
+    """The (pair, theta_m, phi_m, role) of every MZI in walk order, its
+    phases chosen by the two phase walks described in ``compile_program``."""
+    ops = list(_lowered_steps(config))  # checks K against protocol.MAX_CYCLES first
+    size = config.mode_basis().size
+
+    coeff = [1.0 + 0.0j] * size
+    _, source = _phase_walk(ops, coeff)
+    d = [1.0 + 0.0j] * size
+    if source[0] != source[1]:
+        d[source[0]] = coeff[1] / coeff[0]
+    elif abs(coeff[0] - coeff[1]) > 1e-9:  # unreachable: A's source never flows back to B
+        raise RuntimeError("cannot equalize output phases on modes A and B")
+
+    placed, _ = _phase_walk(ops, d)
+    return placed
+
+
 def compile_program(config: ProtocolConfig) -> MeshProgram:
     """Compile a configuration onto the mesh, each MZI in the column after
     the last one that touched either of its modes.  MZIs in one column act
@@ -294,56 +314,61 @@ def compile_program(config: ProtocolConfig) -> MeshProgram:
     each final pending traces back to; d is then chosen so the output phases
     on A and B coincide, and a second walk emits the settings.
     """
-    ops = list(_lowered_steps(config))  # checks K against protocol.MAX_CYCLES first
+    placed = _placed(config)
     size = config.mode_basis().size
-
-    coeff = [1.0 + 0.0j] * size
-    _, source = _phase_walk(ops, coeff)
-    d = [1.0 + 0.0j] * size
-    if source[0] != source[1]:
-        d[source[0]] = coeff[1] / coeff[0]
-    elif abs(coeff[0] - coeff[1]) > 1e-9:  # unreachable: A's source never flows back to B
-        raise RuntimeError("cannot equalize output phases on modes A and B")
-
-    placed, _ = _phase_walk(ops, d)
     free = [0] * size  # per mode, the column after the last MZI that touched it
     columns: list[list[MziSetting]] = []
     for pair, theta_m, phi_m, role in placed:
         column = max(free[pair], free[pair + 1])
         if column == len(columns):
             columns.append([])
-        columns[column].append(MziSetting(pair=pair, theta=theta_m, phi=phi_m, role=role))
+        # Positional: keyword arguments cost about 40% more per record.
+        columns[column].append(MziSetting(pair, theta_m, phi_m, role))
         free[pair] = free[pair + 1] = column + 1
-    return MeshProgram(mode_count=size, columns=tuple(map(tuple, columns)))
+    return MeshProgram(size, tuple(map(tuple, columns)))
 
 
-def _mzi_walk(program: MeshProgram) -> Iterator[tuple[tuple[int, int], Block]]:
-    """((pair, pair+1), block) for every MZI in column order; each distinct
-    (theta, phi) setting is built and checked once per walk."""
+def _records(program: MeshProgram) -> Iterator[tuple[int, float, float]]:
+    """(pair, theta, phi) of every MZI of ``program`` in column order."""
+    return ((s.pair, s.theta, s.phi) for column in program.columns for s in column)
+
+
+def _mzi_walk(mzis: Iterable[tuple[int, float, float]]) -> Iterator[tuple[tuple[int, int], Block]]:
+    """((pair, pair+1), block) for every (pair, theta, phi) MZI in order;
+    each distinct (theta, phi) setting is built and checked once per walk."""
     blocks: dict[tuple[float, float], Block] = {}
-    for column in program.columns:
-        for setting in column:
-            key = (setting.theta, setting.phi)
-            block = blocks.get(key)
-            if block is None:
-                block = blocks[key] = mzi_block(*key)
-            yield (setting.pair, setting.pair + 1), block
+    for pair, theta, phi in mzis:
+        key = (theta, phi)
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = mzi_block(theta, phi)
+        yield (pair, pair + 1), block
 
 
 def mesh_unitary(program: MeshProgram) -> UnitaryOp:
     """Compose the MZIs in column order through ``modes.compose_unitary``:
     routers and block-mode blockers are routed, every other MZI updates the
     two rows of its pair."""
-    return compose_unitary(_mzi_walk(program), program.mode_count)
+    return compose_unitary(_mzi_walk(_records(program)), program.mode_count)
 
 
-def _input_column(program: MeshProgram) -> np.ndarray:
-    """Column 0 of the mesh unitary (the photon entering mode 0), two
-    amplitudes per MZI."""
-    amps = [0j] * program.mode_count
+def _input_column(mzis: Iterable[tuple[int, float, float]], size: int) -> np.ndarray:
+    """Column 0 of the ``size``-mode unitary of the (pair, theta, phi) MZIs
+    (the photon entering mode 0), two amplitudes per MZI."""
+    amps = [0j] * size
     amps[0] = 1 + 0j
-    apply_blocks(_mzi_walk(program), amps)
+    apply_blocks(_mzi_walk(mzis), amps)
     return np.array(amps)
+
+
+def _tomography_column(config: ProtocolConfig) -> np.ndarray:
+    """Column 0 of ``mesh_unitary(compile_program(config))``, built from the
+    compiler's MZIs in walk order with each phase reduced mod 2pi as
+    ``MziSetting`` stores it, without building a ``MeshProgram``.  Packing only
+    reorders MZIs that act on disjoint modes, so the column is the same bit
+    for bit."""
+    mzis = ((pair, theta_m % TWO_PI, phi_m % TWO_PI) for pair, theta_m, phi_m, _ in _placed(config))
+    return _input_column(mzis, config.mode_basis().size)
 
 
 # --- verification -----------------------------------------------------------
@@ -448,7 +473,7 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
     reported, never raised; a ``tol`` that is not a finite real number >= 0
     raises ``ValueError`` before anything is computed.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     target = protocol.evolution_unitary(config)
     v = u_mesh.matrix
     w = target.matrix
@@ -571,7 +596,8 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
     """Tomography of Alice's output qubit on the compiled mesh.
 
     The mesh output for the photon entering A (column 0 of the mesh unitary)
-    is propagated MZI by MZI and checked to unit norm at ``NORM_TOL``.  Per
+    is propagated MZI by MZI, straight from the compiler's walk without
+    building a ``MeshProgram``, and checked to unit norm at ``NORM_TOL``.  Per
     basis (Z directly; X and Y through the tomography MZI on the A/B
     pair) every shot samples the full outcome distribution; C and loss
     detections are discarded as aborts.  ``shots_per_basis = 0`` switches to
@@ -586,7 +612,7 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
     seed = check_seed(seed)
     final_state, _ = protocol.run(config)
     exact_rho, p_ab = alice_reduced_state(final_state)
-    psi = PureState(_input_column(compile_program(config)), config.mode_basis()).amplitudes
+    psi = PureState(_tomography_column(config), config.mode_basis()).amplitudes
 
     expectations: dict[str, float] = {}
     counts: dict[str, tuple[int, int]] = {}

@@ -132,8 +132,8 @@ def counterfactuality_report(config: ProtocolConfig, outcome: str) -> Counterfac
     slot = basis.index(outcome)  # rejects unknown labels first
     steps = build_steps(config)  # checks the K bound before anything is built
     a, c = basis.index("A"), basis.index("C")
-    full = [0j] * basis.size
-    full[a] = 1 + 0j
+    full = [0.0] * basis.size  # the steps' blocks are real
+    full[a] = 1.0
     never = list(full)
     full_n = [0] * basis.size
     full_n[a] = 1
@@ -145,14 +145,14 @@ def counterfactuality_report(config: ProtocolConfig, outcome: str) -> Counterfac
         apply_blocks(amplitudes, never)
         apply_blocks(counts, full_n)
         apply_blocks(counts, never_n)
-        never[c] = 0j
+        never[c] = 0.0
         never_n[c] = 0
     total = full[slot]
     c_visiting_paths = full_n[slot] - never_n[slot]
     return CounterfactualityReport(
         outcome_mode=outcome,
-        total_amplitude=total,
-        c_visiting_amplitude=total - never[slot],
+        total_amplitude=complex(total),
+        c_visiting_amplitude=complex(total - never[slot]),
         c_visiting_paths=c_visiting_paths,
         verdict=c_visiting_paths == 0,
         probability=abs(total) ** 2,

@@ -176,7 +176,8 @@ class TestVerify:
     def test_real_tolerance_accepted(self, tol):
         config = ProtocolConfig(3, 0.1, BLOCK)
         report = verify(mesh_unitary(compile_program(config)), config, tol=tol)
-        assert report.equivalent is (report.residual <= tol)
+        assert type(report.equivalent) is bool
+        assert report.equivalent == bool(report.residual <= float(tol))
 
 
 class TestSerialization:

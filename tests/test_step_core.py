@@ -5,8 +5,10 @@ keep is the dense one: every step's embedded matrix ``step.op.matrix`` (and
 every MZI, multiplied out from its four factors BS P(theta) BS P(phi) and
 embedded into the full mode space) multiplied in time order, and path
 histories walked over full matrix columns.  The compiled mesh and the
-phase verifier are checked against the modal evolution itself, and the
-batched verifier against Kruskal's loop offering one edge at a time.  The
+phase verifier are checked against the modal evolution itself, the
+batched verifier against Kruskal's loop offering one edge at a time, and
+the tomography column, walked from the compiler's MZIs, against the column
+read from the compiled program's records, bit for bit.  The
 real modal evolution (float blocks, float amplitudes, a float64
 ``evolution_unitary``) is checked bit for bit against the same evolution
 run on complex amplitudes and complex blocks.
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcomm import protocol
+from cfcomm import chip, protocol
 from cfcomm.chip import (
     ROLE_BLOCKER,
     ROLE_INNER,
@@ -31,9 +33,12 @@ from cfcomm.chip import (
     _lowered_steps,
     _mzi_walk,
     _phase_edges,
+    _records,
+    _tomography_column,
     compile_program,
     mesh_unitary,
     mzi_block,
+    simulate_tomography,
     verify,
 )
 from cfcomm.histories import counterfactuality_report, enumerate_histories
@@ -168,7 +173,8 @@ def test_input_column_is_mesh_column_zero(config, round_trip):
     program = compile_program(config)
     if round_trip:
         program = MeshProgram.from_json_dict(program.to_json_dict())
-    np.testing.assert_allclose(_input_column(program), mesh_unitary(program).matrix[:, 0], rtol=0, atol=TOL)
+    column = _input_column(_records(program), program.mode_count)
+    np.testing.assert_allclose(column, mesh_unitary(program).matrix[:, 0], rtol=0, atol=TOL)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -280,12 +286,46 @@ def test_packed_columns_match_walk_order(k):
                 tuple((MziSetting(s.pair, s.theta, s.phi, s.role),) for s in walk),
             )
             np.testing.assert_array_equal(mesh_unitary(program).matrix, mesh_unitary(serial).matrix)
-            np.testing.assert_array_equal(_input_column(program), _input_column(serial))
+            np.testing.assert_array_equal(
+                _input_column(_records(program), program.mode_count),
+                _input_column(_records(serial), serial.mode_count),
+            )
             # As soon as possible: every MZI past column 0 shares a mode with
             # one in the column before.
             for before, column in zip(program.columns, program.columns[1:]):
                 touched = {m for s in before for m in (s.pair, s.pair + 1)}
                 assert all(s.pair in touched or s.pair + 1 in touched for s in column)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.builds(ProtocolConfig, st.integers(1, 40), deltas, st.one_of(actions, st.just(splitter(1e-9))), st.booleans()))
+@example(ProtocolConfig(1, 0.0, PASS))
+@example(ProtocolConfig(40, 0.0, BLOCK, True))
+@example(ProtocolConfig(40, 0.0, splitter(1e-9), False))
+@example(ProtocolConfig(40, 0.3, splitter(math.pi / 2), True))
+def test_walk_column_is_the_record_column(config):
+    # Tomography's column comes from the walk-order MZIs of _placed; packing
+    # only reorders MZIs on disjoint pairs.
+    program = compile_program(config)
+    records = [0j] * program.mode_count
+    records[0] = 1 + 0j
+    apply_blocks(_mzi_walk(_records(program)), records)
+    assert np.array_equal(_tomography_column(config), np.array(records))
+
+
+@pytest.mark.parametrize("shots", [0, 100_000])
+@pytest.mark.parametrize("bob", [BLOCK, splitter(0.7)], ids=["block", "split-0.7"])
+@pytest.mark.parametrize("k", [512, 4096])
+def test_tomography_equals_the_record_path(k, bob, shots, monkeypatch):
+    config = ProtocolConfig(k, 0.0, bob, True)
+    got = simulate_tomography(config, shots, seed=7)
+    # The record path: the column read from the compiled program's records.
+    program = compile_program(config)
+    monkeypatch.setattr(chip, "_tomography_column", lambda _: _input_column(_records(program), program.mode_count))
+    want = simulate_tomography(config, shots, seed=7)
+    assert got.counts == want.counts
+    assert got.reconstructed_rho.tobytes() == want.reconstructed_rho.tobytes()
+    assert got.postselected_fraction == want.postselected_fraction
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -506,7 +546,7 @@ def test_evolution_unitary_is_the_unrouted_product_bit_for_bit(bob, final_block)
 def test_mesh_unitary_matches_the_unrouted_product(bob, final_block):
     for k in GRID_K:
         program = compile_program(ProtocolConfig(k, 0.3, bob, final_block))
-        reference = unrouted(_mzi_walk(program), program.mode_count)
+        reference = unrouted(_mzi_walk(_records(program)), program.mode_count)
         np.testing.assert_allclose(mesh_unitary(program).matrix, reference, rtol=0, atol=TOL)
 
 
