@@ -25,8 +25,6 @@ from .modes import (
     ModeBasis,
     PureState,
     UnitaryOp,
-    apply,
-    basis_state,
 )
 from .protocol import (
     BLOCK,
@@ -70,8 +68,6 @@ __all__ = [
     "UnitaryOp",
     "alice_reduced_state",
     "amplitude_by_paths",
-    "apply",
-    "basis_state",
     "build_steps",
     "closed_form",
     "compile_program",

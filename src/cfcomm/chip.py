@@ -168,7 +168,10 @@ class MeshProgram:
         if mode_count < 1:
             raise ValueError(f"mode count must be >= 1, got {mode_count}")
         object.__setattr__(self, "mode_count", mode_count)
-        columns = tuple(tuple(col) for col in self.columns)
+        try:
+            columns = tuple(tuple(col) for col in self.columns)
+        except TypeError:
+            raise ValueError(f"mesh columns must be an iterable of columns, got {self.columns!r}") from None
         object.__setattr__(self, "columns", columns)
         for index, column in enumerate(columns):
             used: set[int] = set()
@@ -198,12 +201,31 @@ class MeshProgram:
     def from_json_dict(cls, doc: dict) -> "MeshProgram":
         """The inverse of ``to_json_dict``.  Values are passed on uncast, so
         the records' own checks reject a non-integer pair or mode count and
-        a non-numeric phase rather than truncating or parsing them."""
-        columns = tuple(
-            tuple(MziSetting(pair=m["pair"], theta=m["theta"], phi=m["phi"], role=m["role"]) for m in col)
-            for col in doc["columns"]
-        )
-        return cls(mode_count=doc["mode_count"], columns=columns)
+        a non-numeric phase rather than truncating or parsing them.  A
+        document of any other shape (not a dict, a key missing, a column
+        that is not a list) raises ``ValueError`` as well."""
+        mode_count, columns = _json_fields(doc, ("mode_count", "columns"), "mesh program")
+        if not isinstance(columns, (list, tuple)):
+            raise ValueError(f"mesh program columns must be a list, got {columns!r}")
+        packed = []
+        for col in columns:
+            if not isinstance(col, (list, tuple)):
+                raise ValueError(f"a mesh column must be a list of MZI records, got {col!r}")
+            packed.append(tuple(MziSetting(*_json_fields(m, _MZI_FIELDS, "MZI record")) for m in col))
+        return cls(mode_count, tuple(packed))
+
+
+_MZI_FIELDS = ("pair", "theta", "phi", "role")
+
+
+def _json_fields(doc: object, names: tuple[str, ...], what: str) -> list:
+    """The values of ``names`` in the JSON object ``doc``, in that order."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    for name in names:
+        if name not in doc:
+            raise ValueError(f"{what} has no {name!r}")
+    return [doc[name] for name in names]
 
 
 def mzi_block(theta_m: float, phi_m: float) -> Block:

@@ -8,13 +8,12 @@ deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import sys
 from collections.abc import Callable
-
-import numpy as np
 
 from . import chip, histories, modes, protocol
 
@@ -33,6 +32,21 @@ MAX_GRID_POINTS = 100_000
 def _fmt(value: float) -> str:
     # 17 significant digits round-trips any double.
     return format(float(value), ".17g")
+
+
+def _json(value: object) -> object:
+    """The ``default=`` hook of ``json.dumps``, called for each value json
+    cannot encode itself: a dataclass becomes ``{field: ...}`` in
+    declaration order, a complex number ``{"re": ..., "im": ...}`` and an
+    array (anything with ``.tolist()``) nested lists.  json encodes what
+    the hook returns in turn, and writes tuples as lists."""
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if dataclasses.is_dataclass(value):
+        return {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _flag(*steps: Callable) -> Callable[[str], object]:
@@ -60,67 +74,26 @@ def _bob_action(text: str) -> protocol.BobAction:
     raise ValueError(f"bob must be 'block', 'pass' or 'split:<beta>', got {text!r}")
 
 
-def _int_range(text: str) -> list[int]:
-    """'a', 'a:b' (inclusive) or 'a:b:step'."""
-    parts = text.split(":")
+def _range(text: str, number: type, default_step: float, check: Callable) -> list:
+    """'a', 'a:b' or 'a:b:step' (step ``default_step``): a, a + step, ... up to
+    b, b included up to rounding, each value passed through ``check``.  An
+    integer range is counted exactly, and every range is counted against
+    ``MAX_GRID_POINTS`` before its list is built."""
     try:
-        numbers = [int(p) for p in parts]
+        numbers = [number(part) for part in text.split(":")]
     except ValueError:
-        raise ValueError(f"bad integer range {text!r}") from None
+        numbers = []
     if len(numbers) == 1:
-        values = numbers
-    elif len(numbers) in (2, 3):
-        start, stop = numbers[0], numbers[1]
-        step = numbers[2] if len(numbers) == 3 else 1
-        if step < 1 or stop < start:
-            raise ValueError(f"bad integer range {text!r}")
-        points = range(start, stop + 1, step)
-        if len(points) > MAX_GRID_POINTS:
-            raise ValueError(f"range {text!r} has {len(points)} points, more than {MAX_GRID_POINTS}")
-        values = list(points)
-    else:
-        raise ValueError(f"bad integer range {text!r}")
-    return [modes.check_cycle_count(v) for v in values]
-
-
-def _float_range(text: str) -> list[float]:
-    """'a', 'a:b' (step 0.1) or 'a:b:step', stop included up to rounding."""
-    parts = text.split(":")
-    try:
-        numbers = [float(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"bad range {text!r}") from None
-    if len(numbers) == 1:
-        values = numbers
-    elif len(numbers) in (2, 3):
-        start, stop = numbers[0], numbers[1]
-        step = numbers[2] if len(numbers) == 3 else 0.1
-        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
-            raise ValueError(f"bad range {text!r}")
-        intervals = (stop - start) / step + 1e-9
-        if not intervals < MAX_GRID_POINTS:
-            raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
-        count = int(math.floor(intervals)) + 1
-        values = [start + i * step for i in range(count)]
-    else:
+        return [check(numbers[0])]
+    if len(numbers) not in (2, 3):
         raise ValueError(f"bad range {text!r}")
-    return [protocol.check_delta(v) for v in values]
-
-
-def _complex_json(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
-def _matrix_json(matrix: np.ndarray) -> list:
-    return [[_complex_json(complex(entry)) for entry in row] for row in matrix]
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    start, stop, step = (*numbers, default_step)[:3]
+    if stop < start or not step > 0 or not (number is int or all(map(math.isfinite, (start, stop, step)))):
+        raise ValueError(f"bad range {text!r}")
+    intervals = (stop - start) // step if number is int else (stop - start) / step + 1e-9
+    if not intervals < MAX_GRID_POINTS:
+        raise ValueError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
+    return [check(start + i * step) for i in range(int(intervals) + 1)]
 
 
 def _run_record(row: protocol.SweepRow, bob: protocol.BobAction, final_block: bool) -> dict:
@@ -156,33 +129,53 @@ def _record_csv_row(record: dict) -> str:
     return ",".join(fields)
 
 
-def _emit_sweep(ns: argparse.Namespace, k_values: list[int], delta_values: list[float], single: bool) -> int:
-    """Run the grid through ``protocol.sweep`` and emit one record per point;
-    JSON is a list, or the lone record itself when ``single`` is set."""
+def _sweep_output(
+    ns: argparse.Namespace, k_values: list[int], delta_values: list[float], single: bool
+) -> tuple[object, int]:
+    """One record per point of the grid, from ``protocol.sweep``: CSV text,
+    or for JSON a list, or the lone record itself when ``single`` is set."""
     rows = protocol.sweep(k_values, delta_values, ns.bob, ns.final_block)
     records = [_run_record(row, ns.bob, ns.final_block) for row in rows]
     if ns.format == "csv":
-        lines = [CSV_HEADER] + [_record_csv_row(r) for r in records]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(records[0] if single else records, indent=2) + "\n"
-    _emit(text, ns.out)
-    return EXIT_OK
+        return "\n".join([CSV_HEADER] + [_record_csv_row(r) for r in records]) + "\n", EXIT_OK
+    return (records[0] if single else records), EXIT_OK
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=_flag(int, modes.check_cycle_count), required=True,
-                     help="number of inner cycles (K >= 1)")
-    sub.add_argument("--delta", type=_flag(float, protocol.check_delta), default=0.0,
-                     help="outer rotation offset, radians in [0, pi/2)")
-    sub.add_argument("--bob", type=_flag(_bob_action), required=True, help="block | pass | split:<beta radians>")
-    sub.add_argument("--final-block", dest="final_block", action="store_true",
-                     help="let Bob interact once more after the K-th inner rotation")
+def _config_from(ns: argparse.Namespace) -> protocol.ProtocolConfig:
+    return protocol.ProtocolConfig(ns.k, ns.delta, ns.bob, ns.final_block)
 
 
-def _add_output_flags(sub: argparse.ArgumentParser, formats: tuple[str, ...], default: str) -> None:
-    sub.add_argument("--format", choices=formats, default=default, help=f"output format (default {default})")
-    sub.add_argument("--out", default=None, help="write output to this file instead of stdout")
+# Each handler returns (payload, exit code): the payload is CSV text or a
+# document that ``main`` encodes as JSON through ``_json``.
+
+
+def _cmd_run(ns: argparse.Namespace) -> tuple[object, int]:
+    return _sweep_output(ns, [ns.k], [ns.delta], single=True)
+
+
+def _cmd_sweep(ns: argparse.Namespace) -> tuple[object, int]:
+    return _sweep_output(ns, ns.k, ns.delta, single=False)
+
+
+def _cmd_trace(ns: argparse.Namespace) -> tuple[object, int]:
+    report = histories.counterfactuality_report(_config_from(ns), ns.outcome)
+    return report, EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
+
+
+def _cmd_chip(ns: argparse.Namespace) -> tuple[object, int]:
+    config = _config_from(ns)
+    program = chip.compile_program(config)
+    doc: dict = {"program": program.to_json_dict()}
+    if ns.emit_only:
+        return doc, EXIT_OK
+    report = chip.verify(chip.mesh_unitary(program), config, tol=ns.tol)
+    doc["residual"] = report.residual
+    doc["equivalent"] = report.equivalent
+    return doc, EXIT_OK if report.equivalent else EXIT_ERROR
+
+
+def _cmd_tomo(ns: argparse.Namespace) -> tuple[object, int]:
+    return chip.simulate_tomography(_config_from(ns), ns.shots, ns.seed), EXIT_OK
 
 
 @functools.cache
@@ -192,102 +185,47 @@ def build_parser() -> argparse.ArgumentParser:
     default is mutated."""
     parser = argparse.ArgumentParser(prog="cfcomm", description="Counterfactual communication protocol toolkit")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_run = commands.add_parser("run", help="run a single configuration and print its outcome record")
-    _add_config_flags(p_run)
-    _add_output_flags(p_run, ("json", "csv"), "json")
-
-    p_sweep = commands.add_parser("sweep", help="run a (K, delta) grid and emit one record per point")
-    p_sweep.add_argument("--k", type=_flag(_int_range), required=True, help="K value or range a:b[:step]")
-    p_sweep.add_argument("--delta", type=_flag(_float_range), default=[0.0], help="delta value or range a:b[:step]")
-    p_sweep.add_argument("--bob", type=_flag(_bob_action), required=True, help="block | pass | split:<beta radians>")
-    p_sweep.add_argument("--final-block", dest="final_block", action="store_true")
-    _add_output_flags(p_sweep, ("csv", "json"), "csv")
-
-    p_trace = commands.add_parser("trace", help="path-history counterfactuality report for one outcome")
-    _add_config_flags(p_trace)
-    p_trace.add_argument("--outcome", required=True, help="outcome mode label (A, B, C or Ln)")
-    _add_output_flags(p_trace, ("json",), "json")
-
-    p_chip = commands.add_parser("chip", help="compile onto the MZI mesh and verify against the modal evolution")
-    _add_config_flags(p_chip)
-    p_chip.add_argument("--tol", type=_flag(float, chip.check_tolerance), default=1e-9,
-                        help="verification residual tolerance")
-    p_chip.add_argument("--emit-only", dest="emit_only", action="store_true", help="emit the program, skip verification")
-    _add_output_flags(p_chip, ("json",), "json")
-
-    p_tomo = commands.add_parser("tomo", help="simulate tomography of Alice's output qubit on the mesh")
-    _add_config_flags(p_tomo)
-    p_tomo.add_argument("--shots", type=_flag(int, chip.check_shots), default=100000,
-                        help="shots per basis; 0 = analytic expectations")
-    p_tomo.add_argument("--seed", type=_flag(int, chip.check_seed), default=0, help="sampling seed (>= 0)")
-    _add_output_flags(p_tomo, ("json",), "json")
-
+    # The flags of one subcommand only, declared after the shared ones.
+    own_flags = {
+        "trace": [("--outcome", dict(required=True, help="outcome mode label (A, B, C or Ln)"))],
+        "chip": [
+            ("--tol", dict(type=_flag(float, chip.check_tolerance), default=1e-9,
+                           help="verification residual tolerance")),
+            ("--emit-only", dict(action="store_true", help="emit the program, skip verification")),
+        ],
+        "tomo": [
+            ("--shots", dict(type=_flag(int, chip.check_shots), default=100000,
+                             help="shots per basis; 0 = analytic expectations")),
+            ("--seed", dict(type=_flag(int, chip.check_seed), default=0, help="sampling seed (>= 0)")),
+        ],
+    }
+    for name, handler, formats, help_text in (
+        ("run", _cmd_run, ("json", "csv"), "run a single configuration and print its outcome record"),
+        ("sweep", _cmd_sweep, ("csv", "json"), "run a (K, delta) grid and emit one record per point"),
+        ("trace", _cmd_trace, ("json",), "path-history counterfactuality report for one outcome"),
+        ("chip", _cmd_chip, ("json",), "compile onto the MZI mesh and verify against the modal evolution"),
+        ("tomo", _cmd_tomo, ("json",), "simulate tomography of Alice's output qubit on the mesh"),
+    ):
+        sub = commands.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
+        if name == "sweep":
+            sub.add_argument("--k", type=_flag(lambda text: _range(text, int, 1, modes.check_cycle_count)),
+                             required=True, help="K value or range a:b[:step]")
+            sub.add_argument("--delta", type=_flag(lambda text: _range(text, float, 0.1, protocol.check_delta)),
+                             default=[0.0], help="delta value or range a:b[:step]")
+        else:
+            sub.add_argument("--k", type=_flag(int, modes.check_cycle_count), required=True,
+                             help="number of inner cycles (K >= 1)")
+            sub.add_argument("--delta", type=_flag(float, protocol.check_delta), default=0.0,
+                             help="outer rotation offset, radians in [0, pi/2)")
+        sub.add_argument("--bob", type=_flag(_bob_action), required=True, help="block | pass | split:<beta radians>")
+        sub.add_argument("--final-block", action="store_true",
+                         help="let Bob interact once more after the K-th inner rotation")
+        for flag, options in own_flags.get(name, ()):
+            sub.add_argument(flag, **options)
+        sub.add_argument("--format", choices=formats, default=formats[0], help=f"output format (default {formats[0]})")
+        sub.add_argument("--out", default=None, help="write output to this file instead of stdout")
     return parser
-
-
-def _config_from(ns: argparse.Namespace) -> protocol.ProtocolConfig:
-    return protocol.ProtocolConfig(ns.k, ns.delta, ns.bob, ns.final_block)
-
-
-def _cmd_run(ns: argparse.Namespace) -> int:
-    return _emit_sweep(ns, [ns.k], [ns.delta], single=True)
-
-
-def _cmd_sweep(ns: argparse.Namespace) -> int:
-    return _emit_sweep(ns, ns.k, ns.delta, single=False)
-
-
-def _cmd_trace(ns: argparse.Namespace) -> int:
-    report = histories.counterfactuality_report(_config_from(ns), ns.outcome)
-    doc = {
-        "outcome_mode": report.outcome_mode,
-        "total_amplitude": _complex_json(report.total_amplitude),
-        "c_visiting_amplitude": _complex_json(report.c_visiting_amplitude),
-        "c_visiting_paths": report.c_visiting_paths,
-        "verdict": report.verdict,
-        "probability": report.probability,
-        "vacuous": report.vacuous,
-    }
-    _emit(json.dumps(doc, indent=2) + "\n", ns.out)
-    return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
-
-
-def _cmd_chip(ns: argparse.Namespace) -> int:
-    config = _config_from(ns)
-    program = chip.compile_program(config)
-    doc: dict = {"program": program.to_json_dict()}
-    if ns.emit_only:
-        _emit(json.dumps(doc, indent=2) + "\n", ns.out)
-        return EXIT_OK
-    report = chip.verify(chip.mesh_unitary(program), config, tol=ns.tol)
-    doc["residual"] = report.residual
-    doc["equivalent"] = report.equivalent
-    _emit(json.dumps(doc, indent=2) + "\n", ns.out)
-    return EXIT_OK if report.equivalent else EXIT_ERROR
-
-
-def _cmd_tomo(ns: argparse.Namespace) -> int:
-    result = chip.simulate_tomography(_config_from(ns), ns.shots, ns.seed)
-    doc = {
-        "counts": {basis: list(pair) for basis, pair in result.counts.items()},
-        "shots_per_basis": result.shots_per_basis,
-        "reconstructed_rho": _matrix_json(result.reconstructed_rho),
-        "exact_rho": _matrix_json(result.exact_rho),
-        "trace_distance": result.trace_distance,
-        "postselected_fraction": result.postselected_fraction,
-    }
-    _emit(json.dumps(doc, indent=2) + "\n", ns.out)
-    return EXIT_OK
-
-
-_HANDLERS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "trace": _cmd_trace,
-    "chip": _cmd_chip,
-    "tomo": _cmd_tomo,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -296,7 +234,14 @@ def main(argv: list[str] | None = None) -> int:
     if ns.command == "sweep" and len(ns.k) * len(ns.delta) > MAX_GRID_POINTS:
         parser.error(f"sweep grid has {len(ns.k) * len(ns.delta)} points, more than {MAX_GRID_POINTS}")
     try:
-        return _HANDLERS[ns.command](ns)
+        payload, code = ns.handler(ns)
+        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, default=_json) + "\n"
+        if ns.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
     except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from cfcomm.modes import MAX_DENSE_CYCLES, UnitaryOp
 from cfcomm.protocol import BLOCK, PASS, PostselectionError, ProtocolConfig, run, splitter
 
 ALL_ACTIONS = [PASS, BLOCK, splitter(math.pi / 4)]
+MISSING = object()  # marks a key to delete from a serialized program
 SUPERPOSITION_CONFIG = ProtocolConfig(2, 0.2, splitter(math.pi / 4))
 
 
@@ -252,6 +255,8 @@ class TestRecordChecks:
             (4, ((None,),), "mesh columns must hold MziSetting instances, got None"),
             (-3, (), "mode count must be >= 1, got -3"),
             (0, (), "mode count must be >= 1, got 0"),
+            (3, 5, "mesh columns must be an iterable of columns, got 5"),
+            (3, (5,), "mesh columns must be an iterable of columns, got (5,)"),
         ],
     )
     def test_bad_program_rejected(self, mode_count, columns, message):
@@ -272,15 +277,33 @@ class TestRecordChecks:
             (("theta",), "0.5", "MZI phases must be real numbers, got theta='0.5', phi=0.0"),
             (("mode_count",), 6.0, "mode count must be an integer, got 6.0"),
             (("mode_count",), -3, "mode count must be >= 1, got -3"),
+            # A document of the wrong shape is a ValueError too, never a
+            # KeyError or TypeError.
+            (("columns",), MISSING, "mesh program has no 'columns'"),
+            (("mode_count",), MISSING, "mesh program has no 'mode_count'"),
+            (("theta",), MISSING, "MZI record has no 'theta'"),
+            (("columns",), 5, "mesh program columns must be a list, got 5"),
+            (("columns", 0), 5, "a mesh column must be a list of MZI records, got 5"),
+            (("columns", 0), "router", "a mesh column must be a list of MZI records, got 'router'"),
+            (("columns", 0, 0), "router", "MZI record must be a JSON object, got 'router'"),
+            ((), '{"columns": []}', """mesh program must be a JSON object, got '{"columns": []}'"""),
+            ((), None, "mesh program must be a JSON object, got None"),
         ],
     )
     def test_from_json_dict_does_not_cast(self, path, value, message):
         program = MeshProgram(6, ((MziSetting(1, 0.0, 0.0, "router"),),))
         doc = program.to_json_dict()
-        if path == ("mode_count",):
-            doc["mode_count"] = value
+        if len(path) == 1 and path[0] not in doc:  # a field of the first MZI record
+            path = ("columns", 0, 0, *path)
+        if not path:
+            doc = value
         else:
-            doc["columns"][0][0][path[0]] = value
+            *parents, last = path
+            target = functools.reduce(operator.getitem, parents, doc)
+            if value is MISSING:
+                del target[last]
+            else:
+                target[last] = value
         with pytest.raises(ValueError) as err:
             MeshProgram.from_json_dict(doc)
         assert str(err.value) == message

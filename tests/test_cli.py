@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -5,7 +6,9 @@ import sys
 
 import pytest
 
+from cfcomm.chip import TomographyResult
 from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, build_parser, main
+from cfcomm.histories import CounterfactualityReport
 
 COS8_PI_8 = 0.5307900429449552
 SIN_SQ_01 = 0.009966711079379185
@@ -101,6 +104,55 @@ class TestSweep:
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--k", "1", "--delta", spec, "--bob", "block"])
         assert excinfo.value.code == 2
+
+
+class TestRanges:
+    """K and delta ranges share one grammar: 'a', 'a:b' or 'a:b:step'."""
+
+    @pytest.mark.parametrize(
+        "flag, spec, values",
+        [
+            ("--k", "1:10:3", [1, 4, 7, 10]),
+            ("--k", "1:9:3", [1, 4, 7]),
+            ("--k", "2:4", [2, 3, 4]),
+            ("--k", "5", [5]),
+            ("--k", "1:3:" + "9" * 400, [1]),
+            ("--delta", "0:0.3", [0.0, 0.1, 0.2, 0.30000000000000004]),
+            ("--delta", "0:0.3:0.1", [0.0, 0.1, 0.2, 0.30000000000000004]),
+            ("--delta", "-0", [-0.0]),
+        ],
+    )
+    def test_range_points(self, flag, spec, values):
+        ns = build_parser().parse_args(["sweep", "--k", "1", "--bob", "block", flag, spec])
+        assert [repr(v) for v in getattr(ns, flag[2:])] == [repr(v) for v in values]  # types and signs too
+
+    # 1e20 points overflow len(range(...)), and a 400-digit stop overflows
+    # int / int true division; both are counted exactly instead.
+    @pytest.mark.parametrize(
+        "flag, spec",
+        [
+            ("--k", "3:1"),
+            ("--k", "1:2:0"),
+            ("--k", "1:2:-1"),
+            ("--k", "1:2:3:4"),
+            ("--k", "1:"),
+            ("--k", "1.5:3"),
+            ("--k", "1:100000000000000000000"),
+            ("--k", "1:" + "9" * 400),
+            ("--delta", "0:1:0"),
+            ("--delta", "0.3:0.1"),
+            ("--delta", "0:1:inf"),
+            ("--delta", "0:0.1:0.1:0.1"),
+        ],
+    )
+    def test_bad_range_is_usage_error(self, capsys, flag, spec):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--k", "1", "--bob", "block", flag, spec])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: " in err
+        assert "Traceback" not in err
 
 
 class TestTrace:
@@ -380,6 +432,37 @@ class TestOutputPlumbing:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run", "--k", "3", "--bob", "split:0.7", "--final-block"], 0),
+            (["run", "--k", "3", "--bob", "pass", "--format", "csv"], 0),
+            (["sweep", "--k", "1:4", "--delta", "0:0.3", "--bob", "block"], 0),
+            (["sweep", "--k", "2", "--bob", "pass", "--format", "json"], 0),
+            (["trace", "--k", "4", "--bob", "block", "--outcome", "B", "--format", "json"], 0),
+            (["trace", "--k", "2", "--bob", "pass", "--outcome", "B"], 3),
+            (["chip", "--k", "3", "--bob", "split:0.7"], 0),
+            (["chip", "--k", "3", "--bob", "block", "--emit-only", "--format", "json"], 0),
+            (["tomo", "--k", "2", "--delta", "0.2", "--bob", "split:0.7", "--shots", "1000", "--seed", "3"], 0),
+        ],
+    )
+    def test_out_writes_the_stdout_bytes(self, capsys, tmp_path, argv, code):
+        _, expected, _ = run_cli(capsys, *argv)
+        target = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert target.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "argv, record_type",
+        [
+            (["trace", "--k", "4", "--bob", "split:0.7", "--outcome", "B"], CounterfactualityReport),
+            (["tomo", "--k", "2", "--delta", "0.2", "--bob", "split:0.7", "--shots", "0"], TomographyResult),
+        ],
+    )
+    def test_json_keys_are_the_record_fields_in_order(self, capsys, argv, record_type):
+        _, out, _ = run_cli(capsys, *argv)
+        assert list(json.loads(out)) == [field.name for field in dataclasses.fields(record_type)]
 
     def test_repeated_invocations_are_identical(self, capsys):
         args = ["tomo", "--k", "2", "--delta", "0.2", "--bob", "split:0.7853981633974483",
