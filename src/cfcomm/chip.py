@@ -1,46 +1,19 @@
-"""Programmable nearest-neighbor MZI mesh: transfer matrices, compilation of
-a protocol configuration into mesh settings, phase-equivalence verification
-against the modal evolution, and tomography of Alice's output qubit.
+"""Programmable nearest-neighbour MZI mesh: compilation of a protocol
+configuration into MZI settings, phase-equivalence verification against the
+modal evolution, and tomography of Alice's output qubit.
 
-MZI convention: external phase shifter, coupler, internal phase shifter,
-coupler, i.e. T(theta_m, phi_m) = BS P(theta_m) BS P(phi_m) with the
-symmetric 50:50 coupler BS = (1/sqrt 2)[[1, i], [i, 1]] and P(x) putting
-e^{ix} on the first mode of the pair (Clements et al., Optica 3, 1460,
-2016).  Multiplied out, with t = e^{i theta_m} and f = e^{i phi_m}:
+Modes are those of ``modes.ModeBasis``: A, B, C, L1..LK, MZI pair p acting on
+modes (p, p + 1).  MZI convention (Clements et al., Optica 3, 1460, 2016):
+T(theta, phi) = BS P(theta) BS P(phi), with the coupler
+BS = (1/sqrt 2)[[1, i], [i, 1]] and P(x) putting e^{ix} on the first mode of
+the pair.  With t = e^{i theta} and f = e^{i phi}:
 
-    T(theta_m, phi_m) = (1/2) [[(t - 1) f,  i (t + 1)],
-                               [i (t + 1) f, 1 - t    ]]
+    T(theta, phi) = (1/2) [[(t - 1) f,  i (t + 1)],
+                           [i (t + 1) f, 1 - t    ]]
 
-``mzi_block`` builds this 2x2 block from Python complex scalars.
-``mesh_unitary`` composes the blocks through ``modes.compose_unitary``:
-routers and, under block, Bob's blockers are exact swaps up to phase
-(theta_m = 0), so they are routed, and every other MZI is applied as its
-block on the two rows of its pair.  Tomography propagates a single column
-(the photon entering A) with ``modes.apply_blocks`` through the compiler's
-MZIs in walk order, before they are packed into columns and records; the
-blocks and the column are those of the compiled program, bit for bit.
-Blocks are memoised per walk by (theta_m, phi_m), since a compiled mesh
-repeats a handful of settings.
-
-The compiler takes the protocol from ``protocol.build_steps`` and lowers each
-step onto adjacent mode pairs: an outer or inner rotation is one MZI, and
-Bob's interaction with loss mode Ln is the blocker MZI on (C, Ln).  B and C
-travel down the chain as a convoy, so Ln always sits next to C: after each
-Bob step two routers (exact swaps) move C and then B past Ln, and at the
-end B and then C walk home.  That is 1 + K + 5B - 4 MZIs for B >= 1 Bob
-steps, packed into columns as early as their modes allow.  Pass has no
-interaction steps, so it compiles to rotations only.  A useful closed
-form follows:
-
-    T(pi - 2a, phi_m) = e^{-ia} R(a) diag(-e^{i phi_m}, 1)
-
-where R(a) is the real rotation the protocol wants.  So a single MZI equals
-any target rotation only up to diagonal phases; the compiler keeps a running
-"pending phase" per mode and picks each phi_m so the pending phases commute
-through every placed MZI.  The whole mesh then equals the modal evolution up
-to one diagonal phase matrix on the inputs and one on the outputs, and the
-input phases are chosen so the two output phases on A and B coincide (that
-coherence is what tomography measures; see ``verify``).
+``compile_program`` and ``simulate_tomography`` cost O(K) and are bounded by
+``protocol.MAX_CYCLES``; ``mesh_unitary`` and ``verify`` build dense
+matrices and are bounded by ``modes.MAX_DENSE_CYCLES``.
 """
 
 from __future__ import annotations
@@ -59,11 +32,9 @@ from .protocol import ProtocolConfig, alice_reduced_state
 __all__ = [
     "MAX_SHOTS",
     "ROLE_BLOCKER",
-    "ROLE_IDENTITY",
     "ROLE_INNER",
     "ROLE_OUTER",
     "ROLE_ROUTER",
-    "ROLE_TOMOGRAPHY",
     "InsufficientStatisticsError",
     "MeshEquivalenceReport",
     "MeshProgram",
@@ -85,14 +56,12 @@ TWO_PI = 2 * math.pi
 # Largest shot count per basis: numpy's multinomial takes it as a C long.
 MAX_SHOTS = 2**63 - 1
 
-ROLE_IDENTITY = "identity"
 ROLE_OUTER = "outer_rotation"
 ROLE_INNER = "inner_rotation"
 ROLE_BLOCKER = "blocker"
 ROLE_ROUTER = "router"
-ROLE_TOMOGRAPHY = "tomography"
 
-_ROLES = (ROLE_IDENTITY, ROLE_OUTER, ROLE_INNER, ROLE_BLOCKER, ROLE_ROUTER, ROLE_TOMOGRAPHY)
+_ROLES = (ROLE_OUTER, ROLE_INNER, ROLE_BLOCKER, ROLE_ROUTER)
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -100,10 +69,9 @@ _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _BASES = ("Z", "X", "Y")
 
-# Tomography MZI settings on the (A, B) pair.  With theta_m = 3pi/2 the MZI
-# is a global phase times R(-pi/4); phi_m = pi leaves the inputs untouched
-# (X readout) while phi_m = 3pi/2 adds the relative quarter-wave that turns
-# the same interference into a Y readout.
+# Tomography MZI settings on the (A, B) pair.  With theta = 3pi/2 the MZI is
+# a global phase times R(-pi/4); phi = pi gives the X readout, and phi = 3pi/2
+# adds the relative quarter-wave that turns it into the Y readout.
 _TOMO_SETTINGS: dict[str, tuple[float, float] | None] = {
     "Z": None,
     "X": (1.5 * math.pi, math.pi),
@@ -117,14 +85,11 @@ class InsufficientStatisticsError(RuntimeError):
 
 @dataclass(frozen=True, init=False)
 class MziSetting:
-    """One placed MZI: internal/external phases (radians, stored mod 2pi) on
-    the adjacent mode pair (pair, pair+1); its column is where it sits in
-    ``MeshProgram.columns``.
-
-    ``__init__`` checks every field and stores each once: ``pair`` a
-    non-negative integer, stored as a plain int, ``theta`` and ``phi``
-    finite real numbers, stored as floats reduced mod 2pi, and ``role`` one
-    of the ``ROLE_*`` names; anything else raises ``ValueError``."""
+    """One MZI on the mode pair (pair, pair + 1): ``pair`` an integer >= 0,
+    stored as a plain int; ``theta`` and ``phi`` finite real numbers
+    (radians), stored as floats reduced mod 2pi; ``role`` one of
+    ``ROLE_OUTER``, ``ROLE_INNER``, ``ROLE_BLOCKER`` and ``ROLE_ROUTER``.
+    Anything else raises ``ValueError``."""
 
     pair: int
     theta: float
@@ -132,8 +97,6 @@ class MziSetting:
     role: str
 
     def __init__(self, pair: int, theta: float, phi: float, role: str) -> None:
-        # The exact-type tests pass the compiler's own int/float fields
-        # without a call; every other type gets the full check.
         if type(pair) is not int:
             pair = plain_int(pair, "pair index")
         if pair < 0:
@@ -148,8 +111,7 @@ class MziSetting:
                 raise ValueError(f"MZI phases must be real numbers, got theta={theta!r}, phi={phi!r}") from None
         if not (math.isfinite(t) and math.isfinite(f)):
             raise ValueError(f"MZI phases must be finite, got theta={theta!r}, phi={phi!r}")
-        # The frozen __setattr__ refuses; the instance dict takes each field once.
-        fields = self.__dict__
+        fields = self.__dict__  # the frozen __setattr__ refuses
         fields["pair"] = pair
         fields["theta"] = t % TWO_PI
         fields["phi"] = f % TWO_PI
@@ -158,7 +120,10 @@ class MziSetting:
 
 @dataclass(frozen=True)
 class MeshProgram:
-    """Ordered columns of non-overlapping MZI settings on ``mode_count`` >= 1 modes."""
+    """Ordered columns of non-overlapping ``MziSetting`` records on
+    ``mode_count`` modes, an integer >= 1 stored as a plain int.  A column
+    whose MZIs share a mode, a pair past the last mode, or anything that is
+    not a column of records raises ``ValueError``."""
 
     mode_count: int
     columns: tuple[tuple[MziSetting, ...], ...]
@@ -202,8 +167,7 @@ class MeshProgram:
         """The inverse of ``to_json_dict``.  Values are passed on uncast, so
         the records' own checks reject a non-integer pair or mode count and
         a non-numeric phase rather than truncating or parsing them.  A
-        document of any other shape (not a dict, a key missing, a column
-        that is not a list) raises ``ValueError`` as well."""
+        document of any other shape raises ``ValueError`` as well."""
         mode_count, columns = _json_fields(doc, ("mode_count", "columns"), "mesh program")
         if not isinstance(columns, (list, tuple)):
             raise ValueError(f"mesh program columns must be a list, got {columns!r}")
@@ -229,7 +193,7 @@ def _json_fields(doc: object, names: tuple[str, ...], what: str) -> list:
 
 
 def mzi_block(theta_m: float, phi_m: float) -> Block:
-    """BS P(theta_m) BS P(phi_m) in closed form, checked unitary at 1e-12."""
+    """T(theta_m, phi_m) of Python complex numbers, checked unitary at 1e-12."""
     t = cmath.exp(1j * theta_m)
     f = cmath.exp(1j * phi_m)
     cross = 0.5j * (t + 1)
@@ -242,15 +206,11 @@ def mzi_block(theta_m: float, phi_m: float) -> Block:
 def _lowered_steps(config: ProtocolConfig) -> Iterator[tuple[int, float | None, str]]:
     """(pair, rotation angle or None for an exact swap, role) per MZI.
 
-    B and C travel down the chain as a convoy: B starts on slot 1 and C on
-    slot 2, and the outer rotation acts on pair 0.  Each inner rotation acts
-    on (slot of B, slot of C), and Bob's step in cycle n is the blocker on
-    (slot of C, slot of C + 1), where Ln still sits at its home (a swap for
-    block, a rotation by beta for a splitter).  After every Bob step but the
-    last, one router moves C past Ln and a second moves B past it, so the
-    used loss modes stay behind in order and the next fresh one sits next to
-    C.  At the end B walks home, then C, which moves every loss mode back to
-    its home too: 1 + K MZIs without Bob steps, 1 + K + 5B - 4 with B >= 1.
+    B and C travel down the chain as a convoy (B on slot b, C on b + 1, from
+    b = 1), so the loss mode Ln of the next Bob step sits at home next to C:
+    each inner rotation acts on (B, C) and Bob's step is the blocker on
+    (C, Ln).  After every Bob step but the last, two routers move C and then
+    B past Ln.  At the end B and then C walk home, and so does every Ln.
     """
     steps = protocol.build_steps(config)
     remaining = sum(step.kind == protocol.BOB_INTERACTION for step in steps)
@@ -276,9 +236,16 @@ def _lowered_steps(config: ProtocolConfig) -> Iterator[tuple[int, float | None, 
 def _phase_walk(
     ops: list[tuple[int, float | None, str]], pending: list[complex]
 ) -> tuple[list[tuple[int, float, float, str]], list[int]]:
-    """Place each op, updating ``pending`` in place by the rules in
-    ``compile_program``; return the (pair, theta_m, phi_m, role) settings
-    and, per mode, the input mode its pending phase traces back to."""
+    """The (pair, theta_m, phi_m, role) setting of each op and, per mode, the
+    input mode its pending phase traces back to; ``pending`` is updated in
+    place.  Since T(pi - 2a, phi) = e^{-ia} R(a) diag(-e^{i phi}, 1), each MZI
+    realizes its target block G as T diag(p_i, p_j) = diag(q_i, q_j) G for
+    unit pending phases p before and q after it:
+
+      rotation by a: theta_m = pi - 2a, phi_m = arg(-p_j / p_i),
+                     q_i = q_j = e^{-ia} p_j
+      exact swap:    theta_m = 0, phi_m = 0, q_i = i p_j, q_j = i p_i
+    """
     source = list(range(len(pending)))
     placed = []
     for pair, angle, role in ops:
@@ -297,8 +264,13 @@ def _phase_walk(
 
 
 def _placed(config: ProtocolConfig) -> list[tuple[int, float, float, str]]:
-    """The (pair, theta_m, phi_m, role) of every MZI in walk order, its
-    phases chosen by the two phase walks described in ``compile_program``."""
+    """The (pair, theta_m, phi_m, role) of every MZI in walk order.
+
+    The phase walk gives U_mesh diag(d) = diag(q_final) U_modal for input
+    phases d.  Each final pending phase is one d[m] times a factor that does
+    not depend on d, so a first walk with d = 1 finds those factors and
+    sources, d is chosen so the output phases on A and B coincide (the
+    coherence tomography measures), and a second walk emits the settings."""
     ops = list(_lowered_steps(config))  # checks K against protocol.MAX_CYCLES first
     size = config.mode_basis().size
 
@@ -315,27 +287,13 @@ def _placed(config: ProtocolConfig) -> list[tuple[int, float, float, str]]:
 
 
 def compile_program(config: ProtocolConfig) -> MeshProgram:
-    """Compile a configuration onto the mesh, each MZI in the column after
-    the last one that touched either of its modes.  MZIs in one column act
-    on disjoint rows and so commute: the packed program multiplies out to
-    the same matrix, bit for bit, as the MZIs one per column in walk order.
-
-    Phase bookkeeping: each MZI realizing a target block G satisfies
-    T diag(p_i, p_j) = diag(q_i, q_j) G for unit "pending" phases p, q:
-
-      rotation by a: theta_m = pi - 2a, phi_m = arg(-p_j / p_i),
-                     q_i = q_j = e^{-ia} p_j
-      exact swap:    theta_m = 0 (cross), phi_m = 0,
-                     q_i = i p_j, q_j = i p_i
-
-    Chaining gives U_mesh diag(d) = diag(q_final) U_modal, so the mesh is
-    phase-equivalent to the modal evolution with input phases d and output
-    phases conj(q_final).  Each final pending phase is one input phase d[m]
-    times a factor that does not depend on d (only the emitted phi_m values
-    do).  So a first walk with d = 1 finds those factors and which input
-    each final pending traces back to; d is then chosen so the output phases
-    on A and B coincide, and a second walk emits the settings.
-    """
+    """The mesh program of ``config``, each MZI in the column after the last
+    one that touched either of its modes: 1 + K MZIs without Bob steps, and
+    1 + K + 5B - 4 with B >= 1 Bob steps.  It equals
+    ``protocol.evolution_unitary(config)`` up to one diagonal phase matrix on
+    the inputs and one on the outputs, whose A and B entries are equal (see
+    ``verify``).  K above ``protocol.MAX_CYCLES`` raises ``ValueError``
+    before any MZI is placed."""
     placed = _placed(config)
     size = config.mode_basis().size
     free = [0] * size  # per mode, the column after the last MZI that touched it
@@ -344,7 +302,6 @@ def compile_program(config: ProtocolConfig) -> MeshProgram:
         column = max(free[pair], free[pair + 1])
         if column == len(columns):
             columns.append([])
-        # Positional: keyword arguments cost about 40% more per record.
         columns[column].append(MziSetting(pair, theta_m, phi_m, role))
         free[pair] = free[pair + 1] = column + 1
     return MeshProgram(size, tuple(map(tuple, columns)))
@@ -356,8 +313,9 @@ def _records(program: MeshProgram) -> Iterator[tuple[int, float, float]]:
 
 
 def _mzi_walk(mzis: Iterable[tuple[int, float, float]]) -> Iterator[tuple[tuple[int, int], Block]]:
-    """((pair, pair+1), block) for every (pair, theta, phi) MZI in order;
-    each distinct (theta, phi) setting is built and checked once per walk."""
+    """((pair, pair+1), block) for every (pair, theta, phi) MZI in order.  A
+    compiled mesh repeats a handful of settings, so each distinct (theta,
+    phi) is built and checked once per walk."""
     blocks: dict[tuple[float, float], Block] = {}
     for pair, theta, phi in mzis:
         key = (theta, phi)
@@ -368,15 +326,14 @@ def _mzi_walk(mzis: Iterable[tuple[int, float, float]]) -> Iterator[tuple[tuple[
 
 
 def mesh_unitary(program: MeshProgram) -> UnitaryOp:
-    """Compose the MZIs in column order through ``modes.compose_unitary``:
-    routers and block-mode blockers are routed, every other MZI updates the
-    two rows of its pair."""
+    """The unitary of ``program``'s MZIs in column order, from
+    ``modes.compose_unitary``: ``ValueError`` past ``modes.MAX_DENSE_CYCLES``
+    or if the product is not unitary at 1e-12."""
     return compose_unitary(_mzi_walk(_records(program)), program.mode_count)
 
 
 def _input_column(mzis: Iterable[tuple[int, float, float]], size: int) -> np.ndarray:
-    """Column 0 of the ``size``-mode unitary of the (pair, theta, phi) MZIs
-    (the photon entering mode 0), two amplitudes per MZI."""
+    """Column 0 of the ``size``-mode unitary of the (pair, theta, phi) MZIs."""
     amps = [0j] * size
     amps[0] = 1 + 0j
     apply_blocks(_mzi_walk(mzis), amps)
@@ -384,11 +341,10 @@ def _input_column(mzis: Iterable[tuple[int, float, float]], size: int) -> np.nda
 
 
 def _tomography_column(config: ProtocolConfig) -> np.ndarray:
-    """Column 0 of ``mesh_unitary(compile_program(config))``, built from the
-    compiler's MZIs in walk order with each phase reduced mod 2pi as
-    ``MziSetting`` stores it, without building a ``MeshProgram``.  Packing only
-    reorders MZIs that act on disjoint modes, so the column is the same bit
-    for bit."""
+    """Column 0 of ``mesh_unitary(compile_program(config))``, from the
+    compiler's MZIs in walk order with phases reduced mod 2pi as
+    ``MziSetting`` stores them.  Packing only reorders MZIs on disjoint
+    modes, so no ``MeshProgram`` is needed."""
     mzis = ((pair, theta_m % TWO_PI, phi_m % TWO_PI) for pair, theta_m, phi_m, _ in _placed(config))
     return _input_column(mzis, config.mode_basis().size)
 
@@ -398,8 +354,9 @@ def _tomography_column(config: ProtocolConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeshEquivalenceReport:
-    """Result of matching a mesh unitary to the modal evolution up to diagonal
-    phases, the output phases on A and B held equal."""
+    """The result of ``verify``: the phases D_out (``output_phases``) and D_in
+    (``input_phases``) found, the max entrywise residual
+    |D_out U_mesh D_in - U_modal|, and ``detail``, why ``equivalent`` is false."""
 
     equivalent: bool
     residual: float
@@ -441,9 +398,9 @@ def _phase_edges(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """Rows and columns of the entries nonzero in both matrices, strongest
     (by the smaller of the two magnitudes) first, ties in row-major order,
     and how many of them lead the order above the 1e-8 edge floor."""
-    # np.hypot, not np.abs: it matches Python's abs() on complex entries bit
-    # for bit, while np.abs can differ in the last ulp, which reorders ties
-    # and so changes the spanning tree.
+    # np.hypot, not np.abs: it matches Python's abs() on complex entries, while
+    # np.abs can differ in the last ulp, which reorders ties and so changes
+    # the spanning tree.
     mag = np.minimum(np.hypot(v.real, v.imag), np.hypot(w.real, w.imag)).ravel()
     entries = np.flatnonzero(mag)
     entries = entries[np.argsort(-mag[entries], kind="stable")]
@@ -454,9 +411,8 @@ def _phase_edges(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 def _kruskal(forest: _UnionFind, ends: np.ndarray, others: np.ndarray, join: Callable[[int, int], None]) -> None:
     """Offer the edges (ends[n], others[n]) to ``join`` in order until the
     forest is one tree, in batches of as many edges as the forest has
-    nodes.  After each batch the edges left whose two ends already share a
-    root are dropped, since ``union`` would refuse them, so the edges joined
-    and their order are those of offering every edge one by one."""
+    nodes.  After each batch the edges whose ends already share a root are
+    dropped, since ``union`` would refuse them anyway."""
     batch = len(forest.parent)
     while len(ends):
         for a, b in zip(ends[:batch].tolist(), others[:batch].tolist()):
@@ -480,20 +436,21 @@ def check_tolerance(tol: object) -> float:
 
 
 def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> MeshEquivalenceReport:
-    """Find diagonal phases with D_out U_mesh D_in = U_modal, A/B outputs equal.
+    """Find diagonal phases with D_out U_mesh D_in = U_modal, the output
+    phases on A and B equal; ``equivalent`` when the residual and the A/B
+    phase gap are both at most ``tol``.  Failure is reported, never raised.
+    ``ValueError`` for a ``tol`` that is not a finite real number >= 0
+    (before anything is computed), K past ``modes.MAX_DENSE_CYCLES``, or a
+    ``u_mesh`` of another size than the modal evolution.
 
     Phases are propagated over a spanning forest of the bipartite graph of
-    matrix entries (rows and columns as nodes, entries as edges).  Entries
-    above 1e-8 in both matrices come first, strongest first.  Within a
-    connected component the phase assignment is unique up to one gauge
-    factor, which never moves the ratio of two output phases; so if those
-    entries leave rows A and B apart, the A/B output constraint ties them.
-    Components still apart are then joined through their strongest entries
-    below that floor, strongest first: left alone, such an entry would keep
-    an arbitrary relative phase and mismatch by up to twice its magnitude.
-    Both passes are Kruskal's algorithm (``_kruskal``).  Failure is
-    reported, never raised; a ``tol`` that is not a finite real number >= 0
-    raises ``ValueError`` before anything is computed.
+    matrix entries (rows and columns as nodes).  Entries above 1e-8 in both
+    matrices come first, strongest first.  Within a component the phases are
+    unique up to one gauge factor, which never moves the ratio of two output
+    phases; so if those entries leave rows A and B apart, the A/B constraint
+    ties them.  Components still apart are joined through their strongest
+    entries below that floor: left alone, such an entry would keep an
+    arbitrary relative phase and mismatch by up to twice its magnitude.
     """
     tol = check_tolerance(tol)
     target = protocol.evolution_unitary(config)
@@ -561,10 +518,9 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
 class TomographyResult:
     """Counts, reconstruction, and error of one tomography experiment.
 
-    ``counts`` maps basis name to (D0, D1) postselected counts; shortfall
-    against ``shots_per_basis`` is aborted/lost shots.  The reconstruction is
-    linear inversion followed by projection to the nearest unit-trace PSD
-    matrix.
+    ``counts`` maps basis name to (D0, D1) postselected counts; the shortfall
+    against ``shots_per_basis`` is aborted or lost shots.  The reconstruction
+    is linear inversion projected to the nearest unit-trace PSD matrix.
     """
 
     counts: dict[str, tuple[int, int]]
@@ -617,18 +573,18 @@ def check_seed(seed: object) -> int:
 def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int = 0) -> TomographyResult:
     """Tomography of Alice's output qubit on the compiled mesh.
 
-    The mesh output for the photon entering A (column 0 of the mesh unitary)
-    is propagated MZI by MZI, straight from the compiler's walk without
-    building a ``MeshProgram``, and checked to unit norm at ``NORM_TOL``.  Per
-    basis (Z directly; X and Y through the tomography MZI on the A/B
-    pair) every shot samples the full outcome distribution; C and loss
-    detections are discarded as aborts.  ``shots_per_basis = 0`` switches to
-    analytic expectations, which invert exactly.  Sampling is reproducible:
-    the three bases draw from ``numpy.random.SeedSequence(seed).spawn(3)``
-    substreams in Z, X, Y order.  Nothing dense is built, so K is bounded by
-    ``protocol.MAX_CYCLES`` (through ``protocol.run``), not by the dense cap.
+    The mesh output for the photon entering A is checked to unit norm at
+    ``NORM_TOL``.  Per basis (Z directly; X and Y through the tomography MZI
+    on the (A, B) pair) every shot samples the full outcome distribution, and
+    detections at D3 and in the loss modes are discarded as aborts.
+    ``shots_per_basis`` = 0 gives analytic expectations.  The bases draw from
+    ``numpy.random.SeedSequence(seed).spawn(3)`` in Z, X, Y order.
+
     ``shots_per_basis`` and ``seed`` pass ``check_shots`` and ``check_seed``
-    first, before anything runs.
+    before anything runs.  ``ValueError`` for K past ``protocol.MAX_CYCLES``
+    (the dense cap does not apply), ``protocol.PostselectionError`` when
+    {A, B} carries no amplitude, and ``InsufficientStatisticsError`` when a
+    basis keeps no event.
     """
     shots_per_basis = check_shots(shots_per_basis)
     seed = check_seed(seed)
@@ -639,7 +595,6 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
     expectations: dict[str, float] = {}
     counts: dict[str, tuple[int, int]] = {}
     if shots_per_basis == 0:
-        kept = 0.0
         for name in _BASES:
             probs = _basis_probabilities(psi, name)
             kept = float(probs[0] + probs[1])

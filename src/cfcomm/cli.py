@@ -35,11 +35,10 @@ def _fmt(value: float) -> str:
 
 
 def _json(value: object) -> object:
-    """The ``default=`` hook of ``json.dumps``, called for each value json
-    cannot encode itself: a dataclass becomes ``{field: ...}`` in
-    declaration order, a complex number ``{"re": ..., "im": ...}`` and an
-    array (anything with ``.tolist()``) nested lists.  json encodes what
-    the hook returns in turn, and writes tuples as lists."""
+    """The ``default=`` hook of ``json.dumps``: a dataclass becomes
+    ``{field: ...}`` in declaration order, a complex number
+    ``{"re": ..., "im": ...}`` and an array (anything with ``.tolist()``)
+    nested lists; any other value raises ``TypeError``."""
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     if dataclasses.is_dataclass(value):
@@ -51,8 +50,7 @@ def _json(value: object) -> object:
 
 def _flag(*steps: Callable) -> Callable[[str], object]:
     """An argparse ``type=`` converter: the flag's text passed through each of
-    ``steps`` in turn, the library's own checks among them; any
-    ``ValueError`` they raise is a usage error."""
+    ``steps`` in turn; any ``ValueError`` they raise is a usage error."""
 
     def convert(text: str) -> object:
         value = text
@@ -229,10 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code; a usage error raises ``SystemExit(2)``."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command == "sweep" and len(ns.k) * len(ns.delta) > MAX_GRID_POINTS:
         parser.error(f"sweep grid has {len(ns.k) * len(ns.delta)} points, more than {MAX_GRID_POINTS}")
+    if ns.command == "trace":
+        try:  # the labels depend on K, so no type= converter can check them
+            modes.ModeBasis(ns.k).index(ns.outcome)
+        except ValueError as err:
+            parser.error(f"argument --outcome: {err}")
     try:
         payload, code = ns.handler(ns)
         text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, default=_json) + "\n"

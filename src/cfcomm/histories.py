@@ -1,19 +1,9 @@
-"""Feynman path histories of the protocol evolution.
+"""Feynman path histories of the protocol evolution and the weak-trace
+counterfactuality check (Vaidman, PRA 87, 052104, 2013).
 
-``enumerate_histories`` lists every nonzero path through the step sequence
-with its complex amplitude; summing amplitudes per final mode must reproduce
-the direct state-vector evolution, which makes the enumeration an
-independent oracle.  Its cost grows with the path count, about 2^K with a
-splitter, so it is bounded by ``MAX_ENUMERATION_CYCLES``.
-
-``counterfactuality_report`` mechanizes the weak-trace check (Vaidman, PRA
-87, 052104, 2013) without listing paths.  The paths that never visit mode C
-are exactly those of the evolution with C set to 0 after every step, so two
-forward passes through ``apply_blocks`` give the total amplitude of an
-outcome and its never-C part; the difference is the C-visiting amplitude.
-Path counts follow the same recurrence on exact integers, with each block
-replaced by its 0/1 nonzero pattern.  The report costs O(K) and is bounded
-by ``protocol.MAX_CYCLES``.
+``enumerate_histories`` costs about 2^K with a splitter and is bounded by
+``MAX_ENUMERATION_CYCLES``; ``counterfactuality_report`` costs O(K) and is
+bounded by ``protocol.MAX_CYCLES``.
 """
 
 from __future__ import annotations
@@ -82,11 +72,12 @@ def _column(step: Step, mode: int) -> list[tuple[int, complex]]:
 
 
 def enumerate_histories(config: ProtocolConfig) -> list[History]:
-    """All paths through the step sequence starting from mode A.
+    """All paths through the step sequence starting from mode A, each with
+    its amplitude: an oracle independent of the state-vector evolution.
 
-    Any transition whose matrix entry is exactly zero is dropped; the
-    threshold is exact equality, never an epsilon, so destructively
-    interfering paths with small nonzero amplitudes survive.
+    A transition is dropped only when its matrix entry is exactly zero, never
+    below an epsilon, so destructively interfering paths survive.  K past
+    ``MAX_ENUMERATION_CYCLES`` raises ``EnumerationLimitError``.
     """
     if config.k > MAX_ENUMERATION_CYCLES:
         raise EnumerationLimitError(
@@ -125,9 +116,12 @@ def _pattern(block: Block) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def counterfactuality_report(config: ProtocolConfig, outcome: str) -> CounterfactualityReport:
-    """Split the amplitude and the paths reaching ``outcome`` by whether they
-    visit C, with two forward passes over the steps: ``full`` from A, and
-    ``never``, the same evolution with C set to 0 after every step."""
+    """Split the amplitude and the paths reaching the mode labelled
+    ``outcome`` by whether they visit C.  The never-C paths are exactly those
+    of the evolution with C set to 0 after every step, so two forward passes
+    give the total and the never-C part; path counts follow the same
+    recurrence on exact integers with each block's 0/1 nonzero pattern.
+    ``ValueError`` for an unknown label or K past ``protocol.MAX_CYCLES``."""
     basis = config.mode_basis()
     slot = basis.index(outcome)  # rejects unknown labels first
     steps = build_steps(config)  # checks the K bound before anything is built

@@ -1,29 +1,13 @@
-"""Single-photon state vectors over labeled optical modes, plus the two-mode
-unitaries (real rotations and exact swaps) as 2x2 blocks on a mode pair,
-the kernel that applies them, and their embedding into the full mode space.
-``plain_int`` and ``plain_float`` are the package's one rule for what counts
-as an integer or a real number; every record stores what they return.
+"""Single-photon states over labelled optical modes, and the two-mode
+operations that act on them.
 
-Mode convention: channel modes A, B, C sit at indices 0..2, loss modes
-L1..LK behind them, so K alone fixes the basis.  A two-mode operation is a
-checked 2x2 ``Block`` of Python scalars acting on one pair of amplitude
-slots (a Givens rotation).  The modal layer is real: ``rotation_block`` and
-``SWAP_BLOCK`` hold Python floats, so the protocol evolves float amplitudes
-and ``protocol.evolution_unitary`` is a float64 matrix; only the MZI blocks
-of ``chip`` are complex.  ``apply_blocks`` multiplies blocks into two
-slots of a vector in place: the amplitudes of a state (protocol steps, the
-counterfactuality report's forward passes, path-history columns, the
-tomography column) or exact path counts.  ``compose_unitary`` builds the
-dense matrix of a block sequence, float64 if every block entry is a float
-and complex128 otherwise, for ``protocol.evolution_unitary`` and
-``chip.mesh_unitary``: a block with an exactly zero diagonal (an exact
-swap up to phases) is routed, by swapping which stored row each slot reads
-and carrying its phases to the end; every other block updates two stored
-rows.  ``UnitaryOp`` checks a float64 matrix with the real Gram product
-U^T U and any other matrix, as complex128, with U^dag U.  Dense M x M
-matrices (M = K+3) are built only on request: by ``embed`` (and so
-``protocol.Step.op``) and ``compose_unitary``; every dense path first
-checks the mode count against ``MAX_DENSE_CYCLES``.
+Modes: channel modes A, B, C at slots 0..2, loss modes L1..LK behind them,
+so K alone fixes the basis.  A two-mode operation is a ``Block``, a checked
+2x2 unitary on one pair of slots.  Dense M x M matrices (M = K + 3) are built
+only by ``embed`` and ``compose_unitary``, both bounded by
+``MAX_DENSE_CYCLES``.  ``plain_int`` and ``plain_float`` are the
+package's one rule for what counts as an integer or a real number; every
+record stores what they return.
 """
 
 from __future__ import annotations
@@ -60,25 +44,19 @@ __all__ = [
 
 NORM_TOL = 1e-12
 
-# Largest K for which a dense M x M matrix (M = K+3 modes) is built: by
-# ``embed`` and ``protocol.Step.op``, ``protocol.evolution_unitary``, and
-# ``chip.mesh_unitary`` and ``verify``.  At the cap one such matrix holds
-# 515^2 entries (about 4.2 MB complex, 2.1 MB real).  The O(K) paths (``protocol.run``,
-# ``protocol.sweep``, ``histories.counterfactuality_report``,
-# ``chip.compile_program`` and ``chip.simulate_tomography``) are bounded by
-# ``protocol.MAX_CYCLES`` instead.
+# Largest K for which a dense M x M matrix (M = K + 3 modes) is built; at the
+# cap one holds 515^2 entries (about 4.2 MB complex, 2.1 MB real).
 MAX_DENSE_CYCLES = 512
 
-# cos(pi/2) lands ~6e-17 off zero in doubles.  Matrix entries that are
+# cos(pi/2) lands ~6e-17 off zero in doubles.  Entries that are
 # mathematically zero must be exactly 0.0 because path enumeration and path
-# counts prune on exact zeros; any legitimate protocol angle keeps cos/sin
-# far above this.
+# counts prune on exact zeros; every protocol angle keeps cos/sin far above.
 _TRIG_SNAP = 1e-15
 
 
 def plain_int(value: object, name: str) -> int:
-    """``value`` as a plain int.  A Python or numpy integer counts; a bool, a
-    float and every other type raise ``ValueError``."""
+    """``value`` as a plain int: a Python or numpy integer; a bool, a float
+    and every other type raise ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -132,8 +110,8 @@ _LOSS_LABEL = re.compile("L([1-9][0-9]*)")
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Modes [A, B, C, L1..LK] for K = ``loss_count``; ``index(mode)`` is the
-    amplitude slot."""
+    """Modes [A, B, C, L1..LK] for K = ``loss_count``, checked by
+    ``check_cycle_count``; ``index(mode)`` is the amplitude slot."""
 
     loss_count: int
 
@@ -149,7 +127,8 @@ class ModeBasis:
         return ("A", "B", "C") + tuple(f"L{n}" for n in range(1, self.loss_count + 1))
 
     def index(self, mode: str) -> int:
-        """Slot of "A", "B", "C" or "L<n>" (n in 1..K, plain decimal)."""
+        """Slot of "A", "B", "C" or "L<n>" (n in 1..K, plain decimal);
+        ``ValueError`` for any other label."""
         if isinstance(mode, str):
             if mode in _CHANNELS:
                 return _CHANNELS[mode]
@@ -162,7 +141,8 @@ class ModeBasis:
 
 @dataclass(frozen=True)
 class PureState:
-    """Complex amplitudes over a mode basis; always unit norm."""
+    """Complex amplitudes over a mode basis; ``ValueError`` unless there is one
+    per mode and the norm is 1 within ``NORM_TOL``."""
 
     amplitudes: np.ndarray
     basis: ModeBasis
@@ -180,12 +160,10 @@ class PureState:
 
 @dataclass(frozen=True)
 class UnitaryOp:
-    """A square matrix, checked unitary entrywise at 1e-12.
-
-    A float64 matrix stays float64 and is checked as max |U^T U - I|, a
-    real Gram product (BLAS syrk); any other matrix is stored as complex128
-    and checked as max |U^dag U - I|.
-    """
+    """A non-empty square matrix, checked unitary entrywise at ``NORM_TOL``:
+    a float64 matrix stays float64 and is checked as max |U^T U - I| (a real
+    Gram product), any other is stored as complex128 and checked as
+    max |U^dag U - I|.  Otherwise ``ValueError``."""
 
     matrix: np.ndarray
 
@@ -235,11 +213,8 @@ def check_dense_size(size: int) -> None:
 
 
 def check_block(block: Block) -> Block:
-    """Return ``block`` after checking it unitary entrywise at 1e-12.
-
-    The defect max |B^dag B - I| equals that of the block embedded into any
-    mode space, since the embedding is exactly the identity elsewhere.
-    """
+    """``block``, after checking its defect max |B^dag B - I|, that of the
+    block embedded in any mode space, at ``NORM_TOL``; else ``ValueError``."""
     (a, b), (c, d) = block
     # The cross term goes first: it is not finite whenever any entry is not,
     # and max() keeps a leading NaN, so a NaN block fails the check.
@@ -254,10 +229,10 @@ def check_block(block: Block) -> Block:
 
 
 def apply_blocks(ops: Iterable[tuple[tuple[int, int], Block]], target: list[complex] | np.ndarray) -> None:
-    """Apply each ``((i, j), block)`` in order to slots i and j of ``target``,
-    in place.  ``target`` is a list of amplitudes or a matrix, whose slots
-    are its rows.  With 0/1 integer blocks on a list of Python ints it
-    counts paths exactly."""
+    """Apply each ``((i, j), block)`` in order to slots i and j of ``target``
+    in place: a list or vector of amplitudes, or a matrix whose slots are its
+    rows.  With 0/1 integer blocks on a list of Python ints it counts paths
+    exactly."""
     for (i, j), ((u00, u01), (u10, u11)) in ops:
         a, b = target[i], target[j]
         new = u00 * a + u01 * b
@@ -267,19 +242,15 @@ def apply_blocks(ops: Iterable[tuple[tuple[int, int], Block]], target: list[comp
 
 def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> UnitaryOp:
     """The ``size``-mode unitary of the ``((i, j), block)`` sequence applied
-    in order to the identity, checked against the dense cap first.  The
-    matrix is float64 when every block entry is a Python float (the real
-    modal blocks) and complex128 otherwise.
+    in order to the identity: float64 when every block entry is a Python
+    float and complex128 otherwise.  ``ValueError`` past ``MAX_DENSE_CYCLES``
+    (checked first) or if the product is not unitary.
 
-    A block with an exactly zero diagonal (an exact swap up to phases:
-    routers, Bob's blocker under block, ``SWAP_BLOCK``) is routed, not
-    multiplied: it swaps which stored row each of its two slots reads and
-    multiplies their pending phases by u01 and u10.  Every other block
+    A block with an exactly zero diagonal (an exact swap up to phases) is
+    routed, not multiplied: it swaps which stored row each of its slots reads
+    and multiplies their pending phases by u01 and u10.  Every other block
     first folds the pending phases of its slots into its entries, then
-    updates the two stored rows as ``apply_blocks`` would.  At the end the
-    rows are gathered through the map in place, and scaled unless every
-    pending phase is 1.  With nothing routed the matrix is returned as
-    built, entry for entry what ``apply_blocks`` on the identity gives.
+    updates the two stored rows as ``apply_blocks`` would.
     """
     check_dense_size(size)
     ops = list(ops)
@@ -332,7 +303,8 @@ SWAP_BLOCK: Block = check_block(((0.0, 1.0), (1.0, 0.0)))
 
 
 def embed(block: Block, i: int, j: int, size: int) -> UnitaryOp:
-    """``block`` on amplitude slots (i, j) of a ``size``-mode space, identity elsewhere."""
+    """``block`` on amplitude slots (i, j) of a ``size``-mode space, identity
+    elsewhere; ``ValueError`` if i == j or past ``MAX_DENSE_CYCLES``."""
     if i == j:
         raise ValueError(f"a two-mode block needs two distinct slots, got {i} twice")
     check_dense_size(size)
@@ -342,7 +314,7 @@ def embed(block: Block, i: int, j: int, size: int) -> UnitaryOp:
 
 
 def apply(op: UnitaryOp, state: PureState) -> PureState:
-    """Matrix-vector product; preserves the norm by construction."""
+    """Matrix-vector product; ``ValueError`` if the dimensions differ."""
     if op.dim != state.basis.size:
         raise ValueError(f"dimension mismatch: operator is {op.dim}, state has {state.basis.size} modes")
     return PureState(op.matrix @ state.amplitudes, state.basis)

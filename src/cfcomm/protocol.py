@@ -5,7 +5,9 @@ sweeps, and the reduced state of Alice's output qubit.
 One run: an outer rotation by phi = pi/2 - delta between A and B, then K
 inner cycles, each a rotation by theta = pi/2K between B and C followed by
 Bob's interaction on (C, Ln) with a fresh loss mode per cycle.  Detectors:
-D0 on A (bit 0), D1 on B (bit 1), D3 on C (abort and restart).
+D0 on A (bit 0), D1 on B (bit 1), D3 on C (abort and restart).  The O(K)
+paths (``build_steps``, ``run``, ``sweep``) are bounded by ``MAX_CYCLES``,
+the dense ``evolution_unitary`` by ``modes.MAX_DENSE_CYCLES``.
 """
 
 from __future__ import annotations
@@ -57,10 +59,9 @@ OUTER_ROTATION = "outer_rotation"
 INNER_ROTATION = "inner_rotation"
 BOB_INTERACTION = "bob_interaction"
 
-# Largest K that ``build_steps`` (and so ``run``, ``sweep`` and
-# ``chip.compile_program``) accepts.  Round-off in the K rotations adds up:
-# max K |c^2 + s^2 - 1| over K <= 4096 is 4.5e-13, but 1.05e-12 at K = 10,000,
-# past the 1e-12 norm tolerance.
+# Largest K that ``build_steps`` accepts.  Round-off in the K rotations adds
+# up: max K |c^2 + s^2 - 1| over K <= 4096 is 4.5e-13, but 1.05e-12 at
+# K = 10,000, past the 1e-12 norm tolerance.
 MAX_CYCLES = 4096
 
 
@@ -72,7 +73,7 @@ class PostselectionError(ValueError):
 class BobAction:
     """What Bob does each cycle: block (exact swap into the loss mode), pass
     (do nothing), or a partial splitter rotation by beta, a real number in
-    [0, pi/2] stored as a float."""
+    [0, pi/2] stored as a float.  Anything else raises ``ValueError``."""
 
     kind: str
     beta: float | None = None
@@ -101,24 +102,26 @@ PASS = BobAction("pass")
 
 
 def splitter(beta: float) -> BobAction:
+    """Bob's splitter action with angle ``beta``, checked by ``BobAction``."""
     return BobAction("splitter", beta)
 
 
 def check_delta(delta: object) -> float:
-    """The offset delta as a plain float; ``ValueError`` unless it is a finite
-    real number in [0, pi/2)."""
+    """The offset delta as a plain float, -0.0 as 0.0; ``ValueError`` unless
+    it is a finite real number in [0, pi/2)."""
     value = plain_float(delta, "delta")
     if not math.isfinite(value):
         raise ValueError(f"delta must be finite, got {value!r}")
     if not 0.0 <= value < math.pi / 2:
         raise ValueError(f"delta must lie in [0, pi/2), got {value!r}")
-    return value
+    return value + 0.0
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Full description of one run: cycle count K, offset delta, Bob's action,
-    and whether Bob also interacts after the K-th inner rotation."""
+    """Full description of one run: cycle count K (``check_cycle_count``),
+    offset delta (``check_delta``), Bob's action, and whether Bob also
+    interacts after the K-th inner rotation.  Otherwise ``ValueError``."""
 
     k: int
     delta: float
@@ -165,7 +168,8 @@ class Step:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Detection probabilities at D0/D1/D3 and in each loss mode."""
+    """Detection probabilities at D0/D1/D3 and in each loss mode; ``ValueError``
+    unless each lies in [0, 1] and they sum to 1, both within 1e-12."""
 
     p_D0: float
     p_D1: float
@@ -207,9 +211,8 @@ def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
 
     Bob's interaction appears after inner rotations 1..K-1 (fresh loss mode
     each cycle, ascending) and, only when ``include_final_block`` is set,
-    once more after the K-th.  Pass inserts identities, which are elided.
-    The K inner rotations are one shared ``Step`` object.  K above
-    ``MAX_CYCLES`` is rejected before any step is built.
+    once more after the K-th; pass is the identity and is elided.  K above
+    ``MAX_CYCLES`` raises ``ValueError`` before any step is built.
     """
     _check_cycles(config.k)
     size = config.mode_basis().size
@@ -230,8 +233,8 @@ def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
 
 
 def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
-    """Apply the step sequence to the photon injected in mode A, two real
-    amplitudes per step."""
+    """The final state and detector statistics of the photon injected in mode
+    A; ``ValueError`` for K past ``MAX_CYCLES``."""
     steps = build_steps(config)
     basis = config.mode_basis()
     amps = [0.0] * basis.size
@@ -242,9 +245,8 @@ def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
 
 
 def evolution_unitary(config: ProtocolConfig) -> UnitaryOp:
-    """The full evolution as a single float64 matrix (every step is real), the
-    steps composed in time order by ``modes.compose_unitary``; Bob's swaps
-    under block are routed."""
+    """The full evolution as one float64 matrix, every step being real;
+    ``ValueError`` for K past ``modes.MAX_DENSE_CYCLES``."""
     size = config.mode_basis().size
     # Checked here as well: the generator expression calls build_steps (O(K))
     # before compose_unitary runs.
@@ -280,6 +282,8 @@ def closed_form(config: ProtocolConfig) -> OutcomeDistribution:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """The detector statistics of one (K, delta) point of ``sweep``."""
+
     k: int
     delta: float
     distribution: OutcomeDistribution
@@ -291,20 +295,17 @@ def sweep(
     bob: BobAction,
     include_final_block: bool = False,
 ) -> list[SweepRow]:
-    """Detector statistics for every (K, delta) pair, K outer, delta inner.
+    """Detector statistics for every (K, delta) pair, K outer, delta inner;
+    rows agree with ``run`` up to round-off in the last ulps.
 
     delta enters only through the outer A/B rotation by phi = pi/2 - delta,
     and the inner evolution U_in leaves A alone, so the final state is
-    cos(phi)|A> + sin(phi) U_in|B>.  Each K costs one O(K) evolution of the
-    real amplitudes of |B> through ``build_steps``; each delta then costs
-    O(K) to scale it, check the norm and build the ``OutcomeDistribution``.
-    Rows agree with ``run`` up to round-off in the last ulps, and bit for
-    bit at delta = 0.
+    cos(phi)|A> + sin(phi) U_in|B>: one O(K) evolution per K.  ``ValueError``
+    for an empty list, any bad K or delta, or K past ``MAX_CYCLES``, before
+    the first evolution.
     """
     if not k_values or not delta_values:
         raise ValueError("sweep needs at least one K and one delta")
-    # Every K and every delta is validated, and the largest K checked
-    # against MAX_CYCLES, before the first evolution.
     configs = [ProtocolConfig(k, 0.0, bob, include_final_block) for k in k_values]
     _check_cycles(max(config.k for config in configs))
     deltas = [check_delta(delta) for delta in delta_values]
@@ -330,7 +331,8 @@ def alice_reduced_state(final: PureState) -> tuple[np.ndarray, float]:
     """Postselect on the {A, B} subspace and return (rho, p_AB).
 
     rho is the rank-1 density matrix of Alice's qubit (basis order A, B);
-    p_AB the probability of landing in the subspace at all.
+    p_AB the probability of landing in the subspace at all.  Raises
+    ``PostselectionError`` when p_AB is 0.
     """
     pair = np.asarray(final.amplitudes[:2])
     p_ab = float(np.sum(np.abs(pair) ** 2))

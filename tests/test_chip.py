@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from cfcomm.chip import (
+    _ROLES,
     MAX_SHOTS,
+    ROLE_INNER,
     InsufficientStatisticsError,
     MeshProgram,
     MziSetting,
@@ -87,6 +89,18 @@ class TestCompile:
         # of its own.
         assert [[(s.role, s.pair) for s in column] for column in program.columns] == [[r] for r in roles]
 
+    def test_emitted_roles_are_the_accepted_roles(self):
+        # A role that no compiled program carries would only widen what
+        # MziSetting and from_json_dict accept.
+        emitted = {
+            setting.role
+            for k in range(1, 7)
+            for bob in ALL_ACTIONS
+            for final_block in (False, True)
+            for setting in compile_program(ProtocolConfig(k, 0.3, bob, final_block)).settings
+        }
+        assert emitted == set(_ROLES)
+
 
 class TestMeshUnitary:
     def test_setting_fields(self):
@@ -105,8 +119,8 @@ class TestMeshUnitary:
         program = MeshProgram(
             4,
             (
-                (MziSetting(0, math.pi, 0.0, "identity"),),
-                (MziSetting(2, math.pi, 0.0, "identity"),),
+                (MziSetting(0, math.pi, 0.0, ROLE_INNER),),
+                (MziSetting(2, math.pi, 0.0, ROLE_INNER),),
             ),
         )
         mat = mesh_unitary(program).matrix
@@ -288,6 +302,9 @@ class TestRecordChecks:
             (("columns", 0, 0), "router", "MZI record must be a JSON object, got 'router'"),
             ((), '{"columns": []}', """mesh program must be a JSON object, got '{"columns": []}'"""),
             ((), None, "mesh program must be a JSON object, got None"),
+            # No compiled program carries these roles.
+            (("role",), "identity", "unknown MZI role 'identity'"),
+            (("role",), "tomography", "unknown MZI role 'tomography'"),
         ],
     )
     def test_from_json_dict_does_not_cast(self, path, value, message):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -119,12 +120,25 @@ class TestRanges:
             ("--k", "1:3:" + "9" * 400, [1]),
             ("--delta", "0:0.3", [0.0, 0.1, 0.2, 0.30000000000000004]),
             ("--delta", "0:0.3:0.1", [0.0, 0.1, 0.2, 0.30000000000000004]),
-            ("--delta", "-0", [-0.0]),
+            ("--delta", "-0", [0.0]),
         ],
     )
     def test_range_points(self, flag, spec, values):
         ns = build_parser().parse_args(["sweep", "--k", "1", "--bob", "block", flag, spec])
         assert [repr(v) for v in getattr(ns, flag[2:])] == [repr(v) for v in values]  # types and signs too
+
+    @pytest.mark.parametrize(
+        "argv, zero",
+        [
+            (["run", "--k", "3", "--bob", "block"], "0"),
+            (["run", "--k", "3", "--bob", "split:0.7", "--format", "csv"], "0"),
+            (["sweep", "--k", "1:3", "--bob", "split:0.7"], "0"),
+            (["sweep", "--k", "1:3", "--bob", "pass", "--format", "json"], "0"),
+            (["sweep", "--k", "2", "--bob", "block"], "0:0.2"),
+        ],
+    )
+    def test_negative_zero_delta_prints_as_zero(self, capsys, argv, zero):
+        assert run_cli(capsys, *argv, "--delta=-" + zero) == run_cli(capsys, *argv, "--delta=" + zero)
 
     # 1e20 points overflow len(range(...)), and a 400-digit stop overflows
     # int / int true division; both are counted exactly instead.
@@ -209,10 +223,15 @@ class TestTrace:
         assert len(str(doc["c_visiting_paths"])) == 1233  # below the 4,300-digit int/str limit
 
     def test_unknown_outcome_at_the_cycle_bound(self, capsys):
-        code, out, err = run_cli(capsys, "trace", "--k", "4096", "--bob", "block", "--outcome", "L4097")
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "--k", "4096", "--bob", "block", "--outcome", "L4097"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: unknown mode 'L4097'; basis has A, B, C, L1..L4096\n"
+        assert err.startswith("usage: cfcomm ")
+        assert err.splitlines()[-1] == (
+            "cfcomm: error: argument --outcome: unknown mode 'L4097'; basis has A, B, C, L1..L4096"
+        )
 
 
 class TestChip:
@@ -354,6 +373,44 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith(f"cfcomm {argv[0]}: error: {message}\n")
+
+
+def value_flags():
+    """(subcommand, flag) for every flag of every subcommand that takes a value."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (name, action.option_strings[0])
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.option_strings and action.nargs != 0
+    ]
+
+
+# One bad value per flag that takes a value.  Every --out path parses; one
+# that cannot be written is exit 1, as
+# TestOutputPlumbing.test_out_into_missing_directory_is_an_error checks.
+BAD_FLAG_VALUES = {"--k": "0", "--delta": "2", "--bob": "jump", "--outcome": "Q", "--format": "xml",
+                   "--tol": "-1", "--shots": "-1", "--seed": "-1"}
+FLAGS_WITHOUT_BAD_VALUE = {"--out"}
+
+
+class TestEveryBadFlagValue:
+    """A bad value for any flag of any subcommand is a usage error."""
+
+    def test_table_covers_every_value_flag(self):
+        assert {flag for _, flag in value_flags()} == set(BAD_FLAG_VALUES) | FLAGS_WITHOUT_BAD_VALUE
+
+    @pytest.mark.parametrize(
+        "command, flag", [row for row in value_flags() if row[1] not in FLAGS_WITHOUT_BAD_VALUE], ids=str
+    )
+    def test_bad_value_is_usage_error(self, capsys, command, flag):
+        argv = [command, "--k", "4", "--bob", "block", *(["--outcome", "B"] if command == "trace" else [])]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag, BAD_FLAG_VALUES[flag]])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: " in err.splitlines()[-1]
 
 
 class TestCycleBound:
