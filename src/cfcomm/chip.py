@@ -502,13 +502,7 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
         detail = "output phases on A and B are forced unequal"
     elif not equivalent:
         detail = f"residual {residual:.3e} exceeds tolerance {tol:.3e}"
-    return MeshEquivalenceReport(
-        equivalent=equivalent,
-        residual=residual,
-        output_phases=tuple(alpha),
-        input_phases=tuple(beta),
-        detail=detail,
-    )
+    return MeshEquivalenceReport(equivalent, residual, tuple(alpha), tuple(beta), detail)
 
 
 # --- tomography -------------------------------------------------------------

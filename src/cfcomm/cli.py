@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("tomo", _cmd_tomo, ("json",), "simulate tomography of Alice's output qubit on the mesh"),
     ):
         sub = commands.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, parser=sub)
         if name == "sweep":
             sub.add_argument("--k", type=_flag(lambda text: _range(text, int, 1, modes.check_cycle_count)),
                              required=True, help="K value or range a:b[:step]")
@@ -228,16 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand on ``argv`` (default ``sys.argv[1:]``) and return its
-    exit code; a usage error raises ``SystemExit(2)``."""
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    exit code; a usage error, reported by its subcommand, raises ``SystemExit(2)``."""
+    ns = build_parser().parse_args(argv)
     if ns.command == "sweep" and len(ns.k) * len(ns.delta) > MAX_GRID_POINTS:
-        parser.error(f"sweep grid has {len(ns.k) * len(ns.delta)} points, more than {MAX_GRID_POINTS}")
+        ns.parser.error(f"sweep grid has {len(ns.k) * len(ns.delta)} points, more than {MAX_GRID_POINTS}")
     if ns.command == "trace":
         try:  # the labels depend on K, so no type= converter can check them
             modes.ModeBasis(ns.k).index(ns.outcome)
         except ValueError as err:
-            parser.error(f"argument --outcome: {err}")
+            ns.parser.error(f"argument --outcome: {err}")
     try:
         payload, code = ns.handler(ns)
         text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, default=_json) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modes import NORM_TOL, Block, apply_blocks
+from .modes import NORM_TOL, apply_blocks
 from .protocol import ProtocolConfig, Step, build_steps
 
 __all__ = [
@@ -107,21 +107,15 @@ def amplitude_by_paths(histories: list[History], outcome: str) -> complex:
     return complex(sum(h.amplitude for h in histories if h.path[-1] == outcome))
 
 
-def _pattern(block: Block) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The 0/1 matrix of the block's nonzero entries: the number of one-step
-    transitions between its two modes, pruned on exact zeros as in
-    ``enumerate_histories``."""
-    (a, b), (c, d) = block
-    return ((int(a != 0), int(b != 0)), (int(c != 0), int(d != 0)))
-
-
 def counterfactuality_report(config: ProtocolConfig, outcome: str) -> CounterfactualityReport:
     """Split the amplitude and the paths reaching the mode labelled
     ``outcome`` by whether they visit C.  The never-C paths are exactly those
-    of the evolution with C set to 0 after every step, so two forward passes
-    give the total and the never-C part; path counts follow the same
-    recurrence on exact integers with each block's 0/1 nonzero pattern.
-    ``ValueError`` for an unknown label or K past ``protocol.MAX_CYCLES``."""
+    of the evolution with C set to 0 after every step; path counts follow the
+    same recurrence on exact integers with each block's 0/1 nonzero pattern.
+    One loop runs these four passes, the one place outside ``apply_blocks``
+    that does its arithmetic; the tests hold it bit for bit to four
+    one-element ``apply_blocks`` calls per step.  ``ValueError`` for an
+    unknown label or K past ``protocol.MAX_CYCLES``."""
     basis = config.mode_basis()
     slot = basis.index(outcome)  # rejects unknown labels first
     steps = build_steps(config)  # checks the K bound before anything is built
@@ -132,13 +126,22 @@ def counterfactuality_report(config: ProtocolConfig, outcome: str) -> Counterfac
     full_n = [0] * basis.size
     full_n[a] = 1
     never_n = list(full_n)
+    patterns: dict[int, tuple[int, int, int, int]] = {}  # id(block) -> its 0/1 pattern
     for step in steps:
-        amplitudes = [(step.pair, step.block)]
-        counts = [(step.pair, _pattern(step.block))]
-        apply_blocks(amplitudes, full)
-        apply_blocks(amplitudes, never)
-        apply_blocks(counts, full_n)
-        apply_blocks(counts, never_n)
+        i, j = step.pair
+        (u00, u01), (u10, u11) = block = step.block
+        pattern = patterns.get(id(block))
+        if pattern is None:  # pruned on exact zeros, as in enumerate_histories
+            pattern = patterns[id(block)] = int(u00 != 0), int(u01 != 0), int(u10 != 0), int(u11 != 0)
+        n00, n01, n10, n11 = pattern
+        x, y = full[i], full[j]
+        full[i], full[j] = u00 * x + u01 * y, u10 * x + u11 * y
+        x, y = never[i], never[j]
+        never[i], never[j] = u00 * x + u01 * y, u10 * x + u11 * y
+        x, y = full_n[i], full_n[j]
+        full_n[i], full_n[j] = n00 * x + n01 * y, n10 * x + n11 * y
+        x, y = never_n[i], never_n[j]
+        never_n[i], never_n[j] = n00 * x + n01 * y, n10 * x + n11 * y
         never[c] = 0.0
         never_n[c] = 0
     total = full[slot]

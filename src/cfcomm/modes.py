@@ -242,9 +242,9 @@ def apply_blocks(ops: Iterable[tuple[tuple[int, int], Block]], target: list[comp
 
 def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> UnitaryOp:
     """The ``size``-mode unitary of the ``((i, j), block)`` sequence applied
-    in order to the identity: float64 when every block entry is a Python
-    float and complex128 otherwise.  ``ValueError`` past ``MAX_DENSE_CYCLES``
-    (checked first) or if the product is not unitary.
+    in order to the identity: float64 for a non-empty sequence of Python
+    float entries, complex128 otherwise.  ``ValueError`` past
+    ``MAX_DENSE_CYCLES`` (checked first) or if the product is not unitary.
 
     A block with an exactly zero diagonal (an exact swap up to phases) is
     routed, not multiplied: it swaps which stored row each of its slots reads
@@ -254,7 +254,7 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
     """
     check_dense_size(size)
     ops = list(ops)
-    real = all(isinstance(u, float) for _, block in ops for row in block for u in row)
+    real = bool(ops) and all(isinstance(u, float) for _, block in ops for row in block for u in row)
     one = 1.0 if real else 1 + 0j
     mat = np.eye(size, dtype=float if real else complex)
     rows = list(range(size))  # slot -> the stored row it reads

@@ -147,10 +147,11 @@ class ProtocolConfig:
         return math.pi / (2 * self.k)
 
     def mode_basis(self) -> ModeBasis:
-        return ModeBasis(self.k)
+        """The basis for K, built on the first call and kept out of the fields."""
+        return self.__dict__.get("_basis") or self.__dict__.setdefault("_basis", ModeBasis(self.k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Step:
     """One labeled evolution step: the 2x2 unitary ``block`` on the amplitude
     slots ``pair`` of a ``size``-mode basis."""
@@ -159,6 +160,13 @@ class Step:
     pair: tuple[int, int]
     block: Block
     size: int
+
+    def __init__(self, kind: str, pair: tuple[int, int], block: Block, size: int) -> None:
+        fields = self.__dict__  # the frozen __setattr__ refuses
+        fields["kind"] = kind
+        fields["pair"] = pair
+        fields["block"] = block
+        fields["size"] = size
 
     @cached_property
     def op(self) -> UnitaryOp:

@@ -21,7 +21,7 @@ from cfcomm.chip import (
     verify,
 )
 from cfcomm.modes import MAX_DENSE_CYCLES, UnitaryOp
-from cfcomm.protocol import BLOCK, PASS, PostselectionError, ProtocolConfig, run, splitter
+from cfcomm.protocol import BLOCK, PASS, PostselectionError, ProtocolConfig, evolution_unitary, run, splitter
 
 ALL_ACTIONS = [PASS, BLOCK, splitter(math.pi / 4)]
 MISSING = object()  # marks a key to delete from a serialized program
@@ -109,6 +109,12 @@ class TestMeshUnitary:
     def test_empty_program_is_identity(self):
         program = MeshProgram(mode_count=4, columns=())
         np.testing.assert_array_equal(mesh_unitary(program).matrix, np.eye(4))
+
+    def test_empty_program_is_complex_like_every_other(self):
+        # The modal evolution always has its outer rotation, so it stays real.
+        assert mesh_unitary(MeshProgram(4, ())).matrix.dtype == np.complex128
+        assert mesh_unitary(MeshProgram(4, ((MziSetting(0, 0.0, 0.0, "router"),),))).matrix.dtype == np.complex128
+        assert evolution_unitary(ProtocolConfig(1, 0.0, PASS)).matrix.dtype == np.float64
 
     def test_single_cross_moves_photon(self):
         program = MeshProgram(4, ((MziSetting(0, 0.0, 0.0, "router"),),))

@@ -100,6 +100,15 @@ class TestSweep:
         assert excinfo.value.code == 2
         assert "151000 points" in capsys.readouterr().err
 
+    def test_oversized_grid_is_reported_by_sweep(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--k", "1:1000", "--delta", "0:1.5:0.01", "--bob", "block"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: cfcomm sweep ")
+        assert err.splitlines()[-1] == "cfcomm sweep: error: sweep grid has 151000 points, more than 100000"
+
     @pytest.mark.parametrize("spec", ["0:inf", "nan:1", "0:1:nan"])
     def test_non_finite_range_is_usage_error(self, capsys, spec):
         with pytest.raises(SystemExit) as excinfo:
@@ -230,7 +239,7 @@ class TestTrace:
         assert out == ""
         assert err.startswith("usage: cfcomm ")
         assert err.splitlines()[-1] == (
-            "cfcomm: error: argument --outcome: unknown mode 'L4097'; basis has A, B, C, L1..L4096"
+            "cfcomm trace: error: argument --outcome: unknown mode 'L4097'; basis has A, B, C, L1..L4096"
         )
 
 

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfcomm.histories import (
+    CounterfactualityReport,
     EnumerationLimitError,
     amplitude_by_paths,
     counterfactuality_report,
     enumerate_histories,
 )
-from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, run, splitter
+from cfcomm.modes import NORM_TOL, apply_blocks
+from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, build_steps, run, splitter
 
 SIN_01 = 0.09983341664682815  # sin(0.1)
 
@@ -150,3 +154,64 @@ class TestPathStructure:
             assert len(surviving) <= 1 + 2**k
             assert len(surviving) >= previous
             previous = len(surviving)
+
+
+def four_call_report(config, outcome):
+    """The report as four one-element ``apply_blocks`` calls per step: the
+    total and never-C amplitudes, and the same two passes on exact path
+    counts with each block's 0/1 nonzero pattern, C zeroed in the never-C
+    passes after every step."""
+    basis = config.mode_basis()
+    slot = basis.index(outcome)
+    a, c = basis.index("A"), basis.index("C")
+    full = [0.0] * basis.size
+    full[a] = 1.0
+    never = list(full)
+    full_n = [0] * basis.size
+    full_n[a] = 1
+    never_n = list(full_n)
+    for step in build_steps(config):
+        amplitudes = [(step.pair, step.block)]
+        counts = [(step.pair, tuple(tuple(int(u != 0) for u in row) for row in step.block))]
+        apply_blocks(amplitudes, full)
+        apply_blocks(amplitudes, never)
+        apply_blocks(counts, full_n)
+        apply_blocks(counts, never_n)
+        never[c] = 0.0
+        never_n[c] = 0
+    total = full[slot]
+    c_visiting_paths = full_n[slot] - never_n[slot]
+    return CounterfactualityReport(
+        outcome_mode=outcome,
+        total_amplitude=complex(total),
+        c_visiting_amplitude=complex(total - never[slot]),
+        c_visiting_paths=c_visiting_paths,
+        verdict=c_visiting_paths == 0,
+        probability=abs(total) ** 2,
+        vacuous=abs(total) <= NORM_TOL,
+    )
+
+
+REPORT_ACTIONS = [BLOCK, PASS] + [splitter(beta) for beta in (0.0, 1e-9, 0.7, math.pi / 2)]
+
+
+@st.composite
+def report_cases(draw):
+    k = draw(st.one_of(st.integers(1, 64), st.sampled_from([255, 1000, 4096])))
+    config = ProtocolConfig(k, draw(st.sampled_from([0.0, 0.3, 1.5])), draw(st.sampled_from(REPORT_ACTIONS)),
+                            draw(st.booleans()))
+    labels = config.mode_basis().labels if k <= 12 else ("A", "B", "C", "L1", f"L{k}")
+    return config, draw(st.sampled_from(labels))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(report_cases())
+@example((ProtocolConfig(4096, 0.3, splitter(0.7), True), "B"))
+@example((ProtocolConfig(4096, 1.5, BLOCK, True), "L4096"))
+@example((ProtocolConfig(1000, 0.0, splitter(1e-9), False), "C"))
+@example((ProtocolConfig(12, 0.0, splitter(math.pi / 2), True), "L12"))
+@example((ProtocolConfig(1, 0.0, splitter(0.0), False), "B"))
+def test_report_matches_the_four_call_form(case):
+    # repr compares every float bit for bit, the sign of a zero included.
+    config, outcome = case
+    assert repr(counterfactuality_report(config, outcome)) == repr(four_call_report(config, outcome))

@@ -224,6 +224,20 @@ class TestComposeUnitary:
         dense = embed(rotation_block(0.3), 1, 2, 3).matrix @ embed(((0j, 1j), (1j, 0j)), 0, 1, 3).matrix
         np.testing.assert_allclose(compose_unitary(ops, 3).matrix, dense, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        ("ops", "dtype"),
+        [
+            ([], np.complex128),
+            ([((0, 1), SWAP_BLOCK)], np.float64),
+            ([((0, 1), rotation_block(0.3)), ((1, 2), ((0j, 1j), (1j, 0j)))], np.complex128),
+        ],
+    )
+    def test_float64_needs_at_least_one_block(self, ops, dtype):
+        mat = compose_unitary(ops, 3).matrix
+        assert mat.dtype == dtype
+        if not ops:
+            np.testing.assert_array_equal(mat, np.eye(3))
+
     def test_dense_cap_checked_before_the_ops(self):
         def ops():
             raise AssertionError("ops consumed before the size check")

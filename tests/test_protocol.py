@@ -212,9 +212,57 @@ class TestConfigValidation:
         assert action == splitter(1.0)
 
 
+class TestModeBasis:
+    def test_built_once_per_config(self):
+        config = ProtocolConfig(5, 0.3, BLOCK)
+        basis = config.mode_basis()
+        assert basis.loss_count == 5
+        assert config.mode_basis() is basis
+
+    def test_stored_basis_is_invisible(self):
+        config = ProtocolConfig(5, 0.3, splitter(0.7), True)
+        twin = ProtocolConfig(5, 0.3, splitter(0.7), True)
+        before = (repr(config), hash(config), dataclasses.astuple(config))
+        config.mode_basis()
+        assert (repr(config), hash(config), dataclasses.astuple(config)) == before
+        assert config == twin and twin == config
+        assert hash(config) == hash(twin)
+        assert [f.name for f in dataclasses.fields(ProtocolConfig)] == ["k", "delta", "bob", "include_final_block"]
+
+    @pytest.mark.parametrize("ask_first", [False, True])
+    def test_replace_builds_its_own_basis(self, ask_first):
+        config = ProtocolConfig(5, 0.3, BLOCK)
+        if ask_first:
+            config.mode_basis()
+        same = dataclasses.replace(config)
+        wider = dataclasses.replace(config, k=7)
+        assert same == config and repr(same) == repr(config)
+        assert wider == ProtocolConfig(7, 0.3, BLOCK)
+        assert wider.mode_basis().loss_count == 7
+        assert config.mode_basis().loss_count == 5
+
+
 class TestBuildSteps:
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(Step)] == ["kind", "pair", "block", "size"]
+
+    def test_step_is_frozen(self):
+        step = Step("inner_rotation", (1, 2), SWAP_BLOCK, 5)
+        for name in ("kind", "pair", "block", "size"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(step, name, None)
+        assert (step.kind, step.pair, step.block, step.size) == ("inner_rotation", (1, 2), SWAP_BLOCK, 5)
+
+    def test_step_equality_and_hash_by_field(self):
+        step = Step("bob_interaction", (2, 3), SWAP_BLOCK, 5)
+        twin = Step(kind="bob_interaction", pair=(2, 3), block=SWAP_BLOCK, size=5)
+        assert step == twin and hash(step) == hash(twin)
+        assert repr(step) == repr(twin)
+        step.op  # the cached matrix is not a field
+        assert step == twin and hash(step) == hash(twin)
+        assert step != Step("bob_interaction", (2, 4), SWAP_BLOCK, 5)
+        assert step != Step("bob_interaction", (2, 3), SWAP_BLOCK, 6)
+        assert len({step, twin, build_steps(ProtocolConfig(2, 0.0, BLOCK))[2]}) == 1
 
     def test_k1_block_has_no_swap(self):
         kinds = [s.kind for s in build_steps(ProtocolConfig(1, 0.0, BLOCK))]
