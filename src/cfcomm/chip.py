@@ -235,55 +235,46 @@ def _lowered_steps(config: ProtocolConfig) -> Iterator[tuple[int, float | None, 
 
 def _phase_walk(
     ops: list[tuple[int, float | None, str]], pending: list[complex]
-) -> tuple[list[tuple[int, float, float, str]], list[int]]:
-    """The (pair, theta_m, phi_m, role) setting of each op and, per mode, the
-    input mode its pending phase traces back to; ``pending`` is updated in
-    place.  Since T(pi - 2a, phi) = e^{-ia} R(a) diag(-e^{i phi}, 1), each MZI
-    realizes its target block G as T diag(p_i, p_j) = diag(q_i, q_j) G for
-    unit pending phases p before and q after it:
+) -> list[tuple[int, float, float, str]]:
+    """The (pair, theta_m, phi_m, role) setting of each op; ``pending`` is
+    updated in place.  Since T(pi - 2a, phi) = e^{-ia} R(a) diag(-e^{i phi}, 1),
+    each MZI realizes its target block G as T diag(p_i, p_j) = diag(q_i, q_j) G
+    for unit pending phases p before and q after it:
 
       rotation by a: theta_m = pi - 2a, phi_m = arg(-p_j / p_i),
                      q_i = q_j = e^{-ia} p_j
       exact swap:    theta_m = 0, phi_m = 0, q_i = i p_j, q_j = i p_i
     """
-    source = list(range(len(pending)))
     placed = []
     for pair, angle, role in ops:
         i, j = pair, pair + 1
         if angle is None:
             theta_m, phi_m = 0.0, 0.0
             pending[i], pending[j] = 1j * pending[j], 1j * pending[i]
-            source[i], source[j] = source[j], source[i]
         else:
             theta_m = math.pi - 2 * angle
             phi_m = cmath.phase(-pending[j] / pending[i])
             pending[i] = pending[j] = pending[j] * cmath.exp(-1j * angle)
-            source[i] = source[j]
         placed.append((pair, theta_m, phi_m, role))
-    return placed, source
+    return placed
 
 
 def _placed(config: ProtocolConfig) -> list[tuple[int, float, float, str]]:
     """The (pair, theta_m, phi_m, role) of every MZI in walk order.
 
     The phase walk gives U_mesh diag(d) = diag(q_final) U_modal for input
-    phases d.  Each final pending phase is one d[m] times a factor that does
-    not depend on d, so a first walk with d = 1 finds those factors and
-    sources, d is chosen so the output phases on A and B coincide (the
-    coherence tomography measures), and a second walk emits the settings."""
+    phases d, each final phase one d[m] times a factor free of d.  The first
+    MZI, alone on pair 0, is the outer rotation, so A's factor multiplies
+    d[1]; the second, the first inner rotation, overwrites B's phase, so
+    B's never does.  A walk with d = 1 finds the factors, d[1] = coeff[1] /
+    coeff[0] equalizes the A and B output phases (the coherence tomography
+    measures), and a second walk emits the settings."""
     ops = list(_lowered_steps(config))  # checks K against protocol.MAX_CYCLES first
-    size = config.mode_basis().size
-
-    coeff = [1.0 + 0.0j] * size
-    _, source = _phase_walk(ops, coeff)
-    d = [1.0 + 0.0j] * size
-    if source[0] != source[1]:
-        d[source[0]] = coeff[1] / coeff[0]
-    elif abs(coeff[0] - coeff[1]) > 1e-9:  # unreachable: A's source never flows back to B
-        raise RuntimeError("cannot equalize output phases on modes A and B")
-
-    placed, _ = _phase_walk(ops, d)
-    return placed
+    coeff = [1.0 + 0.0j] * config.mode_basis().size
+    _phase_walk(ops, coeff)
+    d = [1.0 + 0.0j] * len(coeff)
+    d[1] = coeff[1] / coeff[0]
+    return _phase_walk(ops, d)
 
 
 def compile_program(config: ProtocolConfig) -> MeshProgram:
@@ -582,35 +573,25 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
     """
     shots_per_basis = check_shots(shots_per_basis)
     seed = check_seed(seed)
-    final_state, _ = protocol.run(config)
-    exact_rho, p_ab = alice_reduced_state(final_state)
+    exact_rho, _ = alice_reduced_state(protocol.run(config)[0])
     psi = PureState(_tomography_column(config), config.mode_basis()).amplitudes
 
     expectations: dict[str, float] = {}
-    counts: dict[str, tuple[int, int]] = {}
-    if shots_per_basis == 0:
-        for name in _BASES:
-            probs = _basis_probabilities(psi, name)
-            kept = float(probs[0] + probs[1])
-            if kept <= 0.0:
-                raise InsufficientStatisticsError(f"no postselected probability in basis {name}")
-            expectations[name] = float((probs[0] - probs[1]) / kept)
-            counts[name] = (0, 0)
-        postselected_fraction = kept
-    else:
-        streams = np.random.SeedSequence(seed).spawn(len(_BASES))
-        kept_total = 0
-        for name, stream in zip(_BASES, streams):
-            rng = np.random.default_rng(stream)
-            probs = _basis_probabilities(psi, name)
-            draw = rng.multinomial(shots_per_basis, probs / probs.sum())
-            n0, n1 = int(draw[0]), int(draw[1])
-            if n0 + n1 == 0:
-                raise InsufficientStatisticsError(f"no postselected events in basis {name}")
-            counts[name] = (n0, n1)
-            expectations[name] = (n0 - n1) / (n0 + n1)
-            kept_total += n0 + n1
-        postselected_fraction = kept_total / (len(_BASES) * shots_per_basis)
+    counts: dict[str, tuple[int, int]] = dict.fromkeys(_BASES, (0, 0))
+    kept = 0
+    for name, stream in zip(_BASES, np.random.SeedSequence(seed).spawn(len(_BASES))):
+        probs = _basis_probabilities(psi, name)
+        if shots_per_basis:
+            draw = np.random.default_rng(stream).multinomial(shots_per_basis, probs / probs.sum())
+            n0, n1 = counts[name] = int(draw[0]), int(draw[1])
+        else:
+            n0, n1 = float(probs[0]), float(probs[1])
+        if not n0 + n1 > 0:
+            raise InsufficientStatisticsError(f"no postselected events in basis {name}")
+        expectations[name] = (n0 - n1) / (n0 + n1)
+        kept += n0 + n1
+    # Analytic: the last basis's postselected probability; sampled: the kept share of all shots.
+    postselected_fraction = kept / (len(_BASES) * shots_per_basis) if shots_per_basis else n0 + n1
 
     rho = 0.5 * (
         np.eye(2, dtype=complex)

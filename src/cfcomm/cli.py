@@ -112,19 +112,15 @@ def _run_record(row: protocol.SweepRow, bob: protocol.BobAction, final_block: bo
 
 
 def _record_csv_row(record: dict) -> str:
-    renorm = record.get("p_D1_renormalized")
-    fields = [
-        str(record["K"]),
-        _fmt(record["delta"]),
-        record["bob"],
-        "true" if record["include_final_block"] else "false",
-        _fmt(record["p_D0"]),
-        _fmt(record["p_D1"]),
-        _fmt(record["p_D3"]),
-        _fmt(record["p_loss_total"]),
-        _fmt(renorm) if renorm is not None else "",
+    """The record's values in order, a bool as true/false and a float through
+    ``_fmt``; the renormalized p_D1 cell is empty when the record has none."""
+    cells = [
+        _fmt(value) if isinstance(value, float) else str(value).lower() if isinstance(value, bool) else str(value)
+        for value in record.values()
     ]
-    return ",".join(fields)
+    if "p_D1_renormalized" not in record:
+        cells.append("")
+    return ",".join(cells)
 
 
 def _sweep_output(

@@ -126,14 +126,11 @@ def counterfactuality_report(config: ProtocolConfig, outcome: str) -> Counterfac
     full_n = [0] * basis.size
     full_n[a] = 1
     never_n = list(full_n)
-    patterns: dict[int, tuple[int, int, int, int]] = {}  # id(block) -> its 0/1 pattern
     for step in steps:
         i, j = step.pair
-        (u00, u01), (u10, u11) = block = step.block
-        pattern = patterns.get(id(block))
-        if pattern is None:  # pruned on exact zeros, as in enumerate_histories
-            pattern = patterns[id(block)] = int(u00 != 0), int(u01 != 0), int(u10 != 0), int(u11 != 0)
-        n00, n01, n10, n11 = pattern
+        (u00, u01), (u10, u11) = step.block
+        # Pruned on exact zeros, as in enumerate_histories; a bool counts as 0 or 1.
+        n00, n01, n10, n11 = u00 != 0, u01 != 0, u10 != 0, u11 != 0
         x, y = full[i], full[j]
         full[i], full[j] = u00 * x + u01 * y, u10 * x + u11 * y
         x, y = never[i], never[j]

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .modes import (
+    NORM_TOL,
     SWAP_BLOCK,
     Block,
     ModeBasis,
@@ -177,7 +178,8 @@ class Step:
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Detection probabilities at D0/D1/D3 and in each loss mode; ``ValueError``
-    unless each lies in [0, 1] and they sum to 1, both within 1e-12."""
+    unless each lies in [0, 1] within ``NORM_TOL`` and their sum passes
+    ``modes.check_norm``."""
 
     p_D0: float
     p_D1: float
@@ -186,12 +188,11 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         entries = (self.p_D0, self.p_D1, self.p_D3, *self.p_loss)
+        low, high = -NORM_TOL, 1.0 + NORM_TOL
         for p in entries:
-            if not -1e-12 <= p <= 1.0 + 1e-12:
+            if not low <= p <= high:
                 raise ValueError(f"probability out of range: {p!r}")
-        total = math.fsum(entries)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        check_norm(math.fsum(entries))
 
     @classmethod
     def from_probabilities(cls, probs: np.ndarray) -> "OutcomeDistribution":
@@ -330,7 +331,6 @@ def sweep(
         amps[:, 0] = outer[:, 0]
         probs = np.abs(amps) ** 2
         for delta, row_probs in zip(deltas, probs):
-            check_norm(float(np.sum(row_probs)))
             rows.append(SweepRow(config.k, delta, OutcomeDistribution.from_probabilities(row_probs)))
     return rows
 

@@ -6,10 +6,13 @@ import operator
 import numpy as np
 import pytest
 
+from cfcomm import chip
 from cfcomm.chip import (
     _ROLES,
     MAX_SHOTS,
     ROLE_INNER,
+    ROLE_OUTER,
+    _lowered_steps,
     InsufficientStatisticsError,
     MeshProgram,
     MziSetting,
@@ -88,6 +91,18 @@ class TestCompile:
         # Every MZI shares a mode with the one before, so each has a column
         # of its own.
         assert [[(s.role, s.pair) for s in column] for column in program.columns] == [[r] for r in roles]
+
+    @pytest.mark.parametrize("final_block", [False, True])
+    @pytest.mark.parametrize("bob", [BLOCK, PASS, splitter(0.7)], ids=["block", "pass", "split"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_outer_rotation_alone_on_pair_zero(self, k, bob, final_block):
+        # _placed equalizes the A and B output phases through input B alone,
+        # which holds only while the lowering keeps this shape.
+        config = ProtocolConfig(k, 0.3, bob, final_block)
+        ops = list(_lowered_steps(config))
+        assert ops[0] == (0, config.phi, ROLE_OUTER)
+        assert ops[1] == (1, config.theta, ROLE_INNER)
+        assert all(pair != 0 for pair, _, _ in ops[1:])
 
     def test_emitted_roles_are_the_accepted_roles(self):
         # A role that no compiled program carries would only widen what
@@ -379,6 +394,23 @@ class TestTomography:
         config = ProtocolConfig(4, 0.0005, PASS)
         with pytest.raises(InsufficientStatisticsError):
             simulate_tomography(config, 1, seed=3)
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_empty_basis(self, monkeypatch, shots):
+        # Both readouts fail alike when a basis puts nothing on A and B.
+        probabilities = chip._basis_probabilities
+
+        def no_x_events(psi, name):
+            probs = probabilities(psi, name)
+            if name == "X":
+                probs[2] += probs[0] + probs[1]
+                probs[:2] = 0.0
+            return probs
+
+        monkeypatch.setattr(chip, "_basis_probabilities", no_x_events)
+        with pytest.raises(InsufficientStatisticsError) as err:
+            simulate_tomography(SUPERPOSITION_CONFIG, shots, seed=3)
+        assert str(err.value) == "no postselected events in basis X"
 
     def test_negative_shots_rejected(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,11 @@ class TestRun:
         _, out, _ = run_cli(capsys, "run", "--k", "1", "--delta", "0", "--bob", "block")
         assert "p_D1_renormalized" not in json.loads(out)
 
+    def test_renormalized_cell_empty_at_certain_abort(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--k", "1", "--delta", "0", "--bob", "block", "--format", "csv")
+        assert code == 0
+        assert out.split("\n")[1].split(",") == ["1", "0", "block", "false", "0", "0", "1", "0", ""]
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--k", "2", "--delta", "0", "--bob", "block", "--format", "csv")
         assert code == 0

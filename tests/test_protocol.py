@@ -506,3 +506,13 @@ class TestOutcomeDistribution:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             OutcomeDistribution(1.5, -0.5, 0.0, (0.0,))
+
+    def test_bad_total_is_a_norm_error(self):
+        with pytest.raises(ValueError) as err:
+            OutcomeDistribution(0.5, 0.6, 0.0, ())
+        assert str(err.value) == "state is not normalized: sum |a_i|^2 = 1.1"
+
+    def test_nan_entry_is_out_of_range(self):
+        with pytest.raises(ValueError) as err:
+            OutcomeDistribution(math.nan, 0.5, 0.5, ())
+        assert str(err.value) == "probability out of range: nan"
