@@ -56,8 +56,8 @@ TWO_PI = 2 * math.pi
 # Largest shot count per basis: numpy's multinomial takes it as a C long.
 MAX_SHOTS = 2**63 - 1
 
-ROLE_OUTER = "outer_rotation"
-ROLE_INNER = "inner_rotation"
+ROLE_OUTER = protocol.OUTER_ROTATION
+ROLE_INNER = protocol.INNER_ROTATION
 ROLE_BLOCKER = "blocker"
 ROLE_ROUTER = "router"
 

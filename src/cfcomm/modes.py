@@ -13,9 +13,9 @@ record stores what they return.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,13 +99,7 @@ def exact_cos_sin(angle: float) -> tuple[float, float]:
 Block = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 _CHANNELS = {"A": 0, "B": 1, "C": 2}
-_LOSS_LABEL = re.compile("L([1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -122,9 +116,9 @@ class ModeBasis:
     def size(self) -> int:
         return self.loss_count + 3
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
-        return ("A", "B", "C") + tuple(f"L{n}" for n in range(1, self.loss_count + 1))
+        return (*_CHANNELS, *(f"L{n}" for n in range(1, self.loss_count + 1)))
 
     def index(self, mode: str) -> int:
         """Slot of "A", "B", "C" or "L<n>" (n in 1..K, plain decimal);
@@ -132,10 +126,8 @@ class ModeBasis:
         if isinstance(mode, str):
             if mode in _CHANNELS:
                 return _CHANNELS[mode]
-            loss = _LOSS_LABEL.fullmatch(mode)
-            # Lengths first: int() refuses very long digit strings.
-            if loss and len(loss[1]) <= len(str(self.loss_count)) and int(loss[1]) <= self.loss_count:
-                return 2 + int(loss[1])
+            if mode in self.labels:
+                return self.labels.index(mode)
         raise ValueError(f"unknown mode {mode!r}; basis has A, B, C, L1..L{self.loss_count}")
 
 
@@ -152,7 +144,8 @@ class PureState:
         if amps.shape != (self.basis.size,):
             raise ValueError(f"expected {self.basis.size} amplitudes, got shape {amps.shape}")
         check_norm(float(np.sum(np.abs(amps) ** 2)))
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     def amplitude(self, mode: str) -> complex:
         return complex(self.amplitudes[self.basis.index(mode)])
@@ -182,7 +175,8 @@ class UnitaryOp:
         if not defect <= NORM_TOL:
             gram_name = "U^T U" if real else "U^dag U"
             raise ValueError(f"matrix is not unitary: max |{gram_name} - I| = {defect!r}")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
@@ -246,19 +240,19 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
     float entries, complex128 otherwise.  ``ValueError`` past
     ``MAX_DENSE_CYCLES`` (checked first) or if the product is not unitary.
 
-    A block with an exactly zero diagonal (an exact swap up to phases) is
-    routed, not multiplied: it swaps which stored row each of its slots reads
-    and multiplies their pending phases by u01 and u10.  Every other block
-    first folds the pending phases of its slots into its entries, then
-    updates the two stored rows as ``apply_blocks`` would.
+    The rows are kept in a list, one per slot.  A block with an exactly zero
+    diagonal (an exact swap up to phases) is routed, not multiplied: it swaps
+    its two list entries and multiplies their pending phases by u01 and u10.
+    Every other block first folds the pending phases of its slots into its
+    entries, then replaces its two rows as ``apply_blocks`` would.  The rows
+    are stacked once, at the end.
     """
     check_dense_size(size)
     ops = list(ops)
     real = bool(ops) and all(isinstance(u, float) for _, block in ops for row in block for u in row)
     one = 1.0 if real else 1 + 0j
-    mat = np.eye(size, dtype=float if real else complex)
-    rows = list(range(size))  # slot -> the stored row it reads
-    phases = [one] * size  # slot -> the phase pending on that row
+    rows = list(np.eye(size, dtype=float if real else complex))
+    phases = [one] * size  # slot -> the phase pending on its row
     for (i, j), ((u00, u01), (u10, u11)) in ops:
         if u00 == 0 and u11 == 0:
             rows[i], rows[j] = rows[j], rows[i]
@@ -271,22 +265,9 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
         if q != 1:
             u01, u11 = u01 * q, u11 * q
             phases[j] = one
-        a, b = mat[rows[i]], mat[rows[j]]
-        new = u00 * a + u01 * b
-        b[:] = u10 * a + u11 * b
-        a[:] = new
-    # Gather in place, one cycle of the map at a time (slot s takes stored
-    # row rows[s]): a gathered copy would add an M x M array to the peak.
-    for start in range(size):
-        if rows[start] == start:
-            continue
-        first = mat[start].copy()
-        slot = start
-        while rows[slot] != start:
-            mat[slot] = mat[rows[slot]]
-            rows[slot], slot = slot, rows[slot]
-        mat[slot] = first
-        rows[slot] = slot
+        rows[j], rows[i] = u10 * rows[i] + u11 * rows[j], u00 * rows[i] + u01 * rows[j]
+    mat = np.array(rows).reshape(size, size)  # (0, 0) for an empty space
+    del rows  # frees the list and the identity its untouched rows view before the Gram check
     if any(p != 1 for p in phases):
         mat *= np.array(phases)[:, None]
     return UnitaryOp(mat)

@@ -93,7 +93,7 @@ class TestModeBasis:
         "mode",
         [
             "", "L", "L0", "L01", "L+1", "L1_0", " L1", "l1", "L\u00b2", "L\u0661", "L1\u0661", "L1\n", "D", "A ",
-            3, None, pytest.param("L" + "9" * 5000, id="L9x5000"),
+            3, None, pytest.param("L" + "9" * 5000, id="L9x5000"), b"A", ["A"], 1.0,
         ],
     )
     def test_off_convention_label_rejected(self, mode):
@@ -245,6 +245,10 @@ class TestComposeUnitary:
 
         with pytest.raises(ValueError, match="dense matrices are limited to K <= 512"):
             compose_unitary(ops(), 516)
+
+    def test_zero_modes_rejected(self):
+        with pytest.raises(ValueError, match=r"at least one mode, got shape \(0, 0\)"):
+            compose_unitary([], 0)
 
 
 class TestModeProbabilities:

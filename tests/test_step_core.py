@@ -15,7 +15,9 @@ run on complex amplitudes and complex blocks.
 """
 
 import cmath
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -534,8 +536,8 @@ GRID_K = [1, 2, 3, 17, 64, 511, 512]
 @pytest.mark.parametrize("final_block", [False, True])
 @pytest.mark.parametrize("bob", ALL_ACTIONS, ids=ACTION_IDS)
 def test_evolution_unitary_is_the_unrouted_product_bit_for_bit(bob, final_block):
-    for k in GRID_K:
-        config = ProtocolConfig(k, 0.3, bob, final_block)
+    for k, delta in itertools.product(GRID_K, (0.3, 0.0)):
+        config = ProtocolConfig(k, delta, bob, final_block)
         steps = [(step.pair, step.block) for step in build_steps(config)]
         reference = unrouted(steps, config.mode_basis().size)
         np.testing.assert_array_equal(evolution_unitary(config).matrix, reference)
@@ -544,10 +546,27 @@ def test_evolution_unitary_is_the_unrouted_product_bit_for_bit(bob, final_block)
 @pytest.mark.parametrize("final_block", [False, True])
 @pytest.mark.parametrize("bob", ALL_ACTIONS, ids=ACTION_IDS)
 def test_mesh_unitary_matches_the_unrouted_product(bob, final_block):
-    for k in GRID_K:
-        program = compile_program(ProtocolConfig(k, 0.3, bob, final_block))
+    for k, delta in itertools.product(GRID_K, (0.3, 0.0)):
+        program = compile_program(ProtocolConfig(k, delta, bob, final_block))
         reference = unrouted(_mzi_walk(_records(program)), program.mode_count)
         np.testing.assert_allclose(mesh_unitary(program).matrix, reference, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("final_block", [False, True])
+@pytest.mark.parametrize("bob", [BLOCK, splitter(0.7)], ids=["block", "split-0.7"])
+def test_dense_unitaries_peak_at_three_and_a_half_matrices(bob, final_block):
+    # The row list, and the identity its untouched rows view, are freed
+    # before the Gram check; kept alive they lift the peak to about 4.
+    config = ProtocolConfig(192, 0.3, bob, final_block)
+    program = compile_program(config)
+    for build in (lambda: evolution_unitary(config), lambda: mesh_unitary(program)):
+        tracemalloc.start()
+        try:
+            matrix = build().matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * matrix.nbytes, (matrix.dtype, peak / matrix.nbytes)
 
 
 # --- the real modal layer against a complex oracle ------------------------
