@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +115,7 @@ class ModeBasis:
     def size(self) -> int:
         return self.loss_count + 3
 
-    @cached_property
+    @property
     def labels(self) -> tuple[str, ...]:
         return (*_CHANNELS, *(f"L{n}" for n in range(1, self.loss_count + 1)))
 
@@ -126,8 +125,9 @@ class ModeBasis:
         if isinstance(mode, str):
             if mode in _CHANNELS:
                 return _CHANNELS[mode]
-            if mode in self.labels:
-                return self.labels.index(mode)
+            n, k = mode[1:], str(self.loss_count)  # digit strings of one length compare as numbers
+            if mode[:1] == "L" and n.isascii() and n.isdigit() and n[0] != "0" and (len(n), n) <= (len(k), k):
+                return 2 + int(n)
         raise ValueError(f"unknown mode {mode!r}; basis has A, B, C, L1..L{self.loss_count}")
 
 

@@ -10,6 +10,7 @@ import pytest
 from cfcomm.chip import TomographyResult
 from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, build_parser, main
 from cfcomm.histories import CounterfactualityReport
+from cfcomm.modes import ModeBasis
 
 COS8_PI_8 = 0.5307900429449552
 SIN_SQ_01 = 0.009966711079379185
@@ -442,6 +443,19 @@ class TestCycleBound:
         assert code == 1
         assert out == ""
         assert err == f"error: {cycle_bound_message(4097)}\n"
+
+    def test_loss_label_far_above_the_bound(self, capsys, monkeypatch):
+        # The outcome label is checked before the bound, and in O(1): listing
+        # the 10^9 labels would exhaust memory.
+        monkeypatch.setattr(ModeBasis, "labels", property(lambda self: pytest.fail("index listed the labels")))
+        for outcome in ("L1", "L1000000000"):
+            code, out, err = run_cli(capsys, "trace", "--k", "1000000000", "--bob", "block", "--outcome", outcome)
+            assert (code, out, err) == (1, "", f"error: {cycle_bound_message(10**9)}\n")
+        for outcome in ("Q", "L1000000001"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["trace", "--k", "1000000000", "--bob", "block", "--outcome", outcome])
+            assert excinfo.value.code == 2
+            assert f"argument --outcome: unknown mode '{outcome}'" in capsys.readouterr().err
 
     def test_tomo_at_the_bound(self, capsys):
         # Tomography propagates one column, so the dense cap does not apply.

@@ -101,6 +101,17 @@ class TestModeBasis:
             with pytest.raises(ValueError, match="unknown mode"):
                 basis.index(mode)
 
+    def test_index_does_not_list_the_labels(self, monkeypatch):
+        # K is bounded only from below, so a lookup must not cost O(K).
+        monkeypatch.setattr(ModeBasis, "labels", property(lambda self: pytest.fail("index listed the labels")))
+        k = 10**12
+        basis = ModeBasis(k)
+        assert basis.index("L1") == 3
+        assert basis.index(f"L{k}") == k + 2
+        for mode in ("Q", "L0", f"L0{k}", f"L{k + 1}", "L" + "9" * 5000):
+            with pytest.raises(ValueError, match=f"unknown mode {mode!r}"):
+                basis.index(mode)
+
 
 class TestBasisState:
     def test_photon_in_a(self):
