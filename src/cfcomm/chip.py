@@ -63,22 +63,6 @@ ROLE_ROUTER = "router"
 
 _ROLES = (ROLE_OUTER, ROLE_INNER, ROLE_BLOCKER, ROLE_ROUTER)
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-_BASES = ("Z", "X", "Y")
-
-# Tomography MZI settings on the (A, B) pair.  With theta = 3pi/2 the MZI is
-# a global phase times R(-pi/4); phi = pi gives the X readout, and phi = 3pi/2
-# adds the relative quarter-wave that turns it into the Y readout.
-_TOMO_SETTINGS: dict[str, tuple[float, float] | None] = {
-    "Z": None,
-    "X": (1.5 * math.pi, math.pi),
-    "Y": (1.5 * math.pi, 1.5 * math.pi),
-}
-
-
 class InsufficientStatisticsError(RuntimeError):
     """Raised when a tomography basis collects zero postselected events."""
 
@@ -87,7 +71,7 @@ class InsufficientStatisticsError(RuntimeError):
 class MziSetting:
     """One MZI on the mode pair (pair, pair + 1): ``pair`` an integer >= 0,
     stored as a plain int; ``theta`` and ``phi`` finite real numbers
-    (radians), stored as floats reduced mod 2pi; ``role`` one of
+    (radians), stored as floats in [0, 2pi); ``role`` one of
     ``ROLE_OUTER``, ``ROLE_INNER``, ``ROLE_BLOCKER`` and ``ROLE_ROUTER``.
     Anything else raises ``ValueError``."""
 
@@ -113,8 +97,8 @@ class MziSetting:
             raise ValueError(f"MZI phases must be finite, got theta={theta!r}, phi={phi!r}")
         fields = self.__dict__  # the frozen __setattr__ refuses
         fields["pair"] = pair
-        fields["theta"] = t % TWO_PI
-        fields["phi"] = f % TWO_PI
+        fields["theta"] = t % TWO_PI % TWO_PI  # the second % maps a rounded-up 2pi to 0
+        fields["phi"] = f % TWO_PI % TWO_PI
         fields["role"] = role
 
 
@@ -198,6 +182,17 @@ def mzi_block(theta_m: float, phi_m: float) -> Block:
     f = cmath.exp(1j * phi_m)
     cross = 0.5j * (t + 1)
     return check_block(((0.5 * (t - 1) * f, cross), (cross * f, 0.5 * (1 - t))))
+
+
+# Tomography readouts on the (A, B) pair, as ``apply_blocks`` ops, in sampling
+# order.  With theta = 3pi/2 the MZI is a global phase times R(-pi/4); phi = pi
+# gives the X readout, and phi = 3pi/2 adds the relative quarter-wave that
+# turns it into the Y readout.
+_READOUT: dict[str, list[tuple[tuple[int, int], Block]]] = {
+    "Z": [],
+    "X": [((0, 1), mzi_block(1.5 * math.pi, math.pi))],
+    "Y": [((0, 1), mzi_block(1.5 * math.pi, 1.5 * math.pi))],
+}
 
 
 # --- compilation ------------------------------------------------------------
@@ -333,10 +328,10 @@ def _input_column(mzis: Iterable[tuple[int, float, float]], size: int) -> np.nda
 
 def _tomography_column(config: ProtocolConfig) -> np.ndarray:
     """Column 0 of ``mesh_unitary(compile_program(config))``, from the
-    compiler's MZIs in walk order with phases reduced mod 2pi as
+    compiler's MZIs in walk order with phases in [0, 2pi) as
     ``MziSetting`` stores them.  Packing only reorders MZIs on disjoint
     modes, so no ``MeshProgram`` is needed."""
-    mzis = ((pair, theta_m % TWO_PI, phi_m % TWO_PI) for pair, theta_m, phi_m, _ in _placed(config))
+    mzis = ((pair, theta_m % TWO_PI % TWO_PI, phi_m % TWO_PI % TWO_PI) for pair, theta_m, phi_m, _ in _placed(config))
     return _input_column(mzis, config.mode_basis().size)
 
 
@@ -530,10 +525,8 @@ def _project_density(rho: np.ndarray) -> np.ndarray:
 
 
 def _basis_probabilities(psi: np.ndarray, basis_name: str) -> np.ndarray:
-    setting = _TOMO_SETTINGS[basis_name]
     out = np.array(psi, dtype=complex)
-    if setting is not None:
-        apply_blocks([((0, 1), mzi_block(*setting))], out)
+    apply_blocks(_READOUT[basis_name], out)
     return np.abs(out) ** 2
 
 
@@ -577,9 +570,9 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
     psi = PureState(_tomography_column(config), config.mode_basis()).amplitudes
 
     expectations: dict[str, float] = {}
-    counts: dict[str, tuple[int, int]] = dict.fromkeys(_BASES, (0, 0))
+    counts: dict[str, tuple[int, int]] = dict.fromkeys(_READOUT, (0, 0))
     kept = 0
-    for name, stream in zip(_BASES, np.random.SeedSequence(seed).spawn(len(_BASES))):
+    for name, stream in zip(_READOUT, np.random.SeedSequence(seed).spawn(len(_READOUT))):
         probs = _basis_probabilities(psi, name)
         if shots_per_basis:
             draw = np.random.default_rng(stream).multinomial(shots_per_basis, probs / probs.sum())
@@ -591,15 +584,10 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
         expectations[name] = (n0 - n1) / (n0 + n1)
         kept += n0 + n1
     # Analytic: the last basis's postselected probability; sampled: the kept share of all shots.
-    postselected_fraction = kept / (len(_BASES) * shots_per_basis) if shots_per_basis else n0 + n1
+    postselected_fraction = kept / (len(_READOUT) * shots_per_basis) if shots_per_basis else n0 + n1
 
-    rho = 0.5 * (
-        np.eye(2, dtype=complex)
-        + expectations["X"] * _PAULI_X
-        + expectations["Y"] * _PAULI_Y
-        + expectations["Z"] * _PAULI_Z
-    )
-    rho = _project_density(rho)
+    x, y, z = expectations["X"], expectations["Y"], expectations["Z"]
+    rho = _project_density(0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]))
     rho.setflags(write=False)
     return TomographyResult(
         counts=counts,

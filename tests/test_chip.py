@@ -5,6 +5,8 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfcomm import chip
 from cfcomm.chip import (
@@ -270,6 +272,20 @@ class TestRecordChecks:
         assert type(setting.theta) is float and type(setting.phi) is float
         theta, phi = 7 % (2 * math.pi), -0.5 % (2 * math.pi)
         assert repr(setting) == f"MziSetting(pair=2, theta={theta!r}, phi={phi!r}, role='blocker')"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+    # A tiny negative phase plus 2pi rounds to exactly 2pi.
+    @example(-1e-17, -5e-324)
+    @example(-5e-324, -1e-17)
+    @example(-0.0, 2 * math.pi)
+    @example(2 * math.pi, -0.0)
+    def test_phases_are_stored_in_zero_two_pi(self, theta, phi):
+        setting = MziSetting(0, theta, phi, "router")
+        assert 0 <= setting.theta < 2 * math.pi and 0 <= setting.phi < 2 * math.pi
+        assert MziSetting(setting.pair, setting.theta, setting.phi, setting.role) == setting
+        program = MeshProgram(2, ((setting,),))
+        assert MeshProgram.from_json_dict(program.to_json_dict()) == program
 
     def test_replace_checks_and_reduces(self):
         setting = MziSetting(1, 0.5, 0.25, "router")

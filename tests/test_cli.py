@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from cfcomm.chip import TomographyResult
-from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, build_parser, main
+from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, _json, build_parser, main
 from cfcomm.histories import CounterfactualityReport
 from cfcomm.modes import ModeBasis
 
@@ -548,6 +548,11 @@ class TestOutputPlumbing:
     def test_json_keys_are_the_record_fields_in_order(self, capsys, argv, record_type):
         _, out, _ = run_cli(capsys, *argv)
         assert list(json.loads(out)) == [field.name for field in dataclasses.fields(record_type)]
+
+    def test_encoder_rejects_other_values(self):
+        with pytest.raises(TypeError) as err:
+            _json(object())
+        assert str(err.value) == "object is not JSON serializable"
 
     def test_repeated_invocations_are_identical(self, capsys):
         args = ["tomo", "--k", "2", "--delta", "0.2", "--bob", "split:0.7853981633974483",

@@ -291,6 +291,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             UnitaryOp(np.ones((2, 3)))
 
+    def test_wrong_amplitude_count_rejected(self):
+        with pytest.raises(ValueError) as err:
+            PureState(np.zeros(3), BASIS4)
+        assert str(err.value) == "expected 4 amplitudes, got shape (3,)"
+
     def test_nan_state_rejected(self):
         with pytest.raises(ValueError):
             PureState([math.nan, 0.0, 0.0, 0.0], BASIS4)

@@ -185,6 +185,19 @@ class TestConfigValidation:
             BobAction("dither")
 
     @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            (("splitter",), "splitter action needs an angle"),
+            (("block", 0.3), "'block' action takes no angle"),
+            (("pass", 0.0), "'pass' action takes no angle"),
+        ],
+    )
+    def test_only_a_splitter_takes_an_angle(self, args, message):
+        with pytest.raises(ValueError) as err:
+            BobAction(*args)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         ("beta", "message"),
         [
             ("0.5", "splitter angle must be a real number, got '0.5'"),
