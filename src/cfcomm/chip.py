@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import protocol
+from . import modes, protocol
 from .modes import Block, PureState, UnitaryOp, apply_blocks, check_block, compose_unitary, plain_float, plain_int
 from .protocol import ProtocolConfig, alice_reduced_state
 
@@ -500,7 +500,9 @@ class TomographyResult:
 
     ``counts`` maps basis name to (D0, D1) postselected counts; the shortfall
     against ``shots_per_basis`` is aborted or lost shots.  The reconstruction
-    is linear inversion projected to the nearest unit-trace PSD matrix.
+    is linear inversion clipped to the Bloch ball: rho = (I + r.sigma) / 2,
+    where r is the measured (<X>, <Y>, <Z>) divided by max(1, its norm).
+    ``trace_distance`` is |r - s| / 2 for the Bloch vector s of ``exact_rho``.
     """
 
     counts: dict[str, tuple[int, int]]
@@ -511,17 +513,17 @@ class TomographyResult:
     postselected_fraction: float
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(1/2) * trace norm of rho - sigma."""
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
-
-
-def _project_density(rho: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues and renormalize the trace to 1."""
-    values, vectors = np.linalg.eigh(rho)
-    values = np.clip(values, 0.0, None)
-    projected = (vectors * values) @ vectors.conj().T
-    return projected / np.trace(projected).real
+def trace_distance(rho: object, sigma: object) -> float:
+    """(1/2) * trace norm of rho - sigma; ``ValueError`` unless they are square
+    matrices of one shape whose difference is Hermitian at ``modes.NORM_TOL``."""
+    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape != sigma.shape:
+        raise ValueError(f"trace distance needs two square matrices of one shape, got {rho.shape} and {sigma.shape}")
+    diff = rho - sigma
+    gap = float(np.abs(diff - diff.conj().T).max(initial=0.0))
+    if not gap <= modes.NORM_TOL:
+        raise ValueError(f"rho - sigma must be Hermitian within {modes.NORM_TOL:g}, got max |D - D^H| = {gap:.3e}")
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 def _basis_probabilities(psi: np.ndarray, basis_name: str) -> np.ndarray:
@@ -586,14 +588,20 @@ def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int 
     # Analytic: the last basis's postselected probability; sampled: the kept share of all shots.
     postselected_fraction = kept / (len(_READOUT) * shots_per_basis) if shots_per_basis else n0 + n1
 
+    # For a qubit, clipping negative eigenvalues and renormalizing is this radial map.
     x, y, z = expectations["X"], expectations["Y"], expectations["Z"]
-    rho = _project_density(0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]))
+    scale = max(1.0, math.sqrt(x * x + y * y + z * z))
+    x, y, z = x / scale, y / scale, z / scale
+    # 0.0 - y, not -y, so that y = 0 gives an imaginary part of +0.0.
+    rho = np.array([[0.5 * (1 + z), complex(0.5 * x, 0.5 * (0.0 - y))], [complex(0.5 * x, 0.5 * y), 0.5 * (1 - z)]])
     rho.setflags(write=False)
+    s = complex(exact_rho[1, 0])
+    dx, dy, dz = x - 2 * s.real, y - 2 * s.imag, z - float((exact_rho[0, 0] - exact_rho[1, 1]).real)
     return TomographyResult(
         counts=counts,
         shots_per_basis=shots_per_basis,
         reconstructed_rho=rho,
         exact_rho=exact_rho,
-        trace_distance=trace_distance(rho, exact_rho),
+        trace_distance=0.5 * math.sqrt(dx * dx + dy * dy + dz * dz),
         postselected_fraction=float(postselected_fraction),
     )

@@ -378,10 +378,62 @@ class TestTomography:
             assert result.trace_distance <= 1e-10
 
     def test_reconstruction_contract(self):
-        result = simulate_tomography(SUPERPOSITION_CONFIG, 0)
-        rho = result.reconstructed_rho
-        assert abs(np.trace(rho).real - 1.0) <= 1e-12
-        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        for config, shots, seed in [
+            (SUPERPOSITION_CONFIG, 0, 0),
+            (ProtocolConfig(64, 0.0, splitter(0.7)), 0, 0),
+            (ProtocolConfig(64, 0.0, splitter(0.7), True), 0, 0),
+            (ProtocolConfig(4096, 0.0, BLOCK, True), 0, 0),
+            (ProtocolConfig(8, 0.3, splitter(0.7)), 1000, 3),
+            (ProtocolConfig(512, 0.0, splitter(0.7)), 100000, 7),
+            (SUPERPOSITION_CONFIG, 200, 1),
+        ]:
+            rho = simulate_tomography(config, shots, seed).reconstructed_rho
+            assert rho[0, 0].imag == 0.0 and rho[1, 1].imag == 0.0
+            assert rho[0, 1] == rho[1, 0].conjugate()
+            assert abs(np.trace(rho).real - 1.0) <= 1e-15
+            assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.tuples(*[st.integers(-(2**52), 2**52)] * 3))
+    @example((0, 0, 0))
+    @example((2**52, 0, 0))
+    @example((0, 2**52, 0))
+    @example((0, 0, 2**52))
+    @example((-(2**52), 0, 0))
+    @example((0, -(2**52), 0))
+    @example((0, 0, -(2**52)))
+    @example((2**52, 2**26, 2**26))  # |r| = 1 + 1 ulp
+    @example((2**52 - 1, 2**26, 0))  # |r| = 1 - 1 ulp
+    @example((2**52, 2**52, 2**52))
+    def test_bloch_clip_matches_the_eigen_projection(self, units):
+        # The expectations are multiples of 2^-52 in [-1, 1], so the readout
+        # (1 + e, 1 - e) gives (n0 - n1) / (n0 + n1) = e exactly.
+        r = [unit / 2**52 for unit in units]
+        readout = {name: np.array([1 + e, 1 - e]) for name, e in zip("XYZ", r)}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chip, "_basis_probabilities", lambda psi, name: readout[name])
+            result = simulate_tomography(SUPERPOSITION_CONFIG, 0)
+        x, y, z = r
+        near_one = {(2**52, 2**26, 2**26): math.nextafter(1.0, 2.0), (2**52 - 1, 2**26, 0): math.nextafter(1.0, 0.0)}
+        if units in near_one:
+            assert math.sqrt(x * x + y * y + z * z) == near_one[units]
+
+        # Oracle: the linear inversion with its negative eigenvalue clipped
+        # and the trace renormalized.
+        values, vectors = np.linalg.eigh(0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]))
+        projected = (vectors * np.clip(values, 0.0, None)) @ vectors.conj().T
+        projected /= np.trace(projected).real
+        assert np.abs(result.reconstructed_rho - projected).max() <= 1e-15
+        assert abs(result.trace_distance - trace_distance(result.reconstructed_rho, result.exact_rho)) <= 1e-15
+
+    def test_no_eigen_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert simulate_tomography(SUPERPOSITION_CONFIG, 0).trace_distance <= 1e-10
+        assert simulate_tomography(SUPERPOSITION_CONFIG, 10**6, 7).trace_distance <= 0.01
 
     def test_sampled_converges(self):
         result = simulate_tomography(SUPERPOSITION_CONFIG, 10**6, seed=7)
@@ -513,3 +565,29 @@ class TestTraceDistance:
     def test_identical_states(self):
         rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-15)
+
+    def test_hermitian_pair_as_lists(self):
+        # |+><+| against I/2: rho - sigma = [[0, 1/2], [1/2, 0]], eigenvalues +-1/2.
+        assert trace_distance([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0], [0, 0.5]]) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "rho, sigma, message",
+        [
+            # eigvalsh reads one triangle: it gave 0.0 here and 1.0 for the transpose.
+            ([[0, 1], [0, 0]], [[0, 0], [0, 0]], "rho - sigma must be Hermitian within 1e-12, got max |D - D^H| = 1.000e+00"),
+            ([[0, 0], [1, 0]], [[0, 0], [0, 0]], "rho - sigma must be Hermitian within 1e-12, got max |D - D^H| = 1.000e+00"),
+            ([[1, 0], [0, 0]], [[1, 0], [0, 1j]], "rho - sigma must be Hermitian within 1e-12, got max |D - D^H| = 2.000e+00"),
+            ([[math.nan, 0], [0, 0]], [[0, 0], [0, 0]], "rho - sigma must be Hermitian within 1e-12, got max |D - D^H| = nan"),
+            ([[0, 1], [0, 0]], 0, "trace distance needs two square matrices of one shape, got (2, 2) and ()"),
+            ([[1, 0], [0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+             "trace distance needs two square matrices of one shape, got (2, 2) and (3, 3)"),
+            ([[1, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 0, 0]],
+             "trace distance needs two square matrices of one shape, got (2, 3) and (2, 3)"),
+            ([1, 0], [1, 0], "trace distance needs two square matrices of one shape, got (2,) and (2,)"),
+        ],
+        ids=["upper", "lower", "complex-diagonal", "nan", "scalar", "unequal", "non-square", "vector"],
+    )
+    def test_rejects_what_it_cannot_answer(self, rho, sigma, message):
+        with pytest.raises(ValueError) as err:
+            trace_distance(rho, sigma)
+        assert str(err.value) == message

@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 
@@ -579,6 +581,29 @@ class TestOutputPlumbing:
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
             assert out == fresh[argv]
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86-64 kernels and dispatch targets")
+    def test_tomo_bytes_do_not_depend_on_the_kernel(self):
+        # The default kernels, another OpenBLAS core type, and numpy with every
+        # SIMD target it can dispatch to disabled, each in the child only.
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_dispatch__
+        variants = [{}, {"OPENBLAS_CORETYPE": "Haswell"}, {"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}]
+        for args in [
+            "tomo --k 8 --delta 0.3 --bob split:0.7 --shots 1000 --seed 3",
+            "tomo --k 64 --bob split:0.7 --final-block --shots 0",
+            "tomo --k 4096 --bob block --final-block --shots 0",
+            "tomo --k 512 --bob split:0.7 --shots 100000 --seed 7",
+        ]:
+            outputs = [
+                subprocess.run([sys.executable, "-m", "cfcomm", *args.split()], capture_output=True, check=True,
+                               env={**os.environ, **extra}).stdout
+                for extra in variants
+            ]
+            assert outputs[1] == outputs[0], f"{args}: OPENBLAS_CORETYPE=Haswell"
+            assert outputs[2] == outputs[0], f"{args}: numpy dispatch disabled"
 
     def test_subprocess_byte_identical(self):
         argv = [sys.executable, "-m", "cfcomm", "tomo", "--k", "2", "--delta", "0.2",
