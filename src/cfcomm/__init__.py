@@ -1,44 +1,9 @@
 """Counterfactual communication toolkit: modal protocol evolution, Feynman
-path-history analysis, MZI-mesh compilation, and output-qubit tomography."""
+path-history analysis, MZI-mesh compilation, and output-qubit tomography.
+Each export loads from its submodule on first use, so ``import cfcomm``
+alone loads neither the submodules nor numpy."""
 
-from .chip import (
-    InsufficientStatisticsError,
-    MeshEquivalenceReport,
-    MeshProgram,
-    MziSetting,
-    TomographyResult,
-    compile_program,
-    mesh_unitary,
-    simulate_tomography,
-    trace_distance,
-    verify,
-)
-from .histories import (
-    CounterfactualityReport,
-    EnumerationLimitError,
-    History,
-    amplitude_by_paths,
-    counterfactuality_report,
-    enumerate_histories,
-)
-from .modes import ModeBasis, PureState, UnitaryOp
-from .protocol import (
-    BLOCK,
-    PASS,
-    BobAction,
-    OutcomeDistribution,
-    PostselectionError,
-    ProtocolConfig,
-    Step,
-    SweepRow,
-    alice_reduced_state,
-    build_steps,
-    closed_form,
-    evolution_unitary,
-    run,
-    splitter,
-    sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -78,3 +43,23 @@ __all__ = [
     "trace_distance",
     "verify",
 ]
+
+_SUBMODULES = ("modes", "protocol", "histories", "chip")
+
+
+def __getattr__(name: str) -> object:
+    """A submodule, or an exported name taken from the first submodule whose
+    ``__all__`` lists it and kept here, so this runs once per name."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # the import binds it here too
+    if name in __all__:
+        for submodule in _SUBMODULES:
+            home = importlib.import_module(f"{__name__}.{submodule}")
+            if name in home.__all__:
+                value = globals()[name] = getattr(home, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

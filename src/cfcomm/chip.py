@@ -81,18 +81,15 @@ class MziSetting:
     role: str
 
     def __init__(self, pair: int, theta: float, phi: float, role: str) -> None:
-        if type(pair) is not int:
-            pair = plain_int(pair, "pair index")
+        pair = plain_int(pair, "pair index")
         if pair < 0:
             raise ValueError(f"pair index must be >= 0, got {pair}")
         if role not in _ROLES:
             raise ValueError(f"unknown MZI role {role!r}")
-        t, f = theta, phi
-        if type(t) is not float or type(f) is not float:
-            try:
-                t, f = plain_float(theta, "theta"), plain_float(phi, "phi")
-            except ValueError:
-                raise ValueError(f"MZI phases must be real numbers, got theta={theta!r}, phi={phi!r}") from None
+        try:
+            t, f = plain_float(theta, "theta"), plain_float(phi, "phi")
+        except ValueError:
+            raise ValueError(f"MZI phases must be real numbers, got theta={theta!r}, phi={phi!r}") from None
         if not (math.isfinite(t) and math.isfinite(f)):
             raise ValueError(f"MZI phases must be finite, got theta={theta!r}, phi={phi!r}")
         fields = self.__dict__  # the frozen __setattr__ refuses
@@ -208,7 +205,7 @@ def _lowered_steps(config: ProtocolConfig) -> Iterator[tuple[int, float | None, 
     B past Ln.  At the end B and then C walk home, and so does every Ln.
     """
     steps = protocol.build_steps(config)
-    remaining = sum(step.kind == protocol.BOB_INTERACTION for step in steps)
+    remaining = len(steps) - 1 - config.k  # the Bob steps, after the outer and K inner rotations
     b = 1
     for step in steps:
         if step.kind == protocol.OUTER_ROTATION:
@@ -261,15 +258,14 @@ def _placed(config: ProtocolConfig) -> list[tuple[int, float, float, str]]:
     phases d, each final phase one d[m] times a factor free of d.  The first
     MZI, alone on pair 0, is the outer rotation, so A's factor multiplies
     d[1]; the second, the first inner rotation, overwrites B's phase, so
-    B's never does.  A walk with d = 1 finds the factors, d[1] = coeff[1] /
-    coeff[0] equalizes the A and B output phases (the coherence tomography
-    measures), and a second walk emits the settings."""
+    B's never does.  A walk with d = 1 finds the factors and the settings;
+    d[1] = coeff[1] / coeff[0] equalizes the A and B output phases (the
+    coherence tomography measures), so those two MZIs are walked again."""
     ops = list(_lowered_steps(config))  # checks K against protocol.MAX_CYCLES first
     coeff = [1.0 + 0.0j] * config.mode_basis().size
-    _phase_walk(ops, coeff)
-    d = [1.0 + 0.0j] * len(coeff)
-    d[1] = coeff[1] / coeff[0]
-    return _phase_walk(ops, d)
+    placed = _phase_walk(ops, coeff)
+    placed[:2] = _phase_walk(ops[:2], [1.0 + 0.0j, coeff[1] / coeff[0], 1.0 + 0.0j])
+    return placed
 
 
 def compile_program(config: ProtocolConfig) -> MeshProgram:
@@ -290,7 +286,7 @@ def compile_program(config: ProtocolConfig) -> MeshProgram:
             columns.append([])
         columns[column].append(MziSetting(pair, theta_m, phi_m, role))
         free[pair] = free[pair + 1] = column + 1
-    return MeshProgram(size, tuple(map(tuple, columns)))
+    return MeshProgram(size, columns)
 
 
 def _records(program: MeshProgram) -> Iterator[tuple[int, float, float]]:

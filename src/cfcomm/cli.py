@@ -126,9 +126,9 @@ def _record_csv_row(record: dict) -> str:
 def _sweep_output(
     ns: argparse.Namespace, k_values: list[int], delta_values: list[float], single: bool
 ) -> tuple[object, int]:
-    """One record per point of the grid, from ``protocol.sweep``: CSV text,
-    or for JSON a list, or the lone record itself when ``single`` is set."""
-    rows = protocol.sweep(k_values, delta_values, ns.bob, ns.final_block)
+    """One record per grid point, from ``protocol._sweep_rows`` row by row:
+    CSV text, or for JSON a list, or the lone record when ``single`` is set."""
+    rows = protocol._sweep_rows(k_values, delta_values, ns.bob, ns.final_block)
     records = [_run_record(row, ns.bob, ns.final_block) for row in rows]
     if ns.format == "csv":
         return "\n".join([CSV_HEADER] + [_record_csv_row(r) for r in records]) + "\n", EXIT_OK

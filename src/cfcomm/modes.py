@@ -13,6 +13,7 @@ record stores what they return.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -54,18 +55,22 @@ _TRIG_SNAP = 1e-15
 
 
 def plain_int(value: object, name: str) -> int:
-    """``value`` as a plain int: a Python or numpy integer; a bool, a float
-    and every other type raise ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """``value`` as a plain int: an exact ``int`` at once, else any
+    ``numbers.Integral`` but a bool; every other type raises ``ValueError``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def plain_float(value: object, name: str) -> float:
-    """``value`` as a plain float.  A Python or numpy integer or float counts,
-    an int past the float range as +-inf; a bool and every other type
-    raise ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    """``value`` as a plain float: an exact ``float`` at once, else any
+    ``numbers.Real`` but a bool (a ``Fraction`` too), one past the float
+    range as +-inf; every other type raises ``ValueError``."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)

@@ -13,6 +13,7 @@ the dense ``evolution_unitary`` by ``modes.MAX_DENSE_CYCLES``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,7 +68,7 @@ MAX_CYCLES = 4096
 
 
 class PostselectionError(ValueError):
-    """Raised when the {A, B} subspace carries no amplitude at all."""
+    """Raised when the {A, B} subspace carries no amplitude above round-off."""
 
 
 @dataclass(frozen=True)
@@ -313,14 +314,18 @@ def sweep(
     for an empty list, any bad K or delta, or K past ``MAX_CYCLES``, before
     the first evolution.
     """
+    return list(_sweep_rows(k_values, delta_values, bob, include_final_block))
+
+
+def _sweep_rows(k_values: list[int], delta_values: list[float], bob: BobAction, final: bool) -> Iterator[SweepRow]:
+    """The rows of ``sweep``, formed one K at a time; its checks run on the first ``next``."""
     if not k_values or not delta_values:
         raise ValueError("sweep needs at least one K and one delta")
-    configs = [ProtocolConfig(k, 0.0, bob, include_final_block) for k in k_values]
+    configs = [ProtocolConfig(k, 0.0, bob, final) for k in k_values]
     _check_cycles(max(config.k for config in configs))
     deltas = [check_delta(delta) for delta in delta_values]
     # (cos phi, sin phi) per delta, the entries of run's outer rotation block.
     outer = np.array([exact_cos_sin(math.pi / 2 - delta) for delta in deltas])
-    rows = []
     for config in configs:
         basis = config.mode_basis()
         inner = [0.0] * basis.size
@@ -331,8 +336,7 @@ def sweep(
         amps[:, 0] = outer[:, 0]
         probs = np.abs(amps) ** 2
         for delta, row_probs in zip(deltas, probs):
-            rows.append(SweepRow(config.k, delta, OutcomeDistribution.from_probabilities(row_probs)))
-    return rows
+            yield SweepRow(config.k, delta, OutcomeDistribution.from_probabilities(row_probs))
 
 
 def alice_reduced_state(final: PureState) -> tuple[np.ndarray, float]:
@@ -340,12 +344,13 @@ def alice_reduced_state(final: PureState) -> tuple[np.ndarray, float]:
 
     rho is the rank-1 density matrix of Alice's qubit (basis order A, B);
     p_AB the probability of landing in the subspace at all.  Raises
-    ``PostselectionError`` when p_AB is 0.
+    ``PostselectionError`` when the {A, B} amplitude norm is at most
+    ``NORM_TOL`` (p_AB <= ``NORM_TOL``**2), the bound of a ``vacuous`` report.
     """
     pair = np.asarray(final.amplitudes[:2])
     p_ab = float(np.sum(np.abs(pair) ** 2))
-    if p_ab == 0.0:
-        raise PostselectionError("no amplitude in the {A, B} subspace; nothing to postselect on")
+    if p_ab <= NORM_TOL**2:
+        raise PostselectionError(f"{{A, B}} amplitude norm {p_ab**0.5:.3e} <= {NORM_TOL:g}: nothing to postselect on")
     rho = np.outer(pair, pair.conj()) / p_ab
     rho.setflags(write=False)
     return rho, p_ab

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -92,6 +93,20 @@ class TestSweep:
         assert code == 0
         rows = json.loads(out)
         assert isinstance(rows, list) and len(rows) == 1
+
+    def test_rows_are_held_one_k_at_a_time(self, capsys):
+        # 6,144 rows of up to K + 3 probabilities each: kept whole until the
+        # output is written, their distributions alone took about 30 MB.
+        argv = ["sweep", "--k", "1:256", "--delta", "0:1.5:0.0652", "--bob", "split:0.7"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 256 * 24
+        assert peak <= 12_000_000, peak
 
     # Each of these would expand to about 1e12 points; the count is checked
     # before any list is built.
@@ -330,6 +345,15 @@ class TestTomo:
     def test_empty_subspace_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "tomo", "--k", "1", "--delta", "0", "--bob", "block", "--shots", "0")
         assert code == 1
+
+    # At K = 1 the {A, B} amplitudes are exactly zero; at K = 4 under pass they
+    # are round-off, which analytic tomography once reported as a state.
+    @pytest.mark.parametrize(("k", "bob", "norm"), [("1", "block", "0.000e+00"), ("4", "pass", "1.110e-16")])
+    @pytest.mark.parametrize("shots", ["0", "100000"])
+    def test_empty_postselection_message(self, capsys, k, bob, norm, shots):
+        code, out, err = run_cli(capsys, "tomo", "--k", k, "--bob", bob, "--shots", shots)
+        assert (code, out) == (1, "")
+        assert err == f"error: {{A, B}} amplitude norm {norm} <= 1e-12: nothing to postselect on\n"
 
     def test_shots_past_the_multinomial_limit(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

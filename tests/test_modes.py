@@ -1,5 +1,7 @@
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from cfcomm.modes import (
     check_block,
     compose_unitary,
     embed,
+    plain_float,
+    plain_int,
     rotation_block,
 )
 
@@ -111,6 +115,46 @@ class TestModeBasis:
         for mode in ("Q", "L0", f"L0{k}", f"L{k + 1}", "L" + "9" * 5000):
             with pytest.raises(ValueError, match=f"unknown mode {mode!r}"):
                 basis.index(mode)
+
+
+class TestPlainNumbers:
+    # numbers.Integral and numbers.Real decide, and a bool is neither.
+    @pytest.mark.parametrize(
+        ("value", "want"),
+        [(3, 3), (np.int64(3), 3), (np.uint8(3), 3), (10**400, 10**400)],
+    )
+    def test_integers(self, value, want):
+        got = plain_int(value, "n")
+        assert type(got) is int
+        assert got == want
+
+    @pytest.mark.parametrize(
+        ("value", "want"),
+        [
+            (1.5, 1.5),
+            (np.float32(0.1), 0.10000000149011612),
+            (np.int64(3), 3.0),
+            (Fraction(1, 3), 1 / 3),
+            (Fraction(-(10**400)), -math.inf),
+            (10**400, math.inf),
+        ],
+    )
+    def test_reals(self, value, want):
+        got = plain_float(value, "x")
+        assert type(got) is float
+        assert got == want
+
+    def test_a_fraction_is_no_integer(self):
+        with pytest.raises(ValueError) as err:
+            plain_int(Fraction(1, 3), "n")
+        assert str(err.value) == "n must be an integer, got Fraction(1, 3)"
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), Decimal("1.5"), 1.5 + 0j, np.complex128(1), "1", None])
+    def test_refused(self, value):
+        for check, kind in ((plain_int, "an integer"), (plain_float, "a real number")):
+            with pytest.raises(ValueError) as err:
+                check(value, "v")
+            assert str(err.value) == f"v must be {kind}, got {value!r}"
 
 
 class TestBasisState:

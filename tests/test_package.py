@@ -1,0 +1,86 @@
+"""The package's public surface: each name in ``cfcomm.__all__`` is its home
+module's object, loaded on first use, and a bare ``import cfcomm`` loads no
+submodule and no numpy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cfcomm
+from cfcomm import chip, histories, modes, protocol
+
+SUBMODULES = {"chip": chip, "histories": histories, "modes": modes, "protocol": protocol}
+
+EXPORTS = {
+    chip: [
+        "InsufficientStatisticsError", "MeshEquivalenceReport", "MeshProgram", "MziSetting", "TomographyResult",
+        "compile_program", "mesh_unitary", "simulate_tomography", "trace_distance", "verify",
+    ],
+    histories: [
+        "CounterfactualityReport", "EnumerationLimitError", "History", "amplitude_by_paths",
+        "counterfactuality_report", "enumerate_histories",
+    ],
+    modes: ["ModeBasis", "PureState", "UnitaryOp"],
+    protocol: [
+        "BLOCK", "PASS", "BobAction", "OutcomeDistribution", "PostselectionError", "ProtocolConfig", "Step",
+        "SweepRow", "alice_reduced_state", "build_steps", "closed_form", "evolution_unitary", "run", "splitter",
+        "sweep",
+    ],
+}
+HOMES = {name: module for module, names in EXPORTS.items() for name in names}
+
+
+def test_all_is_the_34_exports():
+    assert len(HOMES) == 34
+    assert sorted(cfcomm.__all__) == sorted(HOMES)
+
+
+@pytest.mark.parametrize("name", sorted(HOMES))
+def test_each_name_is_its_home_modules_object(name):
+    assert getattr(cfcomm, name) is getattr(HOMES[name], name)
+
+
+def test_submodules_and_version():
+    for name, module in SUBMODULES.items():
+        assert getattr(cfcomm, name) is module
+    assert cfcomm.__dict__["__version__"] == "0.1.0"
+
+
+def test_dir_lists_every_export_and_submodule():
+    dunders = [
+        "__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__", "__package__",
+        "__path__", "__spec__", "__version__",
+    ]
+    assert set(dir(cfcomm)) >= {*HOMES, *SUBMODULES, *dunders}
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError) as err:
+        cfcomm.no_such_name
+    assert str(err.value) == "module 'cfcomm' has no attribute 'no_such_name'"
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace: dict = {}
+    exec("from cfcomm import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == {name: getattr(HOMES[name], name) for name in HOMES}
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    src = str(Path(cfcomm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, cfcomm\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'cfcomm.'))))\n"
+        "print(sorted({*cfcomm.__all__, 'chip', 'histories', 'modes', 'protocol'} - set(dir(cfcomm))))\n"
+        "cfcomm.ProtocolConfig\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cfcomm.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # The first use of a protocol name loads its home module and what that imports.
+    assert proc.stdout.splitlines() == ["[]", "[]", "['cfcomm.modes', 'cfcomm.protocol']"]

@@ -500,6 +500,29 @@ class TestAliceReducedState:
         with pytest.raises(PostselectionError):
             alice_reduced_state(PureState([0, 0, 1, 0], basis))
 
+    @pytest.mark.parametrize(
+        ("a", "norm"), [(1e-13, "1.000e-13"), (1e-12, "1.000e-12"), (1e-12 + 1e-27, None), (2e-12, None)]
+    )
+    def test_round_off_is_an_empty_subspace(self, a, norm):
+        # An {A, B} amplitude norm at most NORM_TOL, the bound under which an
+        # outcome report is vacuous, is round-off to postselect on.
+        state = PureState([a, 0, math.sqrt(1 - a * a), 0], ProtocolConfig(1, 0.0, PASS).mode_basis())
+        if norm is None:
+            rho, p_ab = alice_reduced_state(state)
+            assert p_ab == a * a
+            assert rho[0, 0] == 1.0
+        else:
+            with pytest.raises(PostselectionError) as err:
+                alice_reduced_state(state)
+            assert str(err.value) == f"{{A, B}} amplitude norm {norm} <= 1e-12: nothing to postselect on"
+
+    def test_pass_at_delta_zero_is_empty_past_k1(self):
+        # Under pass at delta = 0 the photon leaves A and B exactly at K = 1
+        # and up to round-off past it.
+        for k in (1, 2, 4, 64, 4096):
+            with pytest.raises(PostselectionError):
+                alice_reduced_state(run(ProtocolConfig(k, 0.0, PASS))[0])
+
     def test_density_matrix_contract(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -8,7 +8,8 @@ histories walked over full matrix columns.  The compiled mesh and the
 phase verifier are checked against the modal evolution itself, the
 batched verifier against Kruskal's loop offering one edge at a time, and
 the tomography column, walked from the compiler's MZIs, against the column
-read from the compiled program's records, bit for bit.  The
+read from the compiled program's records, bit for bit.  The compiler's
+single phase walk is held by ``repr`` to two full walks.  The
 real modal evolution (float blocks, float amplitudes, a float64
 ``evolution_unitary``) is checked bit for bit against the same evolution
 run on complex amplitudes and complex blocks.
@@ -35,6 +36,8 @@ from cfcomm.chip import (
     _lowered_steps,
     _mzi_walk,
     _phase_edges,
+    _phase_walk,
+    _placed,
     _records,
     _tomography_column,
     compile_program,
@@ -313,6 +316,28 @@ def test_walk_column_is_the_record_column(config):
     records[0] = 1 + 0j
     apply_blocks(_mzi_walk(_records(program)), records)
     assert np.array_equal(_tomography_column(config), np.array(records))
+
+
+def two_walk_placed(config):
+    """The settings of two full phase walks: one with unit input phases to
+    find the factors, one with d[1] = coeff[1] / coeff[0] to emit them."""
+    ops = list(_lowered_steps(config))
+    coeff = [1.0 + 0.0j] * config.mode_basis().size
+    _phase_walk(ops, coeff)
+    d = [1.0 + 0.0j] * len(coeff)
+    d[1] = coeff[1] / coeff[0]
+    return _phase_walk(ops, d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.builds(ProtocolConfig, st.integers(1, 64), deltas, st.one_of(actions, st.just(splitter(1e-9))), st.booleans()))
+@example(ProtocolConfig(1, 0.0, BLOCK))
+@example(ProtocolConfig(512, 0.3, splitter(0.7), True))
+@example(ProtocolConfig(4096, 1.2, BLOCK, True))
+def test_one_phase_walk_is_the_two_walk_reference(config):
+    # Input B's phase d[1] reaches only the outer rotation and the first
+    # inner rotation, so only those two are walked again.
+    assert repr(_placed(config)) == repr(two_walk_placed(config))
 
 
 @pytest.mark.parametrize("shots", [0, 100_000])
