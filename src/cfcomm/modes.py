@@ -3,11 +3,12 @@ operations that act on them.
 
 Modes: channel modes A, B, C at slots 0..2, loss modes L1..LK behind them,
 so K alone fixes the basis.  A two-mode operation is a ``Block``, a checked
-2x2 unitary on one pair of slots.  Dense M x M matrices (M = K + 3) are built
-only by ``embed`` and ``compose_unitary``, both bounded by
-``MAX_DENSE_CYCLES``.  ``plain_int`` and ``plain_float`` are the
-package's one rule for what counts as an integer or a real number; every
-record stores what they return.
+2x2 unitary on one pair of slots.  Every trig value is ``math.cos`` or
+``math.sin``, except cos(pi/2), which ``exact_cos_sin`` makes exactly 0.0.
+Dense M x M matrices (M = K + 3) are built only by ``embed`` and
+``compose_unitary``, both bounded by ``MAX_DENSE_CYCLES``.  ``plain_int``
+and ``plain_float`` are the package's one rule for what counts as an
+integer or a real number; every record stores what they return.
 """
 
 from __future__ import annotations
@@ -27,15 +28,12 @@ __all__ = [
     "ModeBasis",
     "PureState",
     "UnitaryOp",
-    "apply",
     "apply_blocks",
-    "basis_state",
     "check_block",
     "check_cycle_count",
     "check_dense_size",
     "check_norm",
     "compose_unitary",
-    "embed",
     "exact_cos_sin",
     "plain_float",
     "plain_int",
@@ -47,11 +45,6 @@ NORM_TOL = 1e-12
 # Largest K for which a dense M x M matrix (M = K + 3 modes) is built; at the
 # cap one holds 515^2 entries (about 4.2 MB complex, 2.1 MB real).
 MAX_DENSE_CYCLES = 512
-
-# cos(pi/2) lands ~6e-17 off zero in doubles.  Entries that are
-# mathematically zero must be exactly 0.0 because path enumeration and path
-# counts prune on exact zeros; every protocol angle keeps cos/sin far above.
-_TRIG_SNAP = 1e-15
 
 
 def plain_int(value: object, name: str) -> int:
@@ -88,14 +81,12 @@ def check_cycle_count(k: object) -> int:
 
 
 def exact_cos_sin(angle: float) -> tuple[float, float]:
-    """cos/sin of ``angle`` with sub-epsilon values snapped to exactly 0.0."""
-    c = math.cos(angle)
-    s = math.sin(angle)
-    if abs(c) < _TRIG_SNAP:
-        c = 0.0
-    if abs(s) < _TRIG_SNAP:
-        s = 0.0
-    return c, s
+    """``(math.cos(angle), math.sin(angle))``, but exactly (0.0, 1.0) at the
+    float pi/2, whose cosine rounds to 6e-17.  On [0, pi/2] that is the one
+    exact zero rounding loses; path counts prune on exact zeros."""
+    if angle == math.pi / 2:
+        return 0.0, 1.0
+    return math.cos(angle), math.sin(angle)
 
 
 # A 2x2 unitary ((u00, u01), (u10, u11)) acting on one mode pair: Python
@@ -182,10 +173,6 @@ class UnitaryOp:
             raise ValueError(f"matrix is not unitary: max |{gram_name} - I| = {defect!r}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def basis_state(basis: ModeBasis, mode: str) -> PureState:
@@ -301,6 +288,6 @@ def embed(block: Block, i: int, j: int, size: int) -> UnitaryOp:
 
 def apply(op: UnitaryOp, state: PureState) -> PureState:
     """Matrix-vector product; ``ValueError`` if the dimensions differ."""
-    if op.dim != state.basis.size:
-        raise ValueError(f"dimension mismatch: operator is {op.dim}, state has {state.basis.size} modes")
+    if op.matrix.shape[0] != state.basis.size:
+        raise ValueError(f"dimension mismatch: operator is {op.matrix.shape[0]}, state has {state.basis.size} modes")
     return PureState(op.matrix @ state.amplitudes, state.basis)

@@ -75,7 +75,8 @@ class PostselectionError(ValueError):
 class BobAction:
     """What Bob does each cycle: block (exact swap into the loss mode), pass
     (do nothing), or a partial splitter rotation by beta, a real number in
-    [0, pi/2] stored as a float.  Anything else raises ``ValueError``."""
+    [0, pi/2] stored as a float, -0.0 as 0.0.  Anything else raises
+    ``ValueError``."""
 
     kind: str
     beta: float | None = None
@@ -89,7 +90,7 @@ class BobAction:
             beta = plain_float(self.beta, "splitter angle")
             if not 0.0 <= beta <= math.pi / 2:
                 raise ValueError(f"splitter angle must lie in [0, pi/2], got {beta!r}")
-            object.__setattr__(self, "beta", beta)
+            object.__setattr__(self, "beta", beta + 0.0)
         elif self.beta is not None:
             raise ValueError(f"{self.kind!r} action takes no angle")
 

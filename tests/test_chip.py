@@ -162,7 +162,9 @@ class TestMeshUnitary:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("bob", ALL_ACTIONS, ids=["pass", "block", "split"])
+    @pytest.mark.parametrize(
+        "bob", [*ALL_ACTIONS, splitter(9.9e-16)], ids=["pass", "block", "split", "split-9.9e-16"]
+    )
     @pytest.mark.parametrize("delta", [0.0, 0.1])
     @pytest.mark.parametrize("k", range(1, 7))
     def test_compiled_mesh_matches_modal(self, k, delta, bob):

@@ -58,6 +58,14 @@ class TestRun:
         assert code == 0
         assert out.split("\n")[1].split(",") == ["1", "0", "block", "false", "0", "0", "1", "0", ""]
 
+    def test_tiny_delta_keeps_d0_off_zero(self, capsys):
+        # cos(pi/2 - 5e-16) is about 5e-16, not a zero.
+        code, out, _ = run_cli(capsys, "run", "--k", "4", "--delta", "5e-16", "--bob", "block")
+        assert code == 0
+        p_d0 = json.loads(out)["p_D0"]
+        assert p_d0 > 0
+        assert p_d0 == pytest.approx(math.cos(math.pi / 2 - 5e-16) ** 2, rel=1e-12)
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--k", "2", "--delta", "0", "--bob", "block", "--format", "csv")
         assert code == 0
@@ -172,6 +180,17 @@ class TestRanges:
     def test_negative_zero_delta_prints_as_zero(self, capsys, argv, zero):
         assert run_cli(capsys, *argv, "--delta=-" + zero) == run_cli(capsys, *argv, "--delta=" + zero)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--k", "2"],
+            ["run", "--k", "3", "--final-block", "--format", "csv"],
+            ["sweep", "--k", "1:3", "--delta", "0:0.2", "--format", "json"],
+        ],
+    )
+    def test_negative_zero_splitter_angle_prints_as_zero(self, capsys, argv):
+        assert run_cli(capsys, *argv, "--bob", "split:-0") == run_cli(capsys, *argv, "--bob", "split:0")
+
     # 1e20 points overflow len(range(...)), and a 400-digit stop overflows
     # int / int true division; both are counted exactly instead.
     @pytest.mark.parametrize(
@@ -234,6 +253,17 @@ class TestTrace:
         doc = json.loads(out)
         assert doc["vacuous"] is False
         assert doc["probability"] == pytest.approx(COS8_PI_8, abs=1e-12)
+
+    def test_tiny_splitter_angle_reaches_the_loss_mode(self, capsys):
+        # sin(9.9e-16) is not a zero: one path runs through C into L1.
+        code, out, _ = run_cli(
+            capsys, "trace", "--k", "4", "--delta", "0.3", "--bob", "split:9.9e-16", "--outcome", "L1"
+        )
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["c_visiting_paths"] == 1
+        assert doc["verdict"] is False
+        assert doc["probability"] > 0
 
     def test_past_the_enumeration_bound(self, capsys):
         code, out, _ = run_cli(capsys, "trace", "--k", "13", "--bob", "block", "--outcome", "B")

@@ -1,0 +1,75 @@
+"""``run`` held to a 40-digit re-evolution of the protocol.
+
+The oracle evolves the photon with mpmath at 40 digits, independently of
+``build_steps``: the outer rotation by phi = pi/2 - delta on (A, B), then K
+inner rotations by theta = pi/2K on (B, C), each but the last (or every one,
+with the final block) followed by Bob's step on (C, Ln).  phi and theta are
+computed in mpmath from the double delta and K, beta is the double beta,
+except that the double pi/2 stands for pi/2 itself: the convention
+``modes.exact_cos_sin`` encodes.
+"""
+
+import itertools
+import math
+
+import pytest
+
+from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, run, splitter
+
+mpmath = pytest.importorskip("mpmath")
+
+DIGITS = 40
+# On this grid every 40-digit amplitude is either first order in the angles
+# (above 2e-17), or at most second order in a tiny beta or zero up to the
+# oracle's round-off (below 1e-29).  ``run`` must keep the first kind off an
+# exact zero; the second lies under its rounding of O(1) terms and may cancel.
+FIRST_ORDER = 1e-24
+
+ACTIONS = [BLOCK, PASS, splitter(0.7), splitter(9.9e-16)]
+ACTION_IDS = ["block", "pass", "split-0.7", "split-9.9e-16"]
+
+
+def mp_cos_sin(double, exact):
+    """cos and sin of the angle ``exact``, whose double is ``double``; exactly
+    (0, 1) when ``double`` is the double pi/2."""
+    if double == math.pi / 2:
+        return mpmath.mpf(0), mpmath.mpf(1)
+    return mpmath.cos(exact), mpmath.sin(exact)
+
+
+def mp_rotate(amps, i, j, cos_sin):
+    """|i> -> cos|i> + sin|j>, |j> -> -sin|i> + cos|j>, as ``rotation_block``."""
+    c, s = cos_sin
+    amps[i], amps[j] = c * amps[i] - s * amps[j], s * amps[i] + c * amps[j]
+
+
+def mp_evolution(config):
+    """The final amplitudes over A, B, C, L1..LK at ``DIGITS`` digits."""
+    k, beta = config.k, config.bob.beta
+    outer = mp_cos_sin(config.phi, mpmath.pi / 2 - mpmath.mpf(config.delta))
+    inner = mp_cos_sin(config.theta, mpmath.pi / (2 * k))
+    amps = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (k + 2)
+    mp_rotate(amps, 0, 1, outer)
+    for n in range(1, k + 1):
+        mp_rotate(amps, 1, 2, inner)
+        if n == k and not config.include_final_block:
+            break
+        if config.bob.kind == "block":
+            amps[2], amps[2 + n] = amps[2 + n], amps[2]
+        elif config.bob.kind == "splitter":
+            mp_rotate(amps, 2, 2 + n, mp_cos_sin(beta, mpmath.mpf(beta)))
+    return amps
+
+
+@pytest.mark.parametrize("final_block", [False, True])
+@pytest.mark.parametrize("bob", ACTIONS, ids=ACTION_IDS)
+def test_run_matches_a_40_digit_evolution(bob, final_block):
+    for k, delta in itertools.product([1, 2, 3, 4, 5, 8, 17, 32, 64], [0.0, 5e-16, 0.3]):
+        config = ProtocolConfig(k, delta, bob, final_block)
+        with mpmath.workdps(DIGITS):
+            want = mp_evolution(config)
+        got = run(config)[0].amplitudes
+        for slot, (g, w) in enumerate(zip(got.tolist(), want)):
+            assert abs(g - complex(w)) <= 1e-12, (k, delta, slot, g, w)
+            assert not 1e-29 < abs(w) < 2e-17, (k, delta, slot, w)  # the gap FIRST_ORDER sits in
+            assert g != 0 or abs(w) < FIRST_ORDER, (k, delta, slot, w)

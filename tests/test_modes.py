@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfcomm.modes import (
     SWAP_BLOCK,
@@ -17,6 +19,7 @@ from cfcomm.modes import (
     check_block,
     compose_unitary,
     embed,
+    exact_cos_sin,
     plain_float,
     plain_int,
     rotation_block,
@@ -201,6 +204,20 @@ class TestRotation:
     def test_same_mode_rejected(self):
         with pytest.raises(ValueError):
             rotation(0.3, 1, 1)
+
+
+class TestExactCosSin:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.floats(0.0, math.pi / 2, exclude_max=True))
+    @example(9.9e-16)
+    @example(5e-324)
+    @example(1.5707963267948963)  # the double below pi/2
+    def test_math_cos_sin_below_a_right_angle(self, angle):
+        assert repr(exact_cos_sin(angle)) == repr((math.cos(angle), math.sin(angle)))
+
+    def test_cos_is_exactly_zero_at_pi_over_2(self):
+        assert math.cos(math.pi / 2) != 0.0
+        assert repr(exact_cos_sin(math.pi / 2)) == "(0.0, 1.0)"
 
 
 class TestSwap:

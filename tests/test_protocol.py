@@ -35,7 +35,8 @@ COS8_PI_8 = 0.5307900429449552     # cos(pi/8)^8 = (17 + 12 sqrt 2)/64
 
 class TestDenseCap:
     def test_evolution_unitary_at_the_cap(self):
-        assert evolution_unitary(ProtocolConfig(MAX_DENSE_CYCLES, 0.0, BLOCK)).dim == MAX_DENSE_CYCLES + 3
+        size = MAX_DENSE_CYCLES + 3
+        assert evolution_unitary(ProtocolConfig(MAX_DENSE_CYCLES, 0.0, BLOCK)).matrix.shape == (size, size)
 
     def test_evolution_unitary_above_the_cap(self):
         with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
@@ -215,6 +216,13 @@ class TestConfigValidation:
             with pytest.raises(ValueError) as err:
                 make()
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("beta", [-0.0, np.float64(-0.0), 0.0, 0])
+    def test_negative_zero_splitter_angle_is_stored_as_zero(self, beta):
+        action = splitter(beta)
+        assert math.copysign(1.0, action.beta) == 1.0
+        assert action.label() == "split:0"
+        assert action == splitter(0.0)
 
     @pytest.mark.parametrize("beta", [1, np.int64(1), np.float32(1.0), np.float64(1.0)])
     def test_splitter_angle_is_stored_as_a_float(self, beta):

@@ -514,7 +514,7 @@ def embedded_product(ops, size):
 
 
 angles = st.one_of(
-    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]),  # right angles: zero diagonals
+    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]),  # zero diagonals only at +pi/2
     st.floats(-2 * math.pi, 2 * math.pi),
 )
 blocks = st.one_of(
