@@ -26,7 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modes, protocol
-from .modes import Block, PureState, UnitaryOp, apply_blocks, check_block, compose_unitary, plain_float, plain_int
+from .modes import (
+    MAX_SHOTS,
+    Block,
+    PureState,
+    UnitaryOp,
+    apply_blocks,
+    check_block,
+    check_seed,
+    check_shots,
+    check_tolerance,
+    compose_unitary,
+    plain_float,
+    plain_int,
+)
 from .protocol import ProtocolConfig, alice_reduced_state
 
 __all__ = [
@@ -52,9 +65,6 @@ __all__ = [
 ]
 
 TWO_PI = 2 * math.pi
-
-# Largest shot count per basis: numpy's multinomial takes it as a C long.
-MAX_SHOTS = 2**63 - 1
 
 ROLE_OUTER = protocol.OUTER_ROTATION
 ROLE_INNER = protocol.INNER_ROTATION
@@ -203,14 +213,16 @@ def _lowered_steps(config: ProtocolConfig) -> Iterator[tuple[int, float | None, 
     each inner rotation acts on (B, C) and Bob's step is the blocker on
     (C, Ln).  After every Bob step but the last, two routers move C and then
     B past Ln.  At the end B and then C walk home, and so does every Ln.
+    Each op of ``config.step_ops()`` is named by its modal pair: (0, 1) the
+    outer rotation, (1, 2) an inner rotation, (2, 2 + n) a Bob step.
     """
-    steps = protocol.build_steps(config)
-    remaining = len(steps) - 1 - config.k  # the Bob steps, after the outer and K inner rotations
+    ops = config.step_ops()
+    remaining = len(ops) - 1 - config.k  # the Bob steps, after the outer and K inner rotations
     b = 1
-    for step in steps:
-        if step.kind == protocol.OUTER_ROTATION:
+    for pair, _ in ops:
+        if pair == (0, 1):
             yield 0, config.phi, ROLE_OUTER
-        elif step.kind == protocol.INNER_ROTATION:
+        elif pair == (1, 2):
             yield b, config.theta, ROLE_INNER
         else:
             yield b + 1, config.bob.beta, ROLE_BLOCKER
@@ -408,15 +420,6 @@ def _kruskal(forest: _UnionFind, ends: np.ndarray, others: np.ndarray, join: Cal
             ends, others = ends[apart], others[apart]
 
 
-def check_tolerance(tol: object) -> float:
-    """``tol`` as a plain float; ``ValueError`` unless it is a finite real
-    number >= 0."""
-    value = plain_float(tol, "tolerance")
-    if not 0 <= value < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
-    return value
-
-
 def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> MeshEquivalenceReport:
     """Find diagonal phases with D_out U_mesh D_in = U_modal, the output
     phases on A and B equal; ``equivalent`` when the residual and the A/B
@@ -526,24 +529,6 @@ def _basis_probabilities(psi: np.ndarray, basis_name: str) -> np.ndarray:
     out = np.array(psi, dtype=complex)
     apply_blocks(_READOUT[basis_name], out)
     return np.abs(out) ** 2
-
-
-def check_shots(shots: object) -> int:
-    """Shots per basis as a plain int; ``ValueError`` unless it is an integer
-    in [0, ``MAX_SHOTS``]."""
-    shots = plain_int(shots, "shots per basis")
-    if not 0 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots per basis must lie in [0, 2**63 - 1], got {shots}")
-    return shots
-
-
-def check_seed(seed: object) -> int:
-    """The sampling seed as a plain int; ``ValueError`` unless it is an
-    integer >= 0."""
-    seed = plain_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 def simulate_tomography(config: ProtocolConfig, shots_per_basis: int, seed: int = 0) -> TomographyResult:

@@ -15,7 +15,7 @@ import math
 import sys
 from collections.abc import Callable
 
-from . import chip, histories, modes, protocol
+from . import modes, protocol
 
 CSV_HEADER = "K,delta,bob,final_block,p_D0,p_D1,p_D3,p_loss_total,p_D1_renorm"
 
@@ -140,7 +140,9 @@ def _config_from(ns: argparse.Namespace) -> protocol.ProtocolConfig:
 
 
 # Each handler returns (payload, exit code): the payload is CSV text or a
-# document that ``main`` encodes as JSON through ``_json``.
+# document that ``main`` encodes as JSON through ``_json``.  ``histories`` and
+# ``chip`` are imported only in the handlers that use them, so ``run`` and
+# ``sweep`` load neither.
 
 
 def _cmd_run(ns: argparse.Namespace) -> tuple[object, int]:
@@ -152,11 +154,15 @@ def _cmd_sweep(ns: argparse.Namespace) -> tuple[object, int]:
 
 
 def _cmd_trace(ns: argparse.Namespace) -> tuple[object, int]:
+    from . import histories
+
     report = histories.counterfactuality_report(_config_from(ns), ns.outcome)
     return report, EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 
 def _cmd_chip(ns: argparse.Namespace) -> tuple[object, int]:
+    from . import chip
+
     config = _config_from(ns)
     program = chip.compile_program(config)
     doc: dict = {"program": program.to_json_dict()}
@@ -169,6 +175,8 @@ def _cmd_chip(ns: argparse.Namespace) -> tuple[object, int]:
 
 
 def _cmd_tomo(ns: argparse.Namespace) -> tuple[object, int]:
+    from . import chip
+
     return chip.simulate_tomography(_config_from(ns), ns.shots, ns.seed), EXIT_OK
 
 
@@ -183,14 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     own_flags = {
         "trace": [("--outcome", dict(required=True, help="outcome mode label (A, B, C or Ln)"))],
         "chip": [
-            ("--tol", dict(type=_flag(float, chip.check_tolerance), default=1e-9,
+            ("--tol", dict(type=_flag(float, modes.check_tolerance), default=1e-9,
                            help="verification residual tolerance")),
             ("--emit-only", dict(action="store_true", help="emit the program, skip verification")),
         ],
         "tomo": [
-            ("--shots", dict(type=_flag(int, chip.check_shots), default=100000,
+            ("--shots", dict(type=_flag(int, modes.check_shots), default=100000,
                              help="shots per basis; 0 = analytic expectations")),
-            ("--seed", dict(type=_flag(int, chip.check_seed), default=0, help="sampling seed (>= 0)")),
+            ("--seed", dict(type=_flag(int, modes.check_seed), default=0, help="sampling seed (>= 0)")),
         ],
     }
     for name, handler, formats, help_text in (

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modes import NORM_TOL, apply_blocks
-from .protocol import ProtocolConfig, Step, build_steps
+from .modes import NORM_TOL, Block, apply_blocks
+from .protocol import ProtocolConfig
 
 __all__ = [
     "MAX_ENUMERATION_CYCLES",
@@ -59,16 +59,17 @@ class CounterfactualityReport:
     vacuous: bool
 
 
-def _column(step: Step, mode: int) -> list[tuple[int, complex]]:
-    """Column ``mode`` of the step's matrix as (row, entry) pairs in row
-    order, exactly-zero entries dropped.  A mode outside the step's pair
-    passes with amplitude 1; for one inside it, the column is the block
+def _column(op: tuple[tuple[int, int], Block], mode: int) -> list[tuple[int, complex]]:
+    """Column ``mode`` of the ``(pair, block)`` step's matrix as (row, entry)
+    pairs in row order, exactly-zero entries dropped.  A mode outside the
+    pair passes with amplitude 1; for one inside it, the column is the block
     applied to that mode's unit vector on the pair."""
-    if mode not in step.pair:
+    pair, block = op
+    if mode not in pair:
         return [(mode, 1 + 0j)]
-    unit = [1 + 0j, 0j] if mode == step.pair[0] else [0j, 1 + 0j]
-    apply_blocks([((0, 1), step.block)], unit)
-    return [(row, entry) for row, entry in zip(step.pair, unit) if entry != 0]
+    unit = [1 + 0j, 0j] if mode == pair[0] else [0j, 1 + 0j]
+    apply_blocks([((0, 1), block)], unit)
+    return [(row, entry) for row, entry in zip(pair, unit) if entry != 0]
 
 
 def enumerate_histories(config: ProtocolConfig) -> list[History]:
@@ -84,17 +85,17 @@ def enumerate_histories(config: ProtocolConfig) -> list[History]:
             f"path enumeration is limited to K <= {MAX_ENUMERATION_CYCLES}, got K = {config.k}"
         )
     labels = config.mode_basis().labels
-    steps = build_steps(config)
+    ops = config.step_ops()
     columns: dict[tuple[int, int], list[tuple[int, complex]]] = {}  # (depth, mode) -> column
     out: list[History] = []
 
     def walk(depth: int, mode: int, amplitude: complex, path: tuple[int, ...]) -> None:
-        if depth == len(steps):
+        if depth == len(ops):
             out.append(History(tuple(labels[m] for m in path), amplitude))
             return
         column = columns.get((depth, mode))
         if column is None:
-            column = columns[depth, mode] = _column(steps[depth], mode)
+            column = columns[depth, mode] = _column(ops[depth], mode)
         for nxt, entry in column:
             walk(depth + 1, nxt, amplitude * entry, path + (nxt,))
 
@@ -118,7 +119,7 @@ def counterfactuality_report(config: ProtocolConfig, outcome: str) -> Counterfac
     unknown label or K past ``protocol.MAX_CYCLES``."""
     basis = config.mode_basis()
     slot = basis.index(outcome)  # rejects unknown labels first
-    steps = build_steps(config)  # checks the K bound before anything is built
+    ops = config.step_ops()  # checks the K bound before anything is built
     a, c = basis.index("A"), basis.index("C")
     full = [0.0] * basis.size  # the steps' blocks are real
     full[a] = 1.0
@@ -126,9 +127,7 @@ def counterfactuality_report(config: ProtocolConfig, outcome: str) -> Counterfac
     full_n = [0] * basis.size
     full_n[a] = 1
     never_n = list(full_n)
-    for step in steps:
-        i, j = step.pair
-        (u00, u01), (u10, u11) = step.block
+    for (i, j), ((u00, u01), (u10, u11)) in ops:
         # Pruned on exact zeros, as in enumerate_histories; a bool counts as 0 or 1.
         n00, n01, n10, n11 = u00 != 0, u01 != 0, u10 != 0, u11 != 0
         x, y = full[i], full[j]

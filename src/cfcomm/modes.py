@@ -9,6 +9,9 @@ Dense M x M matrices (M = K + 3) are built only by ``embed`` and
 ``compose_unitary``, both bounded by ``MAX_DENSE_CYCLES``.  ``plain_int``
 and ``plain_float`` are the package's one rule for what counts as an
 integer or a real number; every record stores what they return.
+``check_cycle_count``, ``check_tolerance``, ``check_shots`` and
+``check_seed`` apply them to K and to the verification and tomography
+inputs, so the CLI parser checks those flags without importing ``chip``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "MAX_DENSE_CYCLES",
+    "MAX_SHOTS",
     "NORM_TOL",
     "SWAP_BLOCK",
     "Block",
@@ -33,6 +37,9 @@ __all__ = [
     "check_cycle_count",
     "check_dense_size",
     "check_norm",
+    "check_seed",
+    "check_shots",
+    "check_tolerance",
     "compose_unitary",
     "exact_cos_sin",
     "plain_float",
@@ -78,6 +85,37 @@ def check_cycle_count(k: object) -> int:
     if k < 1:
         raise ValueError(f"cycle count K must be >= 1, got {k}")
     return k
+
+
+def check_tolerance(tol: object) -> float:
+    """``tol`` as a plain float; ``ValueError`` unless it is a finite real
+    number >= 0."""
+    value = plain_float(tol, "tolerance")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    return value
+
+
+# Largest shot count per basis: numpy's multinomial takes it as a C long.
+MAX_SHOTS = 2**63 - 1
+
+
+def check_shots(shots: object) -> int:
+    """Shots per basis as a plain int; ``ValueError`` unless it is an integer
+    in [0, ``MAX_SHOTS``]."""
+    shots = plain_int(shots, "shots per basis")
+    if not 0 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots per basis must lie in [0, 2**63 - 1], got {shots}")
+    return shots
+
+
+def check_seed(seed: object) -> int:
+    """The sampling seed as a plain int; ``ValueError`` unless it is an
+    integer >= 0."""
+    seed = plain_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def exact_cos_sin(angle: float) -> tuple[float, float]:

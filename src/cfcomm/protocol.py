@@ -6,8 +6,9 @@ One run: an outer rotation by phi = pi/2 - delta between A and B, then K
 inner cycles, each a rotation by theta = pi/2K between B and C followed by
 Bob's interaction on (C, Ln) with a fresh loss mode per cycle.  Detectors:
 D0 on A (bit 0), D1 on B (bit 1), D3 on C (abort and restart).  The O(K)
-paths (``build_steps``, ``run``, ``sweep``) are bounded by ``MAX_CYCLES``,
-the dense ``evolution_unitary`` by ``modes.MAX_DENSE_CYCLES``.
+paths (``ProtocolConfig.step_ops``, and so ``build_steps``, ``run`` and
+``sweep``) are bounded by ``MAX_CYCLES``, the dense ``evolution_unitary`` by
+``modes.MAX_DENSE_CYCLES``.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ OUTER_ROTATION = "outer_rotation"
 INNER_ROTATION = "inner_rotation"
 BOB_INTERACTION = "bob_interaction"
 
-# Largest K that ``build_steps`` accepts.  Round-off in the K rotations adds
-# up: max K |c^2 + s^2 - 1| over K <= 4096 is 4.5e-13, but 1.05e-12 at
-# K = 10,000, past the 1e-12 norm tolerance.
+# Largest K that ``ProtocolConfig.step_ops`` accepts.  Round-off in the K
+# rotations adds up: max K |c^2 + s^2 - 1| over K <= 4096 is 4.5e-13, but
+# 1.05e-12 at K = 10,000, past the 1e-12 norm tolerance.
 MAX_CYCLES = 4096
 
 
@@ -153,6 +154,19 @@ class ProtocolConfig:
         """The basis for K, built on the first call and kept out of the fields."""
         return self.__dict__.get("_basis") or self.__dict__.setdefault("_basis", ModeBasis(self.k))
 
+    def step_ops(self) -> tuple[tuple[tuple[int, int], Block], ...]:
+        """The temporal step sequence as ``((i, j), block)`` ops of Python
+        floats, built on the first call and kept out of the fields.
+
+        The outer rotation on (A, B), then K inner cycles: a rotation on
+        (B, C), and Bob's interaction on (C, Ln) after inner rotations
+        1..K-1 (fresh loss mode each cycle, ascending) and, only when
+        ``include_final_block`` is set, once more after the K-th; pass is
+        the identity and is elided.  K above ``MAX_CYCLES`` raises
+        ``ValueError`` before any op is built.
+        """
+        return self.__dict__.get("_ops") or self.__dict__.setdefault("_ops", _build_ops(self))
+
 
 @dataclass(frozen=True, init=False)
 class Step:
@@ -217,17 +231,10 @@ def _check_cycles(k: int) -> None:
         )
 
 
-def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
-    """Temporal step sequence: outer rotation, then K inner cycles.
-
-    Bob's interaction appears after inner rotations 1..K-1 (fresh loss mode
-    each cycle, ascending) and, only when ``include_final_block`` is set,
-    once more after the K-th; pass is the identity and is elided.  K above
-    ``MAX_CYCLES`` raises ``ValueError`` before any step is built.
-    """
+def _build_ops(config: ProtocolConfig) -> tuple[tuple[tuple[int, int], Block], ...]:
+    """The ops of ``config.step_ops()``, which keeps them."""
     _check_cycles(config.k)
-    size = config.mode_basis().size
-    inner = Step(INNER_ROTATION, (1, 2), rotation_block(config.theta), size)
+    inner = ((1, 2), rotation_block(config.theta))
     bob = None
     if config.bob.kind == "block":
         bob = SWAP_BLOCK
@@ -235,22 +242,36 @@ def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
         bob = rotation_block(config.bob.beta)
     last_bob_cycle = config.k if config.include_final_block else config.k - 1
 
-    steps = [Step(OUTER_ROTATION, (0, 1), rotation_block(config.phi), size)]
+    ops = [((0, 1), rotation_block(config.phi))]
     for n in range(1, config.k + 1):
-        steps.append(inner)
+        ops.append(inner)
         if bob is not None and n <= last_bob_cycle:
-            steps.append(Step(BOB_INTERACTION, (2, 2 + n), bob, size))
-    return tuple(steps)
+            ops.append(((2, 2 + n), bob))
+    return tuple(ops)
+
+
+def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
+    """``config.step_ops()`` as fresh ``Step`` records, each kind read from
+    its pair: (0, 1) the outer rotation, (1, 2) an inner rotation, (2, 2 + n)
+    a Bob step.  The K inner rotations share one record.  ``ValueError`` for
+    K past ``MAX_CYCLES``."""
+    ops = config.step_ops()
+    size = config.mode_basis().size
+    inner = Step(INNER_ROTATION, *ops[1], size)
+    return tuple(
+        inner if pair == (1, 2) else Step(OUTER_ROTATION if pair == (0, 1) else BOB_INTERACTION, pair, block, size)
+        for pair, block in ops
+    )
 
 
 def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
     """The final state and detector statistics of the photon injected in mode
     A; ``ValueError`` for K past ``MAX_CYCLES``."""
-    steps = build_steps(config)
+    ops = config.step_ops()
     basis = config.mode_basis()
     amps = [0.0] * basis.size
     amps[basis.index("A")] = 1.0
-    apply_blocks(((step.pair, step.block) for step in steps), amps)
+    apply_blocks(ops, amps)
     state = PureState(np.array(amps), basis)
     return state, OutcomeDistribution.from_probabilities(np.abs(state.amplitudes) ** 2)
 
@@ -259,10 +280,10 @@ def evolution_unitary(config: ProtocolConfig) -> UnitaryOp:
     """The full evolution as one float64 matrix, every step being real;
     ``ValueError`` for K past ``modes.MAX_DENSE_CYCLES``."""
     size = config.mode_basis().size
-    # Checked here as well: the generator expression calls build_steps (O(K))
-    # before compose_unitary runs.
+    # Checked here as well, before step_ops: past MAX_CYCLES it would raise
+    # the cycle bound instead, and below it build O(K) ops for nothing.
     check_dense_size(size)
-    return compose_unitary(((step.pair, step.block) for step in build_steps(config)), size)
+    return compose_unitary(config.step_ops(), size)
 
 
 def closed_form(config: ProtocolConfig) -> OutcomeDistribution:
@@ -332,7 +353,7 @@ def _sweep_rows(k_values: list[int], delta_values: list[float], bob: BobAction, 
         inner = [0.0] * basis.size
         inner[basis.index("B")] = 1.0
         # Every step after the outer rotation is the same for every delta.
-        apply_blocks(((step.pair, step.block) for step in build_steps(config)[1:]), inner)
+        apply_blocks(config.step_ops()[1:], inner)
         amps = np.outer(outer[:, 1], inner)
         amps[:, 0] = outer[:, 0]
         probs = np.abs(amps) ** 2

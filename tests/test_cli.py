@@ -523,7 +523,7 @@ class TestCycleBound:
 class TestDenseCap:
     @pytest.mark.parametrize("argv", [["chip"], ["tomo", "--shots", "0"]])
     def test_huge_k_is_runtime_error(self, capsys, argv):
-        # Rejected by the cycle bound of build_steps before any mesh, column
+        # Rejected by the cycle bound of ProtocolConfig.step_ops before any mesh, column
         # or dense matrix is built.
         code, out, err = run_cli(capsys, *argv, "--k", "100000", "--bob", "block")
         assert code == 1

@@ -84,3 +84,27 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
     assert proc.returncode == 0, proc.stderr
     # The first use of a protocol name loads its home module and what that imports.
     assert proc.stdout.splitlines() == ["[]", "[]", "['cfcomm.modes', 'cfcomm.protocol']"]
+
+
+def test_run_and_sweep_load_neither_chip_nor_histories():
+    src = str(Path(cfcomm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import contextlib, io, sys\n"
+        "from cfcomm import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    codes = [cli.main(['run', '--k', '3', '--bob', 'block']),\n"
+        "             cli.main(['sweep', '--k', '1:4', '--delta', '0:0.3', '--bob', 'split:0.7', '--final-block'])]\n"
+        "print(codes, out.getvalue().count('\\n'))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cfcomm.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # The run record is 11 JSON lines, the sweep a header and 4 x 4 rows.
+    assert proc.stdout.splitlines() == ["[0, 0] 28", "['cfcomm.cli', 'cfcomm.modes', 'cfcomm.protocol']"]
+
+
+def test_chip_reexports_the_flag_checks_of_modes():
+    for name in ("MAX_SHOTS", "check_seed", "check_shots", "check_tolerance"):
+        assert name in chip.__all__ and name in modes.__all__
+        assert getattr(chip, name) is getattr(modes, name)

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcomm import protocol
+from cfcomm.chip import compile_program, mesh_unitary, simulate_tomography, verify
+from cfcomm.histories import counterfactuality_report, enumerate_histories
 from cfcomm.protocol import (
     BLOCK,
     MAX_CYCLES,
@@ -24,13 +26,15 @@ from cfcomm.protocol import (
     splitter,
     sweep,
 )
-from cfcomm.modes import MAX_DENSE_CYCLES, SWAP_BLOCK, PureState
+from cfcomm.modes import MAX_DENSE_CYCLES, SWAP_BLOCK, ModeBasis, PureState, rotation_block
 
 # Frozen oracle values (evaluated from the defining trig expressions).
 SIN_SQ_01 = 0.009966711079379185   # sin(0.1)^2
 COS_SQ_01 = 0.9900332889206209     # cos(0.1)^2
 SIN_SQ_005 = 0.002497917360987117  # sin(0.05)^2
 COS8_PI_8 = 0.5307900429449552     # cos(pi/8)^8 = (17 + 12 sqrt 2)/64
+
+FIELD_NAMES = ["k", "delta", "bob", "include_final_block"]
 
 
 class TestDenseCap:
@@ -55,6 +59,35 @@ def cycle_bound_message(k):
     )
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The K of every config whose step ops are built, in build order."""
+    calls = []
+    build = protocol._build_ops
+
+    def counting(config):
+        calls.append(config.k)
+        return build(config)
+
+    monkeypatch.setattr(protocol, "_build_ops", counting)
+    return calls
+
+
+def cached_ops(config):
+    """What the config keeps besides its fields and its ``ModeBasis``."""
+    return [
+        value for name, value in vars(config).items() if name not in FIELD_NAMES and not isinstance(value, ModeBasis)
+    ]
+
+
+def floats_only(value):
+    """Whether ``value`` is nested tuples of plain ints and floats; checking the
+    type of every object, nothing else (an array, a ``Step``) can hide in it."""
+    if type(value) is tuple:
+        return all(floats_only(item) for item in value)
+    return type(value) in (int, float)
+
+
 class TestCycleBound:
     @pytest.mark.parametrize("bob", [BLOCK, PASS])
     @pytest.mark.parametrize("delta", [0.0, 0.3])
@@ -76,14 +109,13 @@ class TestCycleBound:
             with pytest.raises(ValueError) as err:
                 call(config)
             assert str(err.value) == cycle_bound_message(MAX_CYCLES + 1)
+        assert not cached_ops(config)
 
-    def test_sweep_checks_the_largest_k_first(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(protocol, "build_steps", lambda config: calls.append(config))
+    def test_sweep_checks_the_largest_k_first(self, builds):
         with pytest.raises(ValueError) as err:
             sweep([1, 2, MAX_CYCLES + 1], [0.0], BLOCK)
         assert str(err.value) == cycle_bound_message(MAX_CYCLES + 1)
-        assert calls == []
+        assert builds == []
 
     def test_sweep_validates_every_k_first(self):
         with pytest.raises(ValueError, match="integer"):
@@ -99,12 +131,10 @@ class TestCycleBound:
             np.testing.assert_allclose(row.distribution.as_array(), want.as_array(), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [math.pi / 2, math.nan, -0.1])
-    def test_sweep_rejects_a_late_bad_delta_before_evolving(self, monkeypatch, bad):
-        calls = []
-        monkeypatch.setattr(protocol, "build_steps", lambda config: calls.append(config))
+    def test_sweep_rejects_a_late_bad_delta_before_evolving(self, builds, bad):
         with pytest.raises(ValueError, match="delta must"):
             sweep([4072, MAX_CYCLES], [0.1 * n for n in range(15)] + [bad], BLOCK)
-        assert calls == []
+        assert builds == []
 
 
 class TestConfigValidation:
@@ -248,7 +278,7 @@ class TestModeBasis:
         assert (repr(config), hash(config), dataclasses.astuple(config)) == before
         assert config == twin and twin == config
         assert hash(config) == hash(twin)
-        assert [f.name for f in dataclasses.fields(ProtocolConfig)] == ["k", "delta", "bob", "include_final_block"]
+        assert [f.name for f in dataclasses.fields(ProtocolConfig)] == FIELD_NAMES
 
     @pytest.mark.parametrize("ask_first", [False, True])
     def test_replace_builds_its_own_basis(self, ask_first):
@@ -261,6 +291,96 @@ class TestModeBasis:
         assert wider == ProtocolConfig(7, 0.3, BLOCK)
         assert wider.mode_basis().loss_count == 7
         assert config.mode_basis().loss_count == 5
+
+
+class TestStepOps:
+    def test_one_build_feeds_every_consumer(self, builds):
+        config = ProtocolConfig(6, 0.3, splitter(0.7), True)
+        assert config.step_ops() is config.step_ops()
+        run(config)
+        evolution_unitary(config)
+        for label in config.mode_basis().labels:
+            counterfactuality_report(config, label)
+        enumerate_histories(config)
+        program = compile_program(config)
+        verify(mesh_unitary(program), config)
+        simulate_tomography(config, 0)
+        build_steps(config)
+        assert builds == [6]
+
+    def test_stored_ops_are_invisible(self):
+        config = ProtocolConfig(5, 0.3, splitter(0.7), True)
+        twin = ProtocolConfig(5, 0.3, splitter(0.7), True)
+        before = (repr(config), hash(config), dataclasses.astuple(config))
+        config.step_ops()
+        assert (repr(config), hash(config), dataclasses.astuple(config)) == before
+        assert config == twin and twin == config
+        assert hash(config) == hash(twin)
+        assert [f.name for f in dataclasses.fields(ProtocolConfig)] == FIELD_NAMES
+
+    @pytest.mark.parametrize("ask_first", [False, True])
+    def test_replace_builds_its_own_ops(self, ask_first):
+        config = ProtocolConfig(5, 0.3, BLOCK)
+        if ask_first:
+            config.step_ops()
+        same = dataclasses.replace(config)
+        wider = dataclasses.replace(config, k=7)
+        shifted = dataclasses.replace(config, delta=0.4)
+        assert same == config and repr(same) == repr(config)
+        assert same.step_ops() == config.step_ops()
+        assert len(wider.step_ops()) == 1 + 7 + 6
+        assert len(config.step_ops()) == 1 + 5 + 4
+        assert shifted.step_ops()[0] == ((0, 1), rotation_block(math.pi / 2 - 0.4))
+        assert config.step_ops()[0] == ((0, 1), rotation_block(math.pi / 2 - 0.3))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        k=st.one_of(st.integers(1, 64), st.just(MAX_CYCLES)),
+        bob=st.sampled_from([BLOCK, PASS, splitter(0.7), splitter(math.pi / 2)]),
+        final=st.booleans(),
+    )
+    @example(k=MAX_CYCLES, bob=splitter(0.7), final=True)
+    @example(k=1, bob=BLOCK, final=False)
+    def test_build_steps_are_the_cached_ops(self, k, bob, final):
+        config = ProtocolConfig(k, 0.3, bob, final)
+        bob_block = None if bob == PASS else SWAP_BLOCK if bob == BLOCK else rotation_block(bob.beta)
+        want = [("outer_rotation", (0, 1), rotation_block(config.phi))]
+        for n in range(1, k + 1):
+            want.append(("inner_rotation", (1, 2), rotation_block(config.theta)))
+            if bob_block is not None and (n < k or final):
+                want.append(("bob_interaction", (2, 2 + n), bob_block))
+        steps = build_steps(config)
+        assert [(step.kind, step.pair, step.block) for step in steps] == want
+        assert [(step.pair, step.block) for step in steps] == list(config.step_ops())
+        assert {step.size for step in steps} == {k + 3}
+        assert len({id(step) for step in steps if step.kind == "inner_rotation"}) == 1
+        assert build_steps(config) == steps
+
+    @pytest.mark.parametrize("bob", [BLOCK, PASS, splitter(0.7)])
+    def test_reading_each_step_op_leaves_the_cache_plain(self, bob):
+        config = ProtocolConfig(9, 0.3, bob, True)
+        steps = build_steps(config)
+        assert all(step.op.matrix.shape == (12, 12) for step in steps)
+        assert floats_only(config.step_ops())
+        assert cached_ops(config) == [config.step_ops()]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda config: counterfactuality_report(config, "A"),
+            compile_program,
+            lambda config: simulate_tomography(config, 0),
+            lambda config: simulate_tomography(config, 1000, 3),
+        ],
+        ids=["report", "compile", "tomography-analytic", "tomography-sampled"],
+    )
+    def test_past_the_bound_nothing_is_cached(self, call):
+        config = ProtocolConfig(MAX_CYCLES + 1, 0.3, splitter(0.7), True)
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                call(config)
+            assert str(err.value) == cycle_bound_message(MAX_CYCLES + 1)
+        assert not cached_ops(config)
 
 
 class TestBuildSteps:
@@ -433,16 +553,10 @@ class TestSweep:
         for row in rows[::3] + rows[2::3]:
             assert row.distribution == run(ProtocolConfig(row.k, 0.0, bob, final))[1]
 
-    def test_build_steps_once_per_k(self, monkeypatch):
-        calls = []
-
-        def counting(config):
-            calls.append(config.k)
-            return build_steps(config)
-
-        monkeypatch.setattr(protocol, "build_steps", counting)
+    def test_step_ops_built_once_per_k(self, builds):
+        # One fresh config per K entry, so a repeated K is built again.
         rows = sweep([3, 1, 64, 3], [0.0, 0.1, 0.2, 0.5], splitter(0.4), True)
-        assert calls == [3, 1, 64, 3]
+        assert builds == [3, 1, 64, 3]
         assert len(rows) == 16
 
     def test_norm_check_per_row(self, monkeypatch):
