@@ -110,42 +110,42 @@ def amplitude_by_paths(histories: list[History], outcome: str) -> complex:
 
 def counterfactuality_report(config: ProtocolConfig, outcome: str) -> CounterfactualityReport:
     """Split the amplitude and the paths reaching the mode labelled
-    ``outcome`` by whether they visit C.  The never-C paths are exactly those
-    of the evolution with C set to 0 after every step; path counts follow the
-    same recurrence on exact integers with each block's 0/1 nonzero pattern.
-    One loop runs these four passes, the one place outside ``apply_blocks``
-    that does its arithmetic; the tests hold it bit for bit to four
-    one-element ``apply_blocks`` calls per step.  ``ValueError`` for an
-    unknown label or K past ``protocol.MAX_CYCLES``."""
+    ``outcome`` by whether they visit C.  The total amplitude and path count
+    are two ``apply_blocks`` passes from A, the count on exact integers with
+    each block's nonzero pattern as bools, pruned on exact zeros as in
+    ``enumerate_histories``.  The never-C paths are read from the ops in
+    closed form: a photon that never enters C stays in A, through the outer
+    block's cos(phi), or in B, through its sin(phi) and then the inner
+    block's cos(theta) once per inner rotation; every other mode has none.
+    ``ValueError`` for an unknown label or K past ``protocol.MAX_CYCLES``."""
     basis = config.mode_basis()
     slot = basis.index(outcome)  # rejects unknown labels first
     ops = config.step_ops()  # checks the K bound before anything is built
-    a, c = basis.index("A"), basis.index("C")
-    full = [0.0] * basis.size  # the steps' blocks are real
-    full[a] = 1.0
-    never = list(full)
-    full_n = [0] * basis.size
-    full_n[a] = 1
-    never_n = list(full_n)
-    for (i, j), ((u00, u01), (u10, u11)) in ops:
-        # Pruned on exact zeros, as in enumerate_histories; a bool counts as 0 or 1.
-        n00, n01, n10, n11 = u00 != 0, u01 != 0, u10 != 0, u11 != 0
-        x, y = full[i], full[j]
-        full[i], full[j] = u00 * x + u01 * y, u10 * x + u11 * y
-        x, y = never[i], never[j]
-        never[i], never[j] = u00 * x + u01 * y, u10 * x + u11 * y
-        x, y = full_n[i], full_n[j]
-        full_n[i], full_n[j] = n00 * x + n01 * y, n10 * x + n11 * y
-        x, y = never_n[i], never_n[j]
-        never_n[i], never_n[j] = n00 * x + n01 * y, n10 * x + n11 * y
-        never[c] = 0.0
-        never_n[c] = 0
-    total = full[slot]
-    c_visiting_paths = full_n[slot] - never_n[slot]
+    amplitudes = [0.0] * basis.size  # the steps' blocks are real
+    amplitudes[0] = 1.0
+    apply_blocks(ops, amplitudes)
+    counts = [0] * basis.size
+    counts[0] = 1
+    # A bool counts as 0 or 1; a float zero is the cheaper compare for float entries.
+    apply_blocks(
+        ((pair, ((u00 != 0.0, u01 != 0.0), (u10 != 0.0, u11 != 0.0))) for pair, ((u00, u01), (u10, u11)) in ops),
+        counts,
+    )
+    never, never_paths = 0.0, 0  # no never-C path ends in C or a loss mode
+    (c_phi, _), (s_phi, _) = ops[0][1]
+    if slot == 0:
+        never, never_paths = c_phi, c_phi != 0
+    elif slot == 1:
+        c_theta = ops[1][1][0][0]
+        never, never_paths = s_phi, c_theta != 0  # sin(phi) > 0 for every delta in [0, pi/2)
+        for _ in range(config.k):  # one product per inner rotation, in step order, as the evolution rounds
+            never *= c_theta
+    total = amplitudes[slot]
+    c_visiting_paths = counts[slot] - never_paths
     return CounterfactualityReport(
         outcome_mode=outcome,
         total_amplitude=complex(total),
-        c_visiting_amplitude=complex(total - never[slot]),
+        c_visiting_amplitude=complex(total - never),
         c_visiting_paths=c_visiting_paths,
         verdict=c_visiting_paths == 0,
         probability=abs(total) ** 2,

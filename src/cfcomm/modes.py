@@ -255,8 +255,9 @@ def check_block(block: Block) -> Block:
 def apply_blocks(ops: Iterable[tuple[tuple[int, int], Block]], target: list[complex] | np.ndarray) -> None:
     """Apply each ``((i, j), block)`` in order to slots i and j of ``target``
     in place: a list or vector of amplitudes, or a matrix whose slots are its
-    rows.  With 0/1 integer blocks on a list of Python ints it counts paths
-    exactly."""
+    rows.  With 0/1 blocks, ints or bools, on a list of Python ints it counts
+    paths exactly, as ``histories.counterfactuality_report`` does with each
+    block's nonzero pattern as bools."""
     for (i, j), ((u00, u01), (u10, u11)) in ops:
         a, b = target[i], target[j]
         new = u00 * a + u01 * b

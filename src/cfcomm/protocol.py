@@ -168,7 +168,7 @@ class ProtocolConfig:
         return self.__dict__.get("_ops") or self.__dict__.setdefault("_ops", _build_ops(self))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Step:
     """One labeled evolution step: the 2x2 unitary ``block`` on the amplitude
     slots ``pair`` of a ``size``-mode basis."""
@@ -177,13 +177,6 @@ class Step:
     pair: tuple[int, int]
     block: Block
     size: int
-
-    def __init__(self, kind: str, pair: tuple[int, int], block: Block, size: int) -> None:
-        fields = self.__dict__  # the frozen __setattr__ refuses
-        fields["kind"] = kind
-        fields["pair"] = pair
-        fields["block"] = block
-        fields["size"] = size
 
     @cached_property
     def op(self) -> UnitaryOp:

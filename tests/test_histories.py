@@ -211,6 +211,15 @@ def report_cases(draw):
 @example((ProtocolConfig(1000, 0.0, splitter(1e-9), False), "C"))
 @example((ProtocolConfig(12, 0.0, splitter(math.pi / 2), True), "L12"))
 @example((ProtocolConfig(1, 0.0, splitter(0.0), False), "B"))
+@example((ProtocolConfig(1, 0.3, BLOCK, False), "B"))  # cos(theta) is exactly 0 at K = 1
+@example((ProtocolConfig(1, 0.3, splitter(0.7), True), "B"))
+@example((ProtocolConfig(5, 0.0, PASS, False), "A"))  # cos(phi) is exactly 0
+@example((ProtocolConfig(5, 1e-17, BLOCK, True), "A"))  # pi/2 - 1e-17 rounds to pi/2
+@example((ProtocolConfig(7, 1.5707963267948963, splitter(0.7), False), "A"))  # the largest delta
+# The never-C term (about +0.955) and the C-visiting one cancel to a total of -2.4e-15.
+@example((ProtocolConfig(4096, 0.3, PASS, False), "B"))
+@example((ProtocolConfig(6, 0.3, splitter(0.0), True), "B"))
+@example((ProtocolConfig(6, 0.3, splitter(math.pi / 2), True), "B"))
 def test_report_matches_the_four_call_form(case):
     # repr compares every float bit for bit, the sign of a zero included.
     config, outcome = case

@@ -205,6 +205,8 @@ tiny_betas = st.floats(math.log(1e-12), math.log(1e-6)).map(math.exp)
 @example(ProtocolConfig(10, 0.3, splitter(0.37), True))
 @example(ProtocolConfig(9, 0.0, splitter(3e-9), False))
 @example(ProtocolConfig(8, 0.0, splitter(0.0), True))
+@example(ProtocolConfig(1, 0.3, BLOCK))
+@example(ProtocolConfig(6, 1e-17, splitter(0.7), True))
 def test_report_matches_enumeration(config):
     found = enumerate_histories(config)
     state, _ = run(config)
