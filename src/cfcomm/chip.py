@@ -102,11 +102,17 @@ class MziSetting:
             raise ValueError(f"MZI phases must be real numbers, got theta={theta!r}, phi={phi!r}") from None
         if not (math.isfinite(t) and math.isfinite(f)):
             raise ValueError(f"MZI phases must be finite, got theta={theta!r}, phi={phi!r}")
-        fields = self.__dict__  # the frozen __setattr__ refuses
-        fields["pair"] = pair
-        fields["theta"] = t % TWO_PI % TWO_PI  # the second % maps a rounded-up 2pi to 0
-        fields["phi"] = f % TWO_PI % TWO_PI
-        fields["role"] = role
+        _store(self, pair, t, f, role)
+
+
+def _store(setting: MziSetting, pair: int, theta: float, phi: float, role: str) -> MziSetting:
+    """``setting`` with the fields as given, phases reduced to [0, 2pi); unchecked."""
+    fields = setting.__dict__  # the frozen __setattr__ refuses
+    fields["pair"] = pair
+    fields["theta"] = theta % TWO_PI % TWO_PI  # the second % maps a rounded-up 2pi to 0
+    fields["phi"] = phi % TWO_PI % TWO_PI
+    fields["role"] = role
+    return setting
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,10 @@ class MeshProgram:
     """Ordered columns of non-overlapping ``MziSetting`` records on
     ``mode_count`` modes, an integer >= 1 stored as a plain int.  A column
     whose MZIs share a mode, a pair past the last mode, or anything that is
-    not a column of records raises ``ValueError``."""
+    not a column of records raises ``ValueError``.  ``compile_program``
+    stores its programs, and their records, without these checks;
+    ``TestRecordChecks.test_compiled_programs_pass_the_public_checks`` in
+    ``tests/test_chip.py`` holds them to both public constructors."""
 
     mode_count: int
     columns: tuple[tuple[MziSetting, ...], ...]
@@ -287,7 +296,12 @@ def compile_program(config: ProtocolConfig) -> MeshProgram:
     ``protocol.evolution_unitary(config)`` up to one diagonal phase matrix on
     the inputs and one on the outputs, whose A and B entries are equal (see
     ``verify``).  K above ``protocol.MAX_CYCLES`` raises ``ValueError``
-    before any MZI is placed."""
+    before any MZI is placed.
+
+    The records and the program skip the public constructors' checks,
+    which the walk meets by construction; ``tests/test_chip.py``'s
+    ``test_compiled_programs_pass_the_public_checks`` holds every compiled
+    program to them."""
     placed = _placed(config)
     size = config.mode_basis().size
     free = [0] * size  # per mode, the column after the last MZI that touched it
@@ -296,9 +310,11 @@ def compile_program(config: ProtocolConfig) -> MeshProgram:
         column = max(free[pair], free[pair + 1])
         if column == len(columns):
             columns.append([])
-        columns[column].append(MziSetting(pair, theta_m, phi_m, role))
+        columns[column].append(_store(object.__new__(MziSetting), pair, theta_m, phi_m, role))
         free[pair] = free[pair + 1] = column + 1
-    return MeshProgram(size, columns)
+    program = object.__new__(MeshProgram)
+    program.__dict__.update(mode_count=size, columns=tuple(map(tuple, columns)))
+    return program
 
 
 def _records(program: MeshProgram) -> Iterator[tuple[int, float, float]]:

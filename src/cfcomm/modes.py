@@ -271,20 +271,32 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
     float entries, complex128 otherwise.  ``ValueError`` past
     ``MAX_DENSE_CYCLES`` (checked first) or if the product is not unitary.
 
-    The rows are kept in a list, one per slot.  A block with an exactly zero
-    diagonal (an exact swap up to phases) is routed, not multiplied: it swaps
-    its two list entries and multiplies their pending phases by u01 and u10.
-    Every other block first folds the pending phases of its slots into its
-    entries, then replaces its two rows as ``apply_blocks`` would.  The rows
-    are stacked once, at the end.
+    The rows are kept in a list, one per slot, and a slot whose row is still
+    the untouched identity row e_c holds just c.  A block with an exactly
+    zero diagonal (an exact swap up to phases) is routed, not multiplied: it
+    swaps its two list entries and multiplies their pending phases by u01
+    and u10.  Every other block first folds the pending phases of its slots
+    into its entries, then replaces its two rows as ``apply_blocks`` would,
+    except that against an e_c each new row is the other row times one
+    entry plus the other entry at column c: two vector operations, not six,
+    and only the sign of an exact zero can differ.  The rows are float64
+    from an all-float first block until a block that is not makes them
+    complex128, once; no entry is read ahead.  They are stacked at the end.
     """
     check_dense_size(size)
-    ops = list(ops)
-    real = bool(ops) and all(isinstance(u, float) for _, block in ops for row in block for u in row)
-    one = 1.0 if real else 1 + 0j
-    rows = list(np.eye(size, dtype=float if real else complex))
-    phases = [one] * size  # slot -> the phase pending on its row
+    rows: list[int | np.ndarray] = list(range(size))  # slot -> its row, or c while it is e_c
+    phases = [1.0] * size  # slot -> the phase pending on its row
+    real = None  # float64 rows: set by the first block, cleared for good by the first non-float one
     for (i, j), ((u00, u01), (u10, u11)) in ops:
+        if real is not False:
+            all_float = (
+                isinstance(u00, float) and isinstance(u01, float) and isinstance(u10, float) and isinstance(u11, float)
+            )
+            if real and not all_float:  # the float64 rows so far turn complex128
+                for slot, row in enumerate(rows):
+                    if type(row) is not int:
+                        rows[slot] = row.astype(complex)
+            real = all_float
         if u00 == 0 and u11 == 0:
             rows[i], rows[j] = rows[j], rows[i]
             phases[i], phases[j] = u01 * phases[j], u10 * phases[i]
@@ -292,13 +304,32 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
         p, q = phases[i], phases[j]
         if p != 1:
             u00, u10 = u00 * p, u10 * p
-            phases[i] = one
+            phases[i] = 1.0
         if q != 1:
             u01, u11 = u01 * q, u11 * q
-            phases[j] = one
-        rows[j], rows[i] = u10 * rows[i] + u11 * rows[j], u00 * rows[i] + u01 * rows[j]
-    mat = np.array(rows).reshape(size, size)  # (0, 0) for an empty space
-    del rows  # frees the list and the identity its untouched rows view before the Gram check
+            phases[j] = 1.0
+        a, b = rows[i], rows[j]
+        if type(a) is int:
+            if type(b) is int:  # both untouched: spell e_b out
+                b = np.zeros(size, float if real else complex)
+                b[rows[j]] = 1.0
+            new_i, new_j = u01 * b, u11 * b
+            new_i[a] += u00
+            new_j[a] += u10
+        elif type(b) is int:
+            new_i, new_j = u00 * a, u10 * a
+            new_i[b] += u01
+            new_j[b] += u11
+        else:
+            new_i, new_j = u00 * a + u01 * b, u10 * a + u11 * b
+        rows[i], rows[j] = new_i, new_j
+    mat = np.zeros((size, size), float if real else complex)
+    for slot, row in enumerate(rows):
+        if type(row) is int:
+            mat[slot, row] = 1.0
+        else:
+            mat[slot] = row
+    del rows  # frees the rows before the Gram check
     if any(p != 1 for p in phases):
         mat *= np.array(phases)[:, None]
     return UnitaryOp(mat)

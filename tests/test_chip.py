@@ -321,6 +321,23 @@ class TestRecordChecks:
         program = MeshProgram(np.int64(4), ())
         assert type(program.mode_count) is int and program == MeshProgram(4, ())
 
+    @pytest.mark.parametrize("final_block", [False, True])
+    @pytest.mark.parametrize(
+        "bob",
+        [BLOCK, PASS, splitter(0.7), splitter(1e-9), splitter(math.pi / 2), splitter(0.0)],
+        ids=["block", "pass", "split-0.7", "split-1e-9", "split-pi/2", "split-0"],
+    )
+    def test_compiled_programs_pass_the_public_checks(self, bob, final_block):
+        # compile_program builds its records and its program without running
+        # these checks; rebuilt through them, each must come out the same.
+        for k in (1, 2, 3, 17, 64, 512, 4096):
+            program = compile_program(ProtocolConfig(k, 0.3, bob, final_block))
+            assert type(program.mode_count) is int
+            assert MeshProgram(program.mode_count, program.columns) == program
+            for s in program.settings:
+                record = MziSetting(s.pair, s.theta, s.phi, s.role)
+                assert record == s and repr(record) == repr(s)
+
     @pytest.mark.parametrize(
         "path, value, message",
         [

@@ -546,6 +546,14 @@ MZI = mzi_block(1.1, 2.3)
 @example((3, [((2, 0), routed_swap(0.3, 1.9)), ((0, 2), MZI), ((1, 0), ROT), ((2, 0), SWAP_BLOCK)]))
 @example((4, [((3, 1), routed_swap(2.0, -1.0)), ((1, 3), routed_swap(0.5, 0.7)), ((0, 3), ROT), ((3, 2), MZI)]))
 @example((5, [((0, 4), SWAP_BLOCK), ((4, 1), mzi_block(0.0, 0.9)), ((1, 0), MZI), ((2, 4), mzi_block(0.0, 0.0))]))
+# Float rows, then a complex phase pending on an untouched row: the rows must turn complex.
+@example((3, [((0, 2), rotation_block(0.0)), ((0, 1), routed_swap(1.0, 0.0)), ((1, 0), rotation_block(0.0))]))
+@example((3, [((0, 2), rotation_block(0.0)), ((0, 1), routed_swap(1.0, 0.0)), ((0, 1), rotation_block(0.0))]))
+# A routed-in untouched row as slot i, then as slot j, of a mixing block: real, then complex.
+@example((4, [((1, 2), ROT), ((0, 3), SWAP_BLOCK), ((0, 1), ROT)]))
+@example((4, [((1, 2), MZI), ((0, 3), routed_swap(0.3, 1.9)), ((0, 1), MZI)]))
+@example((4, [((1, 2), ROT), ((3, 0), SWAP_BLOCK), ((2, 3), ROT)]))
+@example((4, [((1, 2), MZI), ((3, 0), routed_swap(2.0, -1.0)), ((2, 3), MZI)]))
 def test_compose_unitary_matches_embedded_product(sequence):
     size, ops = sequence
     got = compose_unitary(ops, size).matrix
@@ -582,8 +590,8 @@ def test_mesh_unitary_matches_the_unrouted_product(bob, final_block):
 @pytest.mark.parametrize("final_block", [False, True])
 @pytest.mark.parametrize("bob", [BLOCK, splitter(0.7)], ids=["block", "split-0.7"])
 def test_dense_unitaries_peak_at_three_and_a_half_matrices(bob, final_block):
-    # The row list, and the identity its untouched rows view, are freed
-    # before the Gram check; kept alive they lift the peak to about 4.
+    # The row list is freed before the Gram check; kept alive it lifts the
+    # peak to about 4.
     config = ProtocolConfig(192, 0.3, bob, final_block)
     program = compile_program(config)
     for build in (lambda: evolution_unitary(config), lambda: mesh_unitary(program)):
