@@ -29,11 +29,6 @@ EXIT_VERDICT_FALSE = 3
 MAX_GRID_POINTS = 100_000
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits round-trips any double.
-    return format(float(value), ".17g")
-
-
 def _json(value: object) -> object:
     """The ``default=`` hook of ``json.dumps``: a dataclass becomes
     ``{field: ...}`` in declaration order, a complex number
@@ -94,12 +89,12 @@ def _range(text: str, number: type, default_step: float, check: Callable) -> lis
     return [check(start + i * step) for i in range(int(intervals) + 1)]
 
 
-def _run_record(row: protocol.SweepRow, bob: protocol.BobAction, final_block: bool) -> dict:
+def _run_record(row: protocol.SweepRow, bob_label: str, final_block: bool) -> dict:
     dist = row.distribution
     record = {
         "K": row.k,
         "delta": row.delta,
-        "bob": bob.label(),
+        "bob": bob_label,
         "include_final_block": final_block,
         "p_D0": dist.p_D0,
         "p_D1": dist.p_D1,
@@ -112,15 +107,14 @@ def _run_record(row: protocol.SweepRow, bob: protocol.BobAction, final_block: bo
 
 
 def _record_csv_row(record: dict) -> str:
-    """The record's values in order, a bool as true/false and a float through
-    ``_fmt``; the renormalized p_D1 cell is empty when the record has none."""
-    cells = [
-        _fmt(value) if isinstance(value, float) else str(value).lower() if isinstance(value, bool) else str(value)
-        for value in record.values()
-    ]
-    if "p_D1_renormalized" not in record:
-        cells.append("")
-    return ",".join(cells)
+    """The values of a ``_run_record`` in ``CSV_HEADER`` order by one format:
+    the final block as true/false, each float as ``format(v, ".17g")`` (17
+    significant digits round-trip any double), and the renormalized p_D1 cell
+    empty when the record has none."""
+    k, delta, bob, final_block, p_d0, p_d1, p_d3, p_loss, *renorm = record.values()
+    final = "true" if final_block else "false"
+    renorm_cell = "%.17g" % renorm[0] if renorm else ""
+    return "%d,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g,%s" % (k, delta, bob, final, p_d0, p_d1, p_d3, p_loss, renorm_cell)
 
 
 def _sweep_output(
@@ -129,7 +123,8 @@ def _sweep_output(
     """One record per grid point, from ``protocol._sweep_rows`` row by row:
     CSV text, or for JSON a list, or the lone record when ``single`` is set."""
     rows = protocol._sweep_rows(k_values, delta_values, ns.bob, ns.final_block)
-    records = [_run_record(row, ns.bob, ns.final_block) for row in rows]
+    label = ns.bob.label()
+    records = [_run_record(row, label, ns.final_block) for row in rows]
     if ns.format == "csv":
         return "\n".join([CSV_HEADER] + [_record_csv_row(r) for r in records]) + "\n", EXIT_OK
     return (records[0] if single else records), EXIT_OK

@@ -188,7 +188,8 @@ class Step:
 class OutcomeDistribution:
     """Detection probabilities at D0/D1/D3 and in each loss mode; ``ValueError``
     unless each lies in [0, 1] within ``NORM_TOL`` and their sum passes
-    ``modes.check_norm``."""
+    ``modes.check_norm``.  ``run`` and ``sweep`` build theirs with
+    ``_distributions``, which makes these checks once per block of rows."""
 
     p_D0: float
     p_D1: float
@@ -205,8 +206,9 @@ class OutcomeDistribution:
 
     @classmethod
     def from_probabilities(cls, probs: np.ndarray) -> "OutcomeDistribution":
-        """From Born probabilities in mode order A, B, C, L1..LK."""
-        return cls(float(probs[0]), float(probs[1]), float(probs[2]), tuple(probs[3:].tolist()))
+        """From Born probabilities in mode order A, B, C, L1..LK, with the
+        constructor's checks and errors (``_distributions`` of one row)."""
+        return _distributions(probs[None, :])[0]
 
     @property
     def p_loss_total(self) -> float:
@@ -214,6 +216,27 @@ class OutcomeDistribution:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p_D0, self.p_D1, self.p_D3, *self.p_loss])
+
+
+def _distributions(probs: np.ndarray) -> list[OutcomeDistribution]:
+    """One ``OutcomeDistribution`` per row of an n x (K+3) block of Born
+    probabilities, each row in mode order A, B, C, L1..LK.
+
+    The constructor's checks, made once per block: the range by numpy's
+    ``min`` and ``max`` of the whole block (a NaN fails both), then the norm
+    row by row.  If any entry is out of range, every row goes through the
+    constructor, which raises the same error from the same row.
+    """
+    rows = probs.tolist()
+    if not (probs.min() >= -NORM_TOL and probs.max() <= 1.0 + NORM_TOL):
+        return [OutcomeDistribution(row[0], row[1], row[2], tuple(row[3:])) for row in rows]
+    dists = []
+    for row in rows:
+        check_norm(math.fsum(row))
+        dist = object.__new__(OutcomeDistribution)
+        dist.__dict__.update(p_D0=row[0], p_D1=row[1], p_D3=row[2], p_loss=tuple(row[3:]))
+        dists.append(dist)
+    return dists
 
 
 def _check_cycles(k: int) -> None:
@@ -332,8 +355,14 @@ def sweep(
     return list(_sweep_rows(k_values, delta_values, bob, include_final_block))
 
 
+# Most probabilities ``_sweep_rows`` holds at once: a K's deltas are taken in
+# blocks of at most this many entries, rows x (K+3), 15 rows at MAX_CYCLES.
+_SWEEP_BLOCK_ENTRIES = 2**16
+
+
 def _sweep_rows(k_values: list[int], delta_values: list[float], bob: BobAction, final: bool) -> Iterator[SweepRow]:
-    """The rows of ``sweep``, formed one K at a time; its checks run on the first ``next``."""
+    """The rows of ``sweep``, formed one block of deltas of one K at a time
+    (``_SWEEP_BLOCK_ENTRIES``); its checks run on the first ``next``."""
     if not k_values or not delta_values:
         raise ValueError("sweep needs at least one K and one delta")
     configs = [ProtocolConfig(k, 0.0, bob, final) for k in k_values]
@@ -347,11 +376,15 @@ def _sweep_rows(k_values: list[int], delta_values: list[float], bob: BobAction, 
         inner[basis.index("B")] = 1.0
         # Every step after the outer rotation is the same for every delta.
         apply_blocks(config.step_ops()[1:], inner)
-        amps = np.outer(outer[:, 1], inner)
-        amps[:, 0] = outer[:, 0]
-        probs = np.abs(amps) ** 2
-        for delta, row_probs in zip(deltas, probs):
-            yield SweepRow(config.k, delta, OutcomeDistribution.from_probabilities(row_probs))
+        block_rows = _SWEEP_BLOCK_ENTRIES // basis.size
+        for start in range(0, len(deltas), block_rows):
+            cos_sin = outer[start : start + block_rows]
+            amps = np.outer(cos_sin[:, 1], inner)
+            amps[:, 0] = cos_sin[:, 0]
+            # The amplitudes are real, so |a|^2 is a * a, squared in place.
+            dists = _distributions(np.square(amps, out=amps))
+            for delta, dist in zip(deltas[start : start + block_rows], dists):
+                yield SweepRow(config.k, delta, dist)
 
 
 def alice_reduced_state(final: PureState) -> tuple[np.ndarray, float]:

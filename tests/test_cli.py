@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from cfcomm.chip import TomographyResult
-from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, _json, build_parser, main
+from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, _json, _record_csv_row, build_parser, main
 from cfcomm.histories import CounterfactualityReport
 from cfcomm.modes import ModeBasis
 
@@ -115,6 +115,44 @@ class TestSweep:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 256 * 24
         assert peak <= 12_000_000, peak
+
+    def test_one_k_is_held_one_block_at_a_time(self, capsys):
+        # 501 rows of 4,099 probabilities: formed for the whole K at once, the
+        # amplitude and probability matrices alone took about 33 MB.
+        argv = ["sweep", "--k", "4096", "--delta", "0:1.5:0.003", "--bob", "block"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 501
+        assert peak <= 12_000_000, peak
+
+    def test_every_row_has_every_cell(self, capsys):
+        # Under pass the delta-0 rows abort for certain: their renormalized
+        # cell is there, and empty.
+        _, out, _ = run_cli(capsys, "sweep", "--k", "1:3", "--delta", "0:0.3:0.3", "--bob", "pass")
+        lines = out.splitlines()
+        assert lines[0] == CSV_HEADER
+        cells = [line.split(",") for line in lines[1:]]
+        assert [len(row) for row in cells] == [len(CSV_HEADER.split(","))] * 6
+        assert [row[-1] == "" for row in cells] == [True, False] * 3
+
+    def test_float_cells_are_17_significant_digits(self):
+        grid = [
+            5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, math.nextafter(1.0, 0.0), 1.0,
+            math.nextafter(1.0, 2.0), 0.0, -0.0, 0.1, 1 / 3, 1e-17, 123456789.125, math.inf, -math.inf, math.nan,
+        ]
+        for i, v in enumerate(grid):
+            w = grid[-1 - i]
+            for final_block, renorm in ((False, {}), (True, {"p_D1_renormalized": w})):
+                record = {"K": 4096 - i, "delta": v, "bob": "split:0.7", "include_final_block": final_block,
+                          "p_D0": v, "p_D1": w, "p_D3": -v, "p_loss_total": w, **renorm}
+                want = [str(4096 - i), format(v, ".17g"), "split:0.7", str(final_block).lower(), format(v, ".17g"),
+                        format(w, ".17g"), format(-v, ".17g"), format(w, ".17g"), format(w, ".17g") if renorm else ""]
+                assert _record_csv_row(record).split(",") == want
 
     # Each of these would expand to about 1e12 points; the count is checked
     # before any list is built.

@@ -594,6 +594,8 @@ sweep_actions = st.one_of(
 @example([1, 64, 1024, MAX_CYCLES], [0.0, 0.3, math.nextafter(math.pi / 2, 0.0)], splitter(1e-12), True)
 @example([MAX_CYCLES, 1], [math.nextafter(math.pi / 2, 0.0), 0.0], BLOCK, False)
 @example([64, MAX_CYCLES], [0.0, 1.2], PASS, True)
+# 33 deltas at K = 4096 span three blocks of rows.
+@example([MAX_CYCLES], [i * 0.04 for i in range(33)], splitter(0.7), True)
 def test_sweep_matches_run_per_point(k_values, delta_values, bob, final):
     rows = sweep(k_values, delta_values, bob, final)
     assert [(r.k, r.delta) for r in rows] == [(k, d) for k in k_values for d in delta_values]
@@ -674,3 +676,73 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError) as err:
             OutcomeDistribution(math.nan, 0.5, 0.5, ())
         assert str(err.value) == "probability out of range: nan"
+
+
+# Entries on and just past the ends of [-NORM_TOL, 1 + NORM_TOL], a NaN, and
+# values that break a row's norm.
+edge_entries = st.sampled_from([math.nan, -2e-12, 1 + 2e-12, -1e-12, 1 + 1e-12, -0.0, 0.5, 1.0])
+
+
+@st.composite
+def probability_blocks(draw):
+    """An n x (K+3) block of rows normalized up to round-off, a few entries
+    of each then overwritten from ``edge_entries``."""
+    width = draw(st.integers(4, 8))
+    block = []
+    for _ in range(draw(st.integers(1, 5))):
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width))
+        total = math.fsum(weights)
+        row = [w / total for w in weights] if total > 0 else [1.0] + [0.0] * (width - 1)
+        for j in draw(st.lists(st.integers(0, width - 1), max_size=2)):
+            row[j] = draw(edge_entries)
+        block.append(row)
+    return np.array(block)
+
+
+def _records_or_error(make, block):
+    try:
+        return make(block)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+class TestBlockConstructor:
+    """``protocol._distributions``, which ``run`` and ``sweep`` build their
+    records with, against the public constructor row by row."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(probability_blocks())
+    @example(np.array([[0.5, math.nan, 0.5, 0.0]]))
+    @example(np.array([[-2e-12, 0.5, 0.5 + 2e-12, 0.0]]))
+    @example(np.array([[0.0, 1 + 2e-12, 0.0, -2e-12]]))
+    @example(np.array([[-1e-12, 0.5, 0.5 + 1e-12, 0.0], [0.0, 0.0, 1 + 1e-12, -1e-12]]))
+    # A norm defect in row 0 and a range defect in row 2: row 0's error wins.
+    @example(np.array([[0.5, 0.6, 0.0, 0.0], [0.25, 0.25, 0.5, 0.0], [1.0, -2e-12, 0.0, 2e-12]]))
+    def test_same_records_and_errors(self, block):
+        # Each error message names the failing row's value or sum, so equal
+        # messages come from the same row.
+        want = _records_or_error(
+            lambda b: [OutcomeDistribution(row[0], row[1], row[2], tuple(row[3:])) for row in b.tolist()], block
+        )
+        for make in (protocol._distributions, lambda b: [OutcomeDistribution.from_probabilities(row) for row in b]):
+            got = _records_or_error(make, block)
+            assert got == want
+            if isinstance(want, list):
+                assert [repr(d) for d in got] == [repr(d) for d in want]
+
+    @pytest.mark.parametrize("final_block", [False, True])
+    @pytest.mark.parametrize(
+        "bob",
+        [BLOCK, PASS, splitter(0.7), splitter(1e-9), splitter(math.pi / 2), splitter(0.0)],
+        ids=["block", "pass", "split-0.7", "split-1e-9", "split-pi/2", "split-0"],
+    )
+    def test_run_and_sweep_records_pass_the_public_checks(self, bob, final_block):
+        # The block constructor stores its records without the constructor's
+        # checks; rebuilt through them, each must come out the same.
+        ks = [1, 2, 3, 17, 64, 512, 4096]
+        deltas = [0.0, 0.3, 1.2, 1e-17, math.nextafter(math.pi / 2, 0.0)]
+        dists = [row.distribution for row in sweep(ks, deltas, bob, final_block)]
+        dists += [run(ProtocolConfig(k, delta, bob, final_block))[1] for k in ks for delta in deltas]
+        for d in dists:
+            record = OutcomeDistribution(d.p_D0, d.p_D1, d.p_D3, d.p_loss)
+            assert record == d and repr(record) == repr(d)
