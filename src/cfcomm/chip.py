@@ -375,35 +375,6 @@ class MeshEquivalenceReport:
     detail: str = ""
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.count = n  # components
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.count -= 1
-        return True
-
-    def roots(self) -> np.ndarray:
-        """Every node's root, by pointer jumping on a copy of the parents."""
-        parent = np.array(self.parent)
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                return parent
-            parent = grand
-
-
 def _phase_edges(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Rows and columns of the entries nonzero in both matrices, strongest
     (by the smaller of the two magnitudes) first, ties in row-major order,
@@ -418,21 +389,24 @@ def _phase_edges(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return rows, cols, int(np.count_nonzero(mag > 1e-8))
 
 
-def _kruskal(forest: _UnionFind, ends: np.ndarray, others: np.ndarray, join: Callable[[int, int], None]) -> None:
+def _kruskal(
+    label: list[int], members: dict[int, list[int]], ends: np.ndarray, others: np.ndarray, join: Callable[[int, int], None]
+) -> None:
     """Offer the edges (ends[n], others[n]) to ``join`` in order until the
     forest is one tree, in batches of as many edges as the forest has
-    nodes.  After each batch the edges whose ends already share a root are
-    dropped, since ``union`` would refuse them anyway."""
-    batch = len(forest.parent)
+    nodes; ``label`` maps each node to its component, ``members`` each
+    component to its nodes.  After each batch the edges whose ends already
+    share a label are dropped, since ``join`` would refuse them anyway."""
+    batch = len(label)
     while len(ends):
         for a, b in zip(ends[:batch].tolist(), others[:batch].tolist()):
-            if forest.count == 1:
+            if len(members) == 1:
                 return
             join(a, b)
         ends, others = ends[batch:], others[batch:]
         if len(ends):
-            roots = forest.roots()
-            apart = roots[ends] != roots[others]
+            labels = np.array(label)
+            apart = labels[ends] != labels[others]
             ends, others = ends[apart], others[apart]
 
 
@@ -440,9 +414,9 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
     """Find diagonal phases with D_out U_mesh D_in = U_modal, the output
     phases on A and B equal; ``equivalent`` when the residual and the A/B
     phase gap are both at most ``tol``.  Failure is reported, never raised.
-    ``ValueError`` for a ``tol`` that is not a finite real number >= 0
-    (before anything is computed), K past ``modes.MAX_DENSE_CYCLES``, or a
-    ``u_mesh`` of another size than the modal evolution.
+    ``ValueError``, in this order and before the modal evolution is built,
+    for a ``tol`` that is not a finite real number >= 0, K past
+    ``modes.MAX_DENSE_CYCLES``, or a ``u_mesh`` of another size.
 
     Phases are propagated over a spanning forest of the bipartite graph of
     matrix entries (rows and columns as nodes).  Entries above 1e-8 in both
@@ -454,36 +428,42 @@ def verify(u_mesh: UnitaryOp, config: ProtocolConfig, tol: float = 1e-9) -> Mesh
     arbitrary relative phase and mismatch by up to twice its magnitude.
     """
     tol = check_tolerance(tol)
-    target = protocol.evolution_unitary(config)
+    size = config.mode_basis().size
+    modes.check_dense_size(size)
     v = u_mesh.matrix
-    w = target.matrix
-    if v.shape != w.shape:
-        raise ValueError(f"dimension mismatch: mesh is {v.shape}, modal evolution is {w.shape}")
-    size = v.shape[0]
+    if v.shape != (size, size):
+        raise ValueError(f"dimension mismatch: mesh is {v.shape}, modal evolution is {(size, size)}")
+    w = protocol.evolution_unitary(config).matrix
 
-    forest = _UnionFind(2 * size)
+    label = list(range(2 * size))  # node -> its component
+    members = {node: [node] for node in label}  # component -> its nodes
     # node -> [(neighbor, entry phase ratio, or None for "same phase")]
-    adjacency: list[list[tuple[int, complex | None]]] = [[] for _ in range(2 * size)]
+    adjacency: list[list[tuple[int, complex | None]]] = [[] for _ in label]
 
-    def join(i: int, node: int) -> None:
-        if forest.union(i, node):
+    def join(i: int, node: int) -> None:  # along entry (i, node - size), or the A/B tie for node 1
+        a, b = label[i], label[node]
+        if a == b:
+            return
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for moved in members[b]:
+            label[moved] = a
+        members[a] += members.pop(b)
+        ratio = None
+        if node >= size:
             ratio = w[i, node - size] / v[i, node - size]
             ratio /= abs(ratio)
-            adjacency[i].append((node, ratio))
-            adjacency[node].append((i, ratio))
+        adjacency[i].append((node, ratio))
+        adjacency[node].append((i, ratio))
 
     rows, cols, strong = _phase_edges(v, w)
     cols += size  # column j is graph node size + j
-    _kruskal(forest, rows[:strong], cols[:strong], join)
-    if forest.union(0, 1):
-        adjacency[0].append((1, None))
-        adjacency[1].append((0, None))
-    _kruskal(forest, rows[strong:], cols[strong:], join)
+    _kruskal(label, members, rows[:strong], cols[:strong], join)
+    join(0, 1)
+    _kruskal(label, members, rows[strong:], cols[strong:], join)
 
     phase: list[complex | None] = [None] * (2 * size)
-    for root in range(2 * size):
-        if phase[root] is not None:
-            continue
+    for root in map(min, members.values()):  # each tree from its smallest node
         phase[root] = 1.0 + 0.0j
         queue = [root]
         while queue:

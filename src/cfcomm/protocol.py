@@ -365,8 +365,9 @@ def _sweep_rows(k_values: list[int], delta_values: list[float], bob: BobAction, 
     (``_SWEEP_BLOCK_ENTRIES``); its checks run on the first ``next``."""
     if not k_values or not delta_values:
         raise ValueError("sweep needs at least one K and one delta")
+    k_values = [check_cycle_count(k) for k in k_values]
+    _check_cycles(max(k_values))
     configs = [ProtocolConfig(k, 0.0, bob, final) for k in k_values]
-    _check_cycles(max(config.k for config in configs))
     deltas = [check_delta(delta) for delta in delta_values]
     # (cos phi, sin phi) per delta, the entries of run's outer rotation block.
     outer = np.array([exact_cos_sin(math.pi / 2 - delta) for delta in deltas])

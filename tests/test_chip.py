@@ -198,6 +198,22 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(UnitaryOp(np.eye(4)), ProtocolConfig(2, 0.0, BLOCK))
 
+    def test_dimension_mismatch_rejected_before_the_modal_evolution(self, monkeypatch):
+        # At K=512 the modal evolution is a 515 x 515 matrix, Gram-checked:
+        # a 7-mode mesh is refused by its shape alone.
+        calls = []
+        evolve = chip.protocol.evolution_unitary
+
+        def counted(config):
+            calls.append(config)
+            return evolve(config)
+
+        monkeypatch.setattr(chip.protocol, "evolution_unitary", counted)
+        with pytest.raises(ValueError) as err:
+            verify(UnitaryOp(np.eye(7)), ProtocolConfig(512, 0.3, splitter(0.7), True))
+        assert str(err.value) == "dimension mismatch: mesh is (7, 7), modal evolution is (515, 515)"
+        assert calls == []
+
     @pytest.mark.parametrize(
         "tol, message",
         [

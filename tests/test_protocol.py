@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,20 @@ class TestCycleBound:
             sweep([1, 2, MAX_CYCLES + 1], [0.0], BLOCK)
         assert str(err.value) == cycle_bound_message(MAX_CYCLES + 1)
         assert builds == []
+
+    def test_sweep_checks_the_bound_before_building_configs(self):
+        # The bound comes before any config is built: one config per K for
+        # these 99,999 values would peak at about 14 MB.
+        k_values = list(range(1, 100_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                sweep(k_values, [0.0], BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == cycle_bound_message(99_999)
+        assert peak <= 2_000_000, peak
 
     def test_sweep_validates_every_k_first(self):
         with pytest.raises(ValueError, match="integer"):

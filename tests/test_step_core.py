@@ -31,7 +31,6 @@ from cfcomm.chip import (
     ROLE_INNER,
     MeshProgram,
     MziSetting,
-    _UnionFind,
     _input_column,
     _lowered_steps,
     _mzi_walk,
@@ -395,14 +394,37 @@ def test_phase_edges_match_loop(config):
     assert (edges[:strong], edges[strong:]) == loop_phase_edges(v, w)
 
 
+class LoopForest:
+    """A union-find of parent pointers with path halving, sharing no code
+    with ``chip``."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.trees = n
+
+    def root(self, node):
+        while self.parent[node] != node:
+            self.parent[node] = self.parent[self.parent[node]]
+            node = self.parent[node]
+        return node
+
+    def union(self, a, b):
+        ra, rb = self.root(a), self.root(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        self.trees -= 1
+        return True
+
+
 def loop_verify(u_mesh, config, tol=1e-9):
-    """``verify`` offering every edge to the union-find one at a time: the
+    """``verify`` offering every edge to ``LoopForest`` one at a time: the
     strong entries all, then the A/B tie, then the weak ones until the
     forest is one tree."""
     v = u_mesh.matrix
     w = evolution_unitary(config).matrix
     size = v.shape[0]
-    forest = _UnionFind(2 * size)
+    forest = LoopForest(2 * size)
     adjacency = [[] for _ in range(2 * size)]
 
     def join(i, j):
@@ -419,7 +441,7 @@ def loop_verify(u_mesh, config, tol=1e-9):
         adjacency[0].append((1, None))
         adjacency[1].append((0, None))
     for i, j in weak:
-        if forest.count == 1:
+        if forest.trees == 1:
             break
         join(i, j)
 
@@ -451,9 +473,11 @@ tiny_or_any_actions = st.one_of(actions, st.just(splitter(1e-9)))
 @example(ProtocolConfig(40, 0.3, splitter(1e-9), False))
 @example(ProtocolConfig(512, 0.0, BLOCK, True))
 @example(ProtocolConfig(512, 0.0, splitter(0.7), True))
+# The weak pass at the dense cap: about 132,865 entries below the edge floor.
+@example(ProtocolConfig(512, 0.0, splitter(1e-9), True))
 def test_verify_matches_one_edge_at_a_time_kruskal(config):
-    # Batching drops only edges the union-find would refuse, so the forest,
-    # and with it every phase and the residual, is the same to the bit.
+    # Batching drops only edges whose ends already share a component, so the
+    # forest, and with it every phase and the residual, is the same to the bit.
     u_mesh = mesh_unitary(compile_program(config))
     report = verify(u_mesh, config)
     assert (report.equivalent, report.residual, report.output_phases, report.input_phases) == loop_verify(
@@ -461,23 +485,41 @@ def test_verify_matches_one_edge_at_a_time_kruskal(config):
     )
 
 
+def offered(monkeypatch):
+    """The number of components of ``verify``'s forest at each edge it
+    offers, filled in as ``chip._kruskal`` offers them."""
+    trees = []
+    kruskal = chip._kruskal
+
+    def counted(label, members, ends, others, join):
+        def offer(a, b):
+            trees.append(len(set(label)))
+            join(a, b)
+
+        kruskal(label, members, ends, others, offer)
+
+    monkeypatch.setattr(chip, "_kruskal", counted)
+    return trees
+
+
 def test_verify_offers_few_edges_at_k512(monkeypatch):
     # The forest has 2M nodes; at K=512 (block, final block) it is one tree
-    # within the first batch of 2M strong edges: 1,031 offers with the A/B
-    # tie, where offering every strong entry made 132,356.
-    offers = []
-    union = _UnionFind.union
-
-    def counted(forest, a, b):
-        offers.append((a, b))
-        return union(forest, a, b)
-
-    monkeypatch.setattr(_UnionFind, "union", counted)
+    # within the first batch of 2M strong edges: 1,030 offers, where offering
+    # every strong entry made 132,355.
     config = ProtocolConfig(512, 0.0, BLOCK, True)
     u_mesh = mesh_unitary(compile_program(config))
-    offers.clear()
+    trees = offered(monkeypatch)
     assert verify(u_mesh, config).equivalent
-    assert len(offers) <= 2 * config.mode_basis().size + 1
+    assert len(trees) <= 2 * config.mode_basis().size
+
+
+def test_verify_offers_no_edge_to_one_tree(monkeypatch):
+    # The forest is one tree 129 edges into the first weak batch of 134.
+    config = ProtocolConfig(64, 0.0, splitter(1e-9), True)
+    u_mesh = mesh_unitary(compile_program(config))
+    trees = offered(monkeypatch)
+    assert verify(u_mesh, config).equivalent
+    assert trees and min(trees) > 1
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
