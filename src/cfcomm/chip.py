@@ -109,10 +109,14 @@ def _store(setting: MziSetting, pair: int, theta: float, phi: float, role: str) 
     """``setting`` with the fields as given, phases reduced to [0, 2pi); unchecked."""
     fields = setting.__dict__  # the frozen __setattr__ refuses
     fields["pair"] = pair
-    fields["theta"] = theta % TWO_PI % TWO_PI  # the second % maps a rounded-up 2pi to 0
-    fields["phi"] = phi % TWO_PI % TWO_PI
+    fields["theta"] = _wrap(theta)
+    fields["phi"] = _wrap(phi)
     fields["role"] = role
     return setting
+
+
+def _wrap(phase: float) -> float:
+    return phase % TWO_PI % TWO_PI  # into [0, 2pi): the second % maps a rounded-up 2pi to 0
 
 
 @dataclass(frozen=True)
@@ -352,10 +356,10 @@ def _input_column(mzis: Iterable[tuple[int, float, float]], size: int) -> np.nda
 
 def _tomography_column(config: ProtocolConfig) -> np.ndarray:
     """Column 0 of ``mesh_unitary(compile_program(config))``, from the
-    compiler's MZIs in walk order with phases in [0, 2pi) as
+    compiler's MZIs in walk order, phases reduced by ``_wrap`` as
     ``MziSetting`` stores them.  Packing only reorders MZIs on disjoint
     modes, so no ``MeshProgram`` is needed."""
-    mzis = ((pair, theta_m % TWO_PI % TWO_PI, phi_m % TWO_PI % TWO_PI) for pair, theta_m, phi_m, _ in _placed(config))
+    mzis = ((pair, _wrap(theta_m), _wrap(phi_m)) for pair, theta_m, phi_m, _ in _placed(config))
     return _input_column(mzis, config.mode_basis().size)
 
 

@@ -8,10 +8,11 @@ bounded by ``protocol.MAX_CYCLES``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .modes import NORM_TOL, Block, apply_blocks
-from .protocol import ProtocolConfig
+from .protocol import ProtocolConfig, _inner_evolution
 
 __all__ = [
     "MAX_ENUMERATION_CYCLES",
@@ -61,15 +62,13 @@ class CounterfactualityReport:
 
 def _column(op: tuple[tuple[int, int], Block], mode: int) -> list[tuple[int, complex]]:
     """Column ``mode`` of the ``(pair, block)`` step's matrix as (row, entry)
-    pairs in row order, exactly-zero entries dropped.  A mode outside the
-    pair passes with amplitude 1; for one inside it, the column is the block
-    applied to that mode's unit vector on the pair."""
+    pairs in row order, exactly-zero entries dropped; a mode outside the
+    pair passes with amplitude 1."""
     pair, block = op
     if mode not in pair:
         return [(mode, 1 + 0j)]
-    unit = [1 + 0j, 0j] if mode == pair[0] else [0j, 1 + 0j]
-    apply_blocks([((0, 1), block)], unit)
-    return [(row, entry) for row, entry in zip(pair, unit) if entry != 0]
+    col = pair.index(mode)
+    return [(row, complex(entries[col])) for row, entries in zip(pair, block) if entries[col] != 0]
 
 
 def enumerate_histories(config: ProtocolConfig) -> list[History]:
@@ -110,37 +109,26 @@ def amplitude_by_paths(histories: list[History], outcome: str) -> complex:
 
 def counterfactuality_report(config: ProtocolConfig, outcome: str) -> CounterfactualityReport:
     """Split the amplitude and the paths reaching the mode labelled
-    ``outcome`` by whether they visit C.  The total amplitude and path count
-    are two ``apply_blocks`` passes from A, the count on exact integers with
-    each block's nonzero pattern as bools, pruned on exact zeros as in
-    ``enumerate_histories``.  The never-C paths are read from the ops in
-    closed form: a photon that never enters C stays in A, through the outer
-    block's cos(phi), or in B, through its sin(phi) and then the inner
-    block's cos(theta) once per inner rotation; every other mode has none.
-    ``ValueError`` for an unknown label or K past ``protocol.MAX_CYCLES``."""
+    ``outcome`` by whether they visit C.  The total amplitude is ``run``'s.
+    The path count is an ``apply_blocks`` pass from B over the inner ops on
+    exact integers, each block's nonzero pattern as bools, pruned on exact
+    zeros as in ``enumerate_histories``; sin(phi) > 0, so each path from B is
+    one from A.  The never-C paths are read from the ops in closed form: a
+    photon that never enters C stays in A, through the outer block's cos(phi),
+    or in B, through its sin(phi) and then the inner block's cos(theta) once
+    per inner rotation.  ``ValueError`` for an unknown label or K past ``protocol.MAX_CYCLES``."""
     basis = config.mode_basis()
     slot = basis.index(outcome)  # rejects unknown labels first
     ops = config.step_ops()  # checks the K bound before anything is built
-    amplitudes = [0.0] * basis.size  # the steps' blocks are real
-    amplitudes[0] = 1.0
-    apply_blocks(ops, amplitudes)
-    counts = [0] * basis.size
-    counts[0] = 1
-    # A bool counts as 0 or 1; a float zero is the cheaper compare for float entries.
-    apply_blocks(
-        ((pair, ((u00 != 0.0, u01 != 0.0), (u10 != 0.0, u11 != 0.0))) for pair, ((u00, u01), (u10, u11)) in ops),
-        counts,
-    )
-    never, never_paths = 0.0, 0  # no never-C path ends in C or a loss mode
     (c_phi, _), (s_phi, _) = ops[0][1]
-    if slot == 0:
-        never, never_paths = c_phi, c_phi != 0
-    elif slot == 1:
-        c_theta = ops[1][1][0][0]
-        never, never_paths = s_phi, c_theta != 0  # sin(phi) > 0 for every delta in [0, pi/2)
-        for _ in range(config.k):  # one product per inner rotation, in step order, as the evolution rounds
-            never *= c_theta
-    total = amplitudes[slot]
+    total = s_phi * _inner_evolution(config)[slot] if slot else c_phi  # as run forms it
+    counts = [0, 1] + [0] * (basis.size - 2)  # A's one path never visits C, so it is counted on neither side
+    # A bool counts as 0 or 1; a float zero is the cheaper compare for float entries.
+    apply_blocks(((pair, ((a != 0.0, b != 0.0), (c != 0.0, d != 0.0))) for pair, ((a, b), (c, d)) in ops[1:]), counts)
+    never, never_paths = (c_phi if slot == 0 else 0.0), 0  # no never-C path ends in C or a loss mode
+    if slot == 1:
+        c_theta = ops[1][1][0][0]  # math.prod multiplies from 1 in step order, as the evolution rounds
+        never, never_paths = s_phi * math.prod([c_theta] * config.k), c_theta != 0
     c_visiting_paths = counts[slot] - never_paths
     return CounterfactualityReport(
         outcome_mode=outcome,

@@ -142,8 +142,8 @@ class ProtocolConfig:
 
     @property
     def phi(self) -> float:
-        """Outer rotation angle, pi/2 - delta."""
-        return math.pi / 2 - self.delta
+        """Outer rotation angle, pi/2 - delta (``_phi``)."""
+        return _phi(self.delta)
 
     @property
     def theta(self) -> float:
@@ -239,6 +239,10 @@ def _distributions(probs: np.ndarray) -> list[OutcomeDistribution]:
     return dists
 
 
+def _phi(delta: float) -> float:
+    return math.pi / 2 - delta  # the one place the outer rotation angle is formed
+
+
 def _check_cycles(k: int) -> None:
     if k > MAX_CYCLES:
         raise ValueError(
@@ -280,16 +284,23 @@ def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
     )
 
 
+def _inner_evolution(config: ProtocolConfig) -> list[float]:
+    """U_in|B>, the ops after the outer rotation applied to |B> in Python
+    floats: the one evolution of amplitudes, which ``run``, ``sweep`` and the
+    report scale to cos(phi)|A> + sin(phi) U_in|B>; ``ValueError`` past ``MAX_CYCLES``."""
+    ops = config.step_ops()  # checks the K bound before anything is built
+    amps = [0.0, 1.0] + [0.0] * (config.mode_basis().size - 2)
+    apply_blocks(ops[1:], amps)
+    return amps
+
+
 def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
     """The final state and detector statistics of the photon injected in mode
-    A; ``ValueError`` for K past ``MAX_CYCLES``."""
-    ops = config.step_ops()
-    basis = config.mode_basis()
-    amps = [0.0] * basis.size
-    amps[basis.index("A")] = 1.0
-    apply_blocks(ops, amps)
-    state = PureState(np.array(amps), basis)
-    return state, OutcomeDistribution.from_probabilities(np.abs(state.amplitudes) ** 2)
+    A, bit for bit ``sweep``'s; ``ValueError`` for K past ``MAX_CYCLES``."""
+    (c_phi, _), (s_phi, _) = config.step_ops()[0][1]
+    amps = s_phi * np.array(_inner_evolution(config))
+    amps[0] = c_phi
+    return PureState(amps, config.mode_basis()), OutcomeDistribution.from_probabilities(np.square(amps))
 
 
 def evolution_unitary(config: ProtocolConfig) -> UnitaryOp:
@@ -344,13 +355,13 @@ def sweep(
     include_final_block: bool = False,
 ) -> list[SweepRow]:
     """Detector statistics for every (K, delta) pair, K outer, delta inner;
-    rows agree with ``run`` up to round-off in the last ulps.
+    each row equals ``run``'s distribution bit for bit.
 
     delta enters only through the outer A/B rotation by phi = pi/2 - delta,
     and the inner evolution U_in leaves A alone, so the final state is
     cos(phi)|A> + sin(phi) U_in|B>: one O(K) evolution per K.  ``ValueError``
-    for an empty list, any bad K or delta, or K past ``MAX_CYCLES``, before
-    the first evolution.
+    for an empty iterable, any bad K or delta, or K past ``MAX_CYCLES``,
+    before the first evolution.
     """
     return list(_sweep_rows(k_values, delta_values, bob, include_final_block))
 
@@ -363,21 +374,17 @@ _SWEEP_BLOCK_ENTRIES = 2**16
 def _sweep_rows(k_values: list[int], delta_values: list[float], bob: BobAction, final: bool) -> Iterator[SweepRow]:
     """The rows of ``sweep``, formed one block of deltas of one K at a time
     (``_SWEEP_BLOCK_ENTRIES``); its checks run on the first ``next``."""
-    if not k_values or not delta_values:
-        raise ValueError("sweep needs at least one K and one delta")
     k_values = [check_cycle_count(k) for k in k_values]
+    deltas = [check_delta(delta) for delta in delta_values]
+    if not k_values or not deltas:
+        raise ValueError("sweep needs at least one K and one delta")
     _check_cycles(max(k_values))
     configs = [ProtocolConfig(k, 0.0, bob, final) for k in k_values]
-    deltas = [check_delta(delta) for delta in delta_values]
     # (cos phi, sin phi) per delta, the entries of run's outer rotation block.
-    outer = np.array([exact_cos_sin(math.pi / 2 - delta) for delta in deltas])
+    outer = np.array([exact_cos_sin(_phi(delta)) for delta in deltas])
     for config in configs:
-        basis = config.mode_basis()
-        inner = [0.0] * basis.size
-        inner[basis.index("B")] = 1.0
-        # Every step after the outer rotation is the same for every delta.
-        apply_blocks(config.step_ops()[1:], inner)
-        block_rows = _SWEEP_BLOCK_ENTRIES // basis.size
+        inner = _inner_evolution(config)
+        block_rows = _SWEEP_BLOCK_ENTRIES // len(inner)
         for start in range(0, len(deltas), block_rows):
             cos_sin = outer[start : start + block_rows]
             amps = np.outer(cos_sin[:, 1], inner)

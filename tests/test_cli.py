@@ -14,6 +14,7 @@ from cfcomm.chip import TomographyResult
 from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, _json, _record_csv_row, build_parser, main
 from cfcomm.histories import CounterfactualityReport
 from cfcomm.modes import ModeBasis
+from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, run, splitter
 
 COS8_PI_8 = 0.5307900429449552
 SIN_SQ_01 = 0.009966711079379185
@@ -65,6 +66,30 @@ class TestRun:
         p_d0 = json.loads(out)["p_D0"]
         assert p_d0 > 0
         assert p_d0 == pytest.approx(math.cos(math.pi / 2 - 5e-16) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "k, delta, bob, final",
+        [
+            (512, 0.05, splitter(0.7), True),
+            (3, 0.3, splitter(0.7), False),
+            (17, 1.2, BLOCK, True),
+            (64, 0.3, PASS, False),
+            (4096, 1.2, splitter(1e-9), True),
+            (2, 0.05, PASS, True),
+        ],
+        ids=["512-split-final", "3-split", "17-block-final", "64-pass", "4096-weak-split-final", "2-pass-final"],
+    )
+    def test_record_is_the_library_run(self, capsys, k, delta, bob, final):
+        # JSON prints each float by repr, so equal text is equal bits.
+        argv = ["run", "--k", str(k), "--delta", repr(delta), "--bob", bob.label()] + ["--final-block"] * final
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        dist = run(ProtocolConfig(k, delta, bob, final))[1]
+        want = {"K": k, "delta": delta, "bob": bob.label(), "include_final_block": final, "p_D0": dist.p_D0,
+                "p_D1": dist.p_D1, "p_D3": dist.p_D3, "p_loss_total": dist.p_loss_total}
+        if dist.p_D3 < 1.0:
+            want["p_D1_renormalized"] = dist.p_D1 / (1.0 - dist.p_D3)
+        assert out == json.dumps(want, indent=2) + "\n"
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--k", "2", "--delta", "0", "--bob", "block", "--format", "csv")

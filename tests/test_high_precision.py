@@ -1,4 +1,5 @@
-"""``run`` held to a 40-digit re-evolution of the protocol.
+"""``run``, ``sweep`` and ``counterfactuality_report`` held to a 40-digit
+re-evolution of the protocol.
 
 The oracle evolves the photon with mpmath at 40 digits, independently of
 ``build_steps``: the outer rotation by phi = pi/2 - delta on (A, B), then K
@@ -14,7 +15,8 @@ import math
 
 import pytest
 
-from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, run, splitter
+from cfcomm.histories import counterfactuality_report
+from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, run, splitter, sweep
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -27,6 +29,8 @@ FIRST_ORDER = 1e-24
 
 ACTIONS = [BLOCK, PASS, splitter(0.7), splitter(9.9e-16)]
 ACTION_IDS = ["block", "pass", "split-0.7", "split-9.9e-16"]
+KS = [1, 2, 3, 4, 5, 8, 17, 32, 64]
+DELTAS = [0.0, 5e-16, 0.3]
 
 
 def mp_cos_sin(double, exact):
@@ -64,7 +68,7 @@ def mp_evolution(config):
 @pytest.mark.parametrize("final_block", [False, True])
 @pytest.mark.parametrize("bob", ACTIONS, ids=ACTION_IDS)
 def test_run_matches_a_40_digit_evolution(bob, final_block):
-    for k, delta in itertools.product([1, 2, 3, 4, 5, 8, 17, 32, 64], [0.0, 5e-16, 0.3]):
+    for k, delta in itertools.product(KS, DELTAS):
         config = ProtocolConfig(k, delta, bob, final_block)
         with mpmath.workdps(DIGITS):
             want = mp_evolution(config)
@@ -73,3 +77,42 @@ def test_run_matches_a_40_digit_evolution(bob, final_block):
             assert abs(g - complex(w)) <= 1e-12, (k, delta, slot, g, w)
             assert not 1e-29 < abs(w) < 2e-17, (k, delta, slot, w)  # the gap FIRST_ORDER sits in
             assert g != 0 or abs(w) < FIRST_ORDER, (k, delta, slot, w)
+
+
+@pytest.mark.parametrize("final_block", [False, True])
+@pytest.mark.parametrize("bob", ACTIONS, ids=ACTION_IDS)
+def test_sweep_rows_match_a_40_digit_evolution(bob, final_block):
+    for row in sweep(KS, DELTAS, bob, final_block):
+        with mpmath.workdps(DIGITS):
+            want = [abs(w) ** 2 for w in mp_evolution(ProtocolConfig(row.k, row.delta, bob, final_block))]
+        got = row.distribution.as_array().tolist()
+        for slot, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - float(w)) <= 1e-12, (row.k, row.delta, slot, g, w)
+
+
+def mp_never_c(config, label):
+    """The 40-digit amplitude of the paths to ``label`` that never visit C:
+    cos(phi) at A, sin(phi) cos(theta)^K at B, and none elsewhere."""
+    if label == "A":
+        return mp_cos_sin(config.phi, mpmath.pi / 2 - mpmath.mpf(config.delta))[0]
+    if label == "B":
+        s_phi = mp_cos_sin(config.phi, mpmath.pi / 2 - mpmath.mpf(config.delta))[1]
+        return s_phi * mp_cos_sin(config.theta, mpmath.pi / (2 * config.k))[0] ** config.k
+    return mpmath.mpf(0)
+
+
+@pytest.mark.parametrize("final_block", [False, True])
+@pytest.mark.parametrize("bob", ACTIONS, ids=ACTION_IDS)
+def test_report_matches_a_40_digit_evolution(bob, final_block):
+    for k, delta in itertools.product(KS, DELTAS):
+        config = ProtocolConfig(k, delta, bob, final_block)
+        labels = config.mode_basis().labels
+        with mpmath.workdps(DIGITS):
+            want = mp_evolution(config)
+            never = {label: mp_never_c(config, label) for label in ("A", "B")}
+        for label, w in zip(labels, want):
+            report = counterfactuality_report(config, label)
+            assert abs(report.total_amplitude - complex(w)) <= 1e-12, (k, delta, label, report, w)
+            if label in never:
+                got_never = report.total_amplitude - report.c_visiting_amplitude
+                assert abs(got_never - complex(never[label])) <= 1e-12, (k, delta, label, report, never[label])

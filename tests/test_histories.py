@@ -157,20 +157,23 @@ class TestPathStructure:
 
 
 def four_call_report(config, outcome):
-    """The report as four one-element ``apply_blocks`` calls per step: the
-    total and never-C amplitudes, and the same two passes on exact path
-    counts with each block's 0/1 nonzero pattern, C zeroed in the never-C
-    passes after every step."""
+    """The report as four one-element ``apply_blocks`` calls per step after
+    the outer rotation, from B: the total and never-C amplitudes, and the
+    same two passes on exact path counts with each block's 0/1 nonzero
+    pattern, C zeroed in the never-C passes after every step.  The outer
+    rotation's block then gives A its cos(phi) and scales every other slot by
+    sin(phi), which is never 0, so each path from B is one path from A."""
     basis = config.mode_basis()
     slot = basis.index(outcome)
-    a, c = basis.index("A"), basis.index("C")
+    b, c = basis.index("B"), basis.index("C")
+    outer, *inner_steps = build_steps(config)
     full = [0.0] * basis.size
-    full[a] = 1.0
+    full[b] = 1.0
     never = list(full)
     full_n = [0] * basis.size
-    full_n[a] = 1
+    full_n[b] = 1
     never_n = list(full_n)
-    for step in build_steps(config):
+    for step in inner_steps:
         amplitudes = [(step.pair, step.block)]
         counts = [(step.pair, tuple(tuple(int(u != 0) for u in row) for row in step.block))]
         apply_blocks(amplitudes, full)
@@ -179,12 +182,18 @@ def four_call_report(config, outcome):
         apply_blocks(counts, never_n)
         never[c] = 0.0
         never_n[c] = 0
-    total = full[slot]
-    c_visiting_paths = full_n[slot] - never_n[slot]
+    (c_phi, _), (s_phi, _) = outer.block
+    if slot == basis.index("A"):  # the one path A -> A, which never visits C
+        total = never_amplitude = c_phi
+        paths = never_paths = int(c_phi != 0)
+    else:
+        total, never_amplitude = s_phi * full[slot], s_phi * never[slot]
+        paths, never_paths = full_n[slot], never_n[slot]
+    c_visiting_paths = paths - never_paths
     return CounterfactualityReport(
         outcome_mode=outcome,
         total_amplitude=complex(total),
-        c_visiting_amplitude=complex(total - never[slot]),
+        c_visiting_amplitude=complex(total - never_amplitude),
         c_visiting_paths=c_visiting_paths,
         verdict=c_visiting_paths == 0,
         probability=abs(total) ** 2,
@@ -224,3 +233,16 @@ def test_report_matches_the_four_call_form(case):
     # repr compares every float bit for bit, the sign of a zero included.
     config, outcome = case
     assert repr(counterfactuality_report(config, outcome)) == repr(four_call_report(config, outcome))
+
+
+@pytest.mark.parametrize("final", [False, True])
+@pytest.mark.parametrize(
+    "bob", [BLOCK, PASS, splitter(0.7), splitter(1e-9)], ids=["block", "pass", "split-0.7", "split-1e-9"]
+)
+def test_report_total_is_the_run_amplitude_bit_for_bit(bob, final):
+    for k in (1, 2, 3, 5, 17, 64, 512, 4096):
+        for delta in (0.0, 0.3, 1.2, 1e-17, 1.5707963267948963):
+            config = ProtocolConfig(k, delta, bob, final)
+            state = run(config)[0]
+            for label in ("A", "B", "C", "L1", f"L{k}"):
+                assert repr(counterfactuality_report(config, label).total_amplitude) == repr(state.amplitude(label))

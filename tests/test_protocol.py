@@ -560,6 +560,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([2], [], BLOCK)
 
+    def test_empty_delta_iterator_rejected(self):
+        with pytest.raises(ValueError, match="^sweep needs at least one K and one delta$"):
+            sweep([1], iter([]), BLOCK)
+
+    def test_empty_k_iterator_rejected(self):
+        with pytest.raises(ValueError, match="^sweep needs at least one K and one delta$"):
+            sweep(iter([]), [0.1], BLOCK)
+
+    def test_numpy_arrays_are_lists_of_numbers(self):
+        rows = sweep(np.array([1, 2]), np.array([0.0, 0.1]), BLOCK)
+        assert rows == sweep([1, 2], [0.0, 0.1], BLOCK)
+        assert [type(value) for row in rows for value in (row.k, row.delta)] == [int, float] * 4
+
     @pytest.mark.parametrize("final", [False, True])
     @pytest.mark.parametrize("bob", [BLOCK, PASS, splitter(0.4), splitter(1e-12), splitter(math.pi / 2)])
     def test_delta_zero_rows_are_run_bit_for_bit(self, bob, final):
@@ -567,6 +580,17 @@ class TestSweep:
         rows = sweep([1, 2, 7, 64, MAX_CYCLES], deltas, bob, final)
         for row in rows[::3] + rows[2::3]:
             assert row.distribution == run(ProtocolConfig(row.k, 0.0, bob, final))[1]
+
+    @pytest.mark.parametrize("final", [False, True])
+    @pytest.mark.parametrize(
+        "bob", [BLOCK, PASS, splitter(0.7), splitter(1e-9), splitter(math.pi / 2)],
+        ids=["block", "pass", "split-0.7", "split-1e-9", "split-pi/2"],
+    )
+    def test_rows_are_run_bit_for_bit_at_every_delta(self, bob, final):
+        # repr compares every float bit for bit, the sign of a zero included.
+        deltas = [0.0, 0.3, 1.2, 1e-17, 0.05, 1.5707963267948963]
+        for row in sweep([1, 2, 3, 5, 17, 64, 512, MAX_CYCLES], deltas, bob, final):
+            assert repr(row.distribution) == repr(run(ProtocolConfig(row.k, row.delta, bob, final))[1])
 
     def test_step_ops_built_once_per_k(self, builds):
         # One fresh config per K entry, so a repeated K is built again.

@@ -663,11 +663,16 @@ def complex_evolution(config):
 
 
 def complex_run(config):
-    """``run`` evolving complex amplitudes through complex blocks."""
+    """``run`` evolving complex amplitudes through complex blocks: |B> through
+    every step after the outer rotation, then the outer block's complex
+    cos(phi) at A and its sin(phi) times that state everywhere else."""
     basis = config.mode_basis()
-    amps = [0j] * basis.size
-    amps[basis.index("A")] = 1 + 0j
-    apply_blocks(complex_ops(config), amps)
+    (_, ((c_phi, _), (s_phi, _))), *inner_ops = complex_ops(config)
+    inner = [0j] * basis.size
+    inner[basis.index("B")] = 1 + 0j
+    apply_blocks(inner_ops, inner)
+    amps = [s_phi * a for a in inner]
+    amps[basis.index("A")] = c_phi
     state = PureState(np.array(amps), basis)
     return state, OutcomeDistribution.from_probabilities(np.abs(state.amplitudes) ** 2)
 
