@@ -110,26 +110,31 @@ def amplitude_by_paths(histories: list[History], outcome: str) -> complex:
 def counterfactuality_report(config: ProtocolConfig, outcome: str) -> CounterfactualityReport:
     """Split the amplitude and the paths reaching the mode labelled
     ``outcome`` by whether they visit C.  The total amplitude is ``run``'s.
-    The path count is an ``apply_blocks`` pass from B over the inner ops on
-    exact integers, each block's nonzero pattern as bools, pruned on exact
-    zeros as in ``enumerate_histories``; sin(phi) > 0, so each path from B is
-    one from A.  The never-C paths are read from the ops in closed form: a
-    photon that never enters C stays in A, through the outer block's cos(phi),
-    or in B, through its sin(phi) and then the inner block's cos(theta) once
-    per inner rotation.  ``ValueError`` for an unknown label or K past ``protocol.MAX_CYCLES``."""
+    Outcome A needs no pass: its one path, through the outer block's cos(phi),
+    never visits C, and no inner op touches A.  Any other outcome's path count
+    is an ``apply_blocks`` pass from B over the inner ops on exact integers,
+    each block's nonzero pattern as bools, pruned on exact zeros as in
+    ``enumerate_histories``; sin(phi) > 0, so each path from B is one from A.
+    Its never-C paths are read from the ops in closed form: a photon that
+    never enters C stays in B, through sin(phi) and then the inner block's
+    cos(theta) once per inner rotation.  ``ValueError`` for an unknown label
+    or K past ``protocol.MAX_CYCLES``."""
     basis = config.mode_basis()
     slot = basis.index(outcome)  # rejects unknown labels first
     ops = config.step_ops()  # checks the K bound before anything is built
     (c_phi, _), (s_phi, _) = ops[0][1]
-    total = s_phi * _inner_evolution(config)[slot] if slot else c_phi  # as run forms it
-    counts = [0, 1] + [0] * (basis.size - 2)  # A's one path never visits C, so it is counted on neither side
-    # A bool counts as 0 or 1; a float zero is the cheaper compare for float entries.
-    apply_blocks(((pair, ((a != 0.0, b != 0.0), (c != 0.0, d != 0.0))) for pair, ((a, b), (c, d)) in ops[1:]), counts)
-    never, never_paths = (c_phi if slot == 0 else 0.0), 0  # no never-C path ends in C or a loss mode
-    if slot == 1:
-        c_theta = ops[1][1][0][0]  # math.prod multiplies from 1 in step order, as the evolution rounds
-        never, never_paths = s_phi * math.prod([c_theta] * config.k), c_theta != 0
-    c_visiting_paths = counts[slot] - never_paths
+    total, never, c_visiting_paths = c_phi, c_phi, 0  # outcome A
+    if slot:
+        total = s_phi * _inner_evolution(config)[slot]  # as run forms it
+        counts = [0, 1] + [0] * (basis.size - 2)  # the one path into B
+        # A bool counts as 0 or 1; a float zero is the cheaper compare for float entries.
+        pattern = ((pair, ((a != 0.0, b != 0.0), (c != 0.0, d != 0.0))) for pair, ((a, b), (c, d)) in ops[1:])
+        apply_blocks(pattern, counts)
+        never, never_paths = 0.0, 0  # no never-C path ends in C or a loss mode
+        if slot == 1:
+            c_theta = ops[1][1][0][0]  # math.prod multiplies from 1 in step order, as the evolution rounds
+            never, never_paths = s_phi * math.prod([c_theta] * config.k), c_theta != 0
+        c_visiting_paths = counts[slot] - never_paths
     return CounterfactualityReport(
         outcome_mode=outcome,
         total_amplitude=complex(total),

@@ -360,10 +360,14 @@ def sweep(
     delta enters only through the outer A/B rotation by phi = pi/2 - delta,
     and the inner evolution U_in leaves A alone, so the final state is
     cos(phi)|A> + sin(phi) U_in|B>: one O(K) evolution per K.  ``ValueError``
-    for an empty iterable, any bad K or delta, or K past ``MAX_CYCLES``,
-    before the first evolution.
+    for any bad K or delta, then an empty iterable, both checked here, or for
+    K past ``MAX_CYCLES``, checked by ``_sweep_rows``; all before the first evolution.
     """
-    return list(_sweep_rows(k_values, delta_values, bob, include_final_block))
+    k_values = [check_cycle_count(k) for k in k_values]
+    deltas = [check_delta(delta) for delta in delta_values]
+    if not k_values or not deltas:
+        raise ValueError("sweep needs at least one K and one delta")
+    return list(_sweep_rows(k_values, deltas, bob, include_final_block))
 
 
 # Most probabilities ``_sweep_rows`` holds at once: a K's deltas are taken in
@@ -371,19 +375,15 @@ def sweep(
 _SWEEP_BLOCK_ENTRIES = 2**16
 
 
-def _sweep_rows(k_values: list[int], delta_values: list[float], bob: BobAction, final: bool) -> Iterator[SweepRow]:
-    """The rows of ``sweep``, formed one block of deltas of one K at a time
-    (``_SWEEP_BLOCK_ENTRIES``); its checks run on the first ``next``."""
-    k_values = [check_cycle_count(k) for k in k_values]
-    deltas = [check_delta(delta) for delta in delta_values]
-    if not k_values or not deltas:
-        raise ValueError("sweep needs at least one K and one delta")
+def _sweep_rows(k_values: list[int], deltas: list[float], bob: BobAction, final: bool) -> Iterator[SweepRow]:
+    """The rows of ``sweep`` for K and delta lists already checked by ``sweep``
+    or the CLI parser: one K's config and one block of its deltas at a time
+    (``_SWEEP_BLOCK_ENTRIES``); K past ``MAX_CYCLES`` raises on the first ``next``."""
     _check_cycles(max(k_values))
-    configs = [ProtocolConfig(k, 0.0, bob, final) for k in k_values]
     # (cos phi, sin phi) per delta, the entries of run's outer rotation block.
     outer = np.array([exact_cos_sin(_phi(delta)) for delta in deltas])
-    for config in configs:
-        inner = _inner_evolution(config)
+    for k in k_values:
+        inner = _inner_evolution(ProtocolConfig(k, 0.0, bob, final))
         block_rows = _SWEEP_BLOCK_ENTRIES // len(inner)
         for start in range(0, len(deltas), block_rows):
             cos_sin = outer[start : start + block_rows]
@@ -392,7 +392,7 @@ def _sweep_rows(k_values: list[int], delta_values: list[float], bob: BobAction, 
             # The amplitudes are real, so |a|^2 is a * a, squared in place.
             dists = _distributions(np.square(amps, out=amps))
             for delta, dist in zip(deltas[start : start + block_rows], dists):
-                yield SweepRow(config.k, delta, dist)
+                yield SweepRow(k, delta, dist)
 
 
 def alice_reduced_state(final: PureState) -> tuple[np.ndarray, float]:

@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 
+from cfcomm import modes, protocol
 from cfcomm.chip import TomographyResult
 from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, _json, _record_csv_row, build_parser, main
 from cfcomm.histories import CounterfactualityReport
@@ -154,6 +155,38 @@ class TestSweep:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 501
         assert peak <= 12_000_000, peak
+
+    def test_configs_are_held_one_k_at_a_time(self, capsys):
+        # Built up front, the 1,024 configs and the step ops each keeps after
+        # its evolution peaked at about 78 MB; one K at a time, about 1 MB.
+        argv = ["sweep", "--k", "1:1024", "--delta", "0", "--bob", "block"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 1024
+        assert peak <= 8_000_000, peak
+
+    def test_each_value_is_checked_once(self, capsys, monkeypatch):
+        # The parser checks each K and delta; the one config checks its K and
+        # its delta of 0.0, and its mode basis the K again.  The sweep core
+        # checks none of them a second time.
+        calls = []
+
+        def counted(name, check):
+            return lambda value: calls.append(name) or check(value)
+
+        monkeypatch.setattr(protocol, "check_delta", counted("delta", protocol.check_delta))
+        counted_k = counted("K", modes.check_cycle_count)
+        monkeypatch.setattr(modes, "check_cycle_count", counted_k)
+        monkeypatch.setattr(protocol, "check_cycle_count", counted_k)
+        code, out, _ = run_cli(capsys, "sweep", "--k", "7", "--delta", "0:1.5:0.1", "--bob", "split:0.7")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 16
+        assert (calls.count("delta"), calls.count("K")) == (17, 3)
 
     def test_every_row_has_every_cell(self, capsys):
         # Under pass the delta-0 rows abort for certain: their renormalized

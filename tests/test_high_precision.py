@@ -1,5 +1,5 @@
-"""``run``, ``sweep`` and ``counterfactuality_report`` held to a 40-digit
-re-evolution of the protocol.
+"""``run``, ``sweep``, ``counterfactuality_report`` and the mesh's input
+column held to a 40-digit re-evolution of the protocol.
 
 The oracle evolves the photon with mpmath at 40 digits, independently of
 ``build_steps``: the outer rotation by phi = pi/2 - delta on (A, B), then K
@@ -15,6 +15,7 @@ import math
 
 import pytest
 
+from cfcomm.chip import _tomography_column
 from cfcomm.histories import counterfactuality_report
 from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, run, splitter, sweep
 
@@ -116,3 +117,20 @@ def test_report_matches_a_40_digit_evolution(bob, final_block):
             if label in never:
                 got_never = report.total_amplitude - report.c_visiting_amplitude
                 assert abs(got_never - complex(never[label])) <= 1e-12, (k, delta, label, report, never[label])
+
+
+@pytest.mark.parametrize("final_block", [False, True])
+@pytest.mark.parametrize("bob", ACTIONS, ids=ACTION_IDS)
+def test_mesh_input_column_matches_a_40_digit_evolution(bob, final_block):
+    # The mesh equals the evolution up to diagonal phases, so each entry of
+    # its input column is held by magnitude, and the A and B entries, which
+    # tomography reads as one qubit, by their common output phase.
+    for k, delta in itertools.product(KS, DELTAS):
+        config = ProtocolConfig(k, delta, bob, final_block)
+        with mpmath.workdps(DIGITS):
+            want = [complex(w) for w in mp_evolution(config)]
+        column = _tomography_column(config).tolist()
+        for slot, (g, w) in enumerate(zip(column, want)):
+            assert abs(abs(g) - abs(w)) <= 1e-12, (k, delta, slot, g, w)
+        if min(abs(want[0]), abs(want[1])) > 1e-3:
+            assert abs(column[0] / want[0] - column[1] / want[1]) <= 1e-12, (k, delta, column[:2], want[:2])

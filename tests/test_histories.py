@@ -126,6 +126,18 @@ class TestCounterfactuality:
             report = counterfactuality_report(config, label)
             assert abs(report.total_amplitude - state.amplitude(label)) <= 1e-10
 
+    @pytest.mark.parametrize("k", [1, 12, 4096])
+    def test_outcome_a_runs_no_path_count_pass(self, monkeypatch, k):
+        # A's one path, through cos(phi), never visits C: its report comes
+        # from the outer block, with no pass over the inner ops.
+        config = ProtocolConfig(k, 0.3, splitter(0.7), True)
+        want = counterfactuality_report(config, "A")
+        monkeypatch.setattr("cfcomm.histories.apply_blocks", lambda *args: pytest.fail("ran a path-count pass"))
+        assert repr(counterfactuality_report(config, "A")) == repr(want)
+        assert want.c_visiting_paths == 0 and want.c_visiting_amplitude == 0 and want.verdict is True
+        with pytest.raises(pytest.fail.Exception, match="ran a path-count pass"):
+            counterfactuality_report(config, "B")
+
     def test_unknown_outcome_rejected(self):
         with pytest.raises(ValueError):
             counterfactuality_report(ProtocolConfig(2, 0.1, PASS), "Q")
