@@ -89,45 +89,34 @@ def _range(text: str, number: type, default_step: float, check: Callable) -> lis
     return [check(start + i * step) for i in range(int(intervals) + 1)]
 
 
-def _run_record(row: protocol.SweepRow, bob_label: str, final_block: bool) -> dict:
-    dist = row.distribution
-    record = {
-        "K": row.k,
-        "delta": row.delta,
-        "bob": bob_label,
-        "include_final_block": final_block,
-        "p_D0": dist.p_D0,
-        "p_D1": dist.p_D1,
-        "p_D3": dist.p_D3,
-        "p_loss_total": dist.p_loss_total,
-    }
-    if dist.p_D3 < 1.0:
-        record["p_D1_renormalized"] = dist.p_D1 / (1.0 - dist.p_D3)
-    return record
+# A record's keys, and its CSV line by number of values: floats as "%.17g"
+# (17 digits round-trip any double), an empty cell for no renormalized p_D1.
+_RECORD_KEYS = ("K", "delta", "bob", "include_final_block", "p_D0", "p_D1", "p_D3", "p_loss_total", "p_D1_renormalized")
+_CSV_ROWS = {8: "%d,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g,", 9: "%d,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g"}
 
 
-def _record_csv_row(record: dict) -> str:
-    """The values of a ``_run_record`` in ``CSV_HEADER`` order by one format:
-    the final block as true/false, each float as ``format(v, ".17g")`` (17
-    significant digits round-trip any double), and the renormalized p_D1 cell
-    empty when the record has none."""
-    k, delta, bob, final_block, p_d0, p_d1, p_d3, p_loss, *renorm = record.values()
-    final = "true" if final_block else "false"
-    renorm_cell = "%.17g" % renorm[0] if renorm else ""
-    return "%d,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g,%s" % (k, delta, bob, final, p_d0, p_d1, p_d3, p_loss, renorm_cell)
+def _record_values(k: int, delta: float, row: list[float], bob: str, final: object) -> tuple:
+    """One (K, delta, row) of ``protocol._sweep_rows`` as a record's values in
+    ``_RECORD_KEYS`` order, the renormalized p_D1 only if p_D3 < 1."""
+    p_d1, p_d3 = row[1], row[2]
+    values = (k, delta, bob, final, row[0], p_d1, p_d3, math.fsum(row[3:]))
+    return values + (p_d1 / (1.0 - p_d3),) if p_d3 < 1.0 else values
 
 
-def _sweep_output(
-    ns: argparse.Namespace, k_values: list[int], delta_values: list[float], single: bool
-) -> tuple[object, int]:
+def _sweep_output(ns: argparse.Namespace, k_values: list[int], delta_values: list[float]) -> tuple[object, int]:
     """One record per grid point, from ``protocol._sweep_rows`` row by row:
-    CSV text, or for JSON a list, or the lone record when ``single`` is set."""
+    CSV text, or for JSON a list, or ``run``'s lone record."""
     rows = protocol._sweep_rows(k_values, delta_values, ns.bob, ns.final_block)
     label = ns.bob.label()
-    records = [_run_record(row, label, ns.final_block) for row in rows]
     if ns.format == "csv":
-        return "\n".join([CSV_HEADER] + [_record_csv_row(r) for r in records]) + "\n", EXIT_OK
-    return (records[0] if single else records), EXIT_OK
+        final = "true" if ns.final_block else "false"
+        lines = [CSV_HEADER]
+        for k, delta, row in rows:
+            values = _record_values(k, delta, row, label, final)
+            lines.append(_CSV_ROWS[len(values)] % values)
+        return "\n".join(lines) + "\n", EXIT_OK
+    records = [dict(zip(_RECORD_KEYS, _record_values(*point, label, ns.final_block))) for point in rows]
+    return (records[0] if ns.command == "run" else records), EXIT_OK
 
 
 def _config_from(ns: argparse.Namespace) -> protocol.ProtocolConfig:
@@ -141,11 +130,11 @@ def _config_from(ns: argparse.Namespace) -> protocol.ProtocolConfig:
 
 
 def _cmd_run(ns: argparse.Namespace) -> tuple[object, int]:
-    return _sweep_output(ns, [ns.k], [ns.delta], single=True)
+    return _sweep_output(ns, [ns.k], [ns.delta])
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> tuple[object, int]:
-    return _sweep_output(ns, ns.k, ns.delta, single=False)
+    return _sweep_output(ns, ns.k, ns.delta)
 
 
 def _cmd_trace(ns: argparse.Namespace) -> tuple[object, int]:

@@ -188,8 +188,8 @@ class Step:
 class OutcomeDistribution:
     """Detection probabilities at D0/D1/D3 and in each loss mode; ``ValueError``
     unless each lies in [0, 1] within ``NORM_TOL`` and their sum passes
-    ``modes.check_norm``.  ``run`` and ``sweep`` build theirs with
-    ``_distributions``, which makes these checks once per block of rows."""
+    ``modes.check_norm``.  ``run`` and ``sweep`` make these checks once per
+    block of rows (``_checked_rows``)."""
 
     p_D0: float
     p_D1: float
@@ -207,8 +207,8 @@ class OutcomeDistribution:
     @classmethod
     def from_probabilities(cls, probs: np.ndarray) -> "OutcomeDistribution":
         """From Born probabilities in mode order A, B, C, L1..LK, with the
-        constructor's checks and errors (``_distributions`` of one row)."""
-        return _distributions(probs[None, :])[0]
+        constructor's checks and errors (``_checked_rows`` of one row)."""
+        return _distribution(_checked_rows(probs[None, :])[0])
 
     @property
     def p_loss_total(self) -> float:
@@ -218,25 +218,26 @@ class OutcomeDistribution:
         return np.array([self.p_D0, self.p_D1, self.p_D3, *self.p_loss])
 
 
-def _distributions(probs: np.ndarray) -> list[OutcomeDistribution]:
-    """One ``OutcomeDistribution`` per row of an n x (K+3) block of Born
-    probabilities, each row in mode order A, B, C, L1..LK.
-
-    The constructor's checks, made once per block: the range by numpy's
-    ``min`` and ``max`` of the whole block (a NaN fails both), then the norm
-    row by row.  If any entry is out of range, every row goes through the
-    constructor, which raises the same error from the same row.
-    """
+def _checked_rows(probs: np.ndarray) -> list[list[float]]:
+    """An n x (K+3) block of Born probabilities, rows in mode order A, B, C,
+    L1..LK, as lists of floats once the constructor's checks pass: the range
+    by numpy's ``min`` and ``max`` of the block (a NaN fails both), then each
+    row's norm.  Out of range, every row goes through the constructor, which
+    raises the same error from the same row."""
     rows = probs.tolist()
     if not (probs.min() >= -NORM_TOL and probs.max() <= 1.0 + NORM_TOL):
-        return [OutcomeDistribution(row[0], row[1], row[2], tuple(row[3:])) for row in rows]
-    dists = []
+        for row in rows:
+            OutcomeDistribution(row[0], row[1], row[2], tuple(row[3:]))
     for row in rows:
         check_norm(math.fsum(row))
-        dist = object.__new__(OutcomeDistribution)
-        dist.__dict__.update(p_D0=row[0], p_D1=row[1], p_D3=row[2], p_loss=tuple(row[3:]))
-        dists.append(dist)
-    return dists
+    return rows
+
+
+def _distribution(row: list[float]) -> OutcomeDistribution:
+    """A row of ``_checked_rows`` as a record, its checks not made again."""
+    dist = object.__new__(OutcomeDistribution)
+    dist.__dict__.update(p_D0=row[0], p_D1=row[1], p_D3=row[2], p_loss=tuple(row[3:]))
+    return dist
 
 
 def _phi(delta: float) -> float:
@@ -354,20 +355,21 @@ def sweep(
     bob: BobAction,
     include_final_block: bool = False,
 ) -> list[SweepRow]:
-    """Detector statistics for every (K, delta) pair, K outer, delta inner;
-    each row equals ``run``'s distribution bit for bit.
+    """Detector statistics for every (K, delta) pair, K outer, delta inner:
+    each ``_sweep_rows`` row as a ``SweepRow``, equal to ``run``'s bit for bit.
 
     delta enters only through the outer A/B rotation by phi = pi/2 - delta,
-    and the inner evolution U_in leaves A alone, so the final state is
-    cos(phi)|A> + sin(phi) U_in|B>: one O(K) evolution per K.  ``ValueError``
-    for any bad K or delta, then an empty iterable, both checked here, or for
-    K past ``MAX_CYCLES``, checked by ``_sweep_rows``; all before the first evolution.
+    and U_in leaves A alone, so the final state is cos(phi)|A> + sin(phi)
+    U_in|B>: one O(K) evolution per K.  ``ValueError`` for any bad K or delta,
+    then an empty iterable, both checked here, or for K past ``MAX_CYCLES``,
+    checked by ``_sweep_rows``; all before the first evolution.
     """
     k_values = [check_cycle_count(k) for k in k_values]
     deltas = [check_delta(delta) for delta in delta_values]
     if not k_values or not deltas:
         raise ValueError("sweep needs at least one K and one delta")
-    return list(_sweep_rows(k_values, deltas, bob, include_final_block))
+    rows = _sweep_rows(k_values, deltas, bob, include_final_block)
+    return [SweepRow(k, delta, _distribution(row)) for k, delta, row in rows]
 
 
 # Most probabilities ``_sweep_rows`` holds at once: a K's deltas are taken in
@@ -375,10 +377,11 @@ def sweep(
 _SWEEP_BLOCK_ENTRIES = 2**16
 
 
-def _sweep_rows(k_values: list[int], deltas: list[float], bob: BobAction, final: bool) -> Iterator[SweepRow]:
-    """The rows of ``sweep`` for K and delta lists already checked by ``sweep``
-    or the CLI parser: one K's config and one block of its deltas at a time
-    (``_SWEEP_BLOCK_ENTRIES``); K past ``MAX_CYCLES`` raises on the first ``next``."""
+def _sweep_rows(k_values: list[int], deltas: list[float], bob: BobAction, final: bool) -> Iterator[tuple]:
+    """(K, delta, row) per point of ``sweep``, row a ``_checked_rows`` row, for
+    K and delta lists that ``sweep`` or the CLI parser checked: one K's config
+    and one block of its deltas at a time (``_SWEEP_BLOCK_ENTRIES``); K past
+    ``MAX_CYCLES`` raises on the first ``next``."""
     _check_cycles(max(k_values))
     # (cos phi, sin phi) per delta, the entries of run's outer rotation block.
     outer = np.array([exact_cos_sin(_phi(delta)) for delta in deltas])
@@ -390,9 +393,9 @@ def _sweep_rows(k_values: list[int], deltas: list[float], bob: BobAction, final:
             amps = np.outer(cos_sin[:, 1], inner)
             amps[:, 0] = cos_sin[:, 0]
             # The amplitudes are real, so |a|^2 is a * a, squared in place.
-            dists = _distributions(np.square(amps, out=amps))
-            for delta, dist in zip(deltas[start : start + block_rows], dists):
-                yield SweepRow(k, delta, dist)
+            rows = _checked_rows(np.square(amps, out=amps))
+            for delta, row in zip(deltas[start : start + block_rows], rows):
+                yield k, delta, row
 
 
 def alice_reduced_state(final: PureState) -> tuple[np.ndarray, float]:

@@ -12,10 +12,10 @@ import pytest
 
 from cfcomm import modes, protocol
 from cfcomm.chip import TomographyResult
-from cfcomm.cli import CSV_HEADER, MAX_GRID_POINTS, _json, _record_csv_row, build_parser, main
+from cfcomm.cli import _CSV_ROWS, CSV_HEADER, MAX_GRID_POINTS, _json, build_parser, main
 from cfcomm.histories import CounterfactualityReport
 from cfcomm.modes import ModeBasis
-from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, run, splitter
+from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, run, splitter, sweep
 
 COS8_PI_8 = 0.5307900429449552
 SIN_SQ_01 = 0.009966711079379185
@@ -25,6 +25,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def library_record(k, delta, bob, final, dist):
+    """The record the CLI prints for one point, built from the library's
+    distribution."""
+    record = {"K": k, "delta": delta, "bob": bob.label(), "include_final_block": final, "p_D0": dist.p_D0,
+              "p_D1": dist.p_D1, "p_D3": dist.p_D3, "p_loss_total": dist.p_loss_total}
+    if dist.p_D3 < 1.0:
+        record["p_D1_renormalized"] = dist.p_D1 / (1.0 - dist.p_D3)
+    return record
 
 
 class TestRun:
@@ -85,11 +95,7 @@ class TestRun:
         argv = ["run", "--k", str(k), "--delta", repr(delta), "--bob", bob.label()] + ["--final-block"] * final
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        dist = run(ProtocolConfig(k, delta, bob, final))[1]
-        want = {"K": k, "delta": delta, "bob": bob.label(), "include_final_block": final, "p_D0": dist.p_D0,
-                "p_D1": dist.p_D1, "p_D3": dist.p_D3, "p_loss_total": dist.p_loss_total}
-        if dist.p_D3 < 1.0:
-            want["p_D1_renormalized"] = dist.p_D1 / (1.0 - dist.p_D3)
+        want = library_record(k, delta, bob, final, run(ProtocolConfig(k, delta, bob, final))[1])
         assert out == json.dumps(want, indent=2) + "\n"
 
     def test_csv_format(self, capsys):
@@ -198,6 +204,52 @@ class TestSweep:
         assert [len(row) for row in cells] == [len(CSV_HEADER.split(","))] * 6
         assert [row[-1] == "" for row in cells] == [True, False] * 3
 
+    # 33 deltas: at K = 4096 a block holds 15 rows, so the K's rows span
+    # three blocks; each --k is a multi-K sweep.
+    @pytest.mark.parametrize("final", [False, True], ids=["", "final"])
+    @pytest.mark.parametrize("bob", [BLOCK, PASS, splitter(0.7)], ids=["block", "pass", "split"])
+    def test_rows_are_the_library_sweep(self, capsys, bob, final):
+        deltas = [i * 0.046875 for i in range(33)]
+        final_cell = "true" if final else "false"
+        for spec, ks in (("1:2", [1, 2]), ("64:4096:4032", [64, 4096])):
+            argv = ["sweep", "--k", spec, "--delta", "0:1.5:0.046875", "--bob", bob.label()] + ["--final-block"] * final
+            rows = sweep(ks, deltas, bob, final)
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == CSV_HEADER and len(lines) == 1 + len(rows)
+            for line, row in zip(lines[1:], rows):
+                d = row.distribution
+                floats = ["%.17g" % p for p in (d.p_D0, d.p_D1, d.p_D3, d.p_loss_total)]
+                renorm = "%.17g" % (d.p_D1 / (1.0 - d.p_D3)) if d.p_D3 < 1.0 else ""
+                assert line.split(",") == [str(row.k), "%.17g" % row.delta, bob.label(), final_cell, *floats, renorm]
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert code == 0
+            records = [library_record(row.k, row.delta, bob, final, row.distribution) for row in rows]
+            assert out == json.dumps(records, indent=2) + "\n"
+
+    def test_rows_are_printed_without_records(self, capsys, monkeypatch):
+        # The CLI prints each checked row of probabilities as it comes: no
+        # SweepRow and no OutcomeDistribution is built on the way.
+        cases = [
+            ["run", "--k", "64", "--delta", "0.3", "--bob", "pass"],
+            ["run", "--k", "4096", "--delta", "1.2", "--bob", "split:0.7", "--final-block"],
+            ["sweep", "--k", "1:64", "--delta", "0:1.5:0.1", "--bob", "block"],
+            ["sweep", "--k", "4096", "--delta", "0:1.5:0.046875", "--bob", "split:0.7", "--final-block"],
+        ]
+        cases += [argv + ["--format", "csv" if argv[0] == "run" else "json"] for argv in cases]
+        want = [run_cli(capsys, *argv) for argv in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(protocol.SweepRow, "__init__", refuse)
+        monkeypatch.setattr(protocol.OutcomeDistribution, "__init__", refuse)
+        monkeypatch.setattr(protocol, "_distribution", refuse)
+        for argv, (code, out, err) in zip(cases, want):
+            assert code == 0 and err == ""
+            assert run_cli(capsys, *argv) == (code, out, err)
+
     def test_float_cells_are_17_significant_digits(self):
         grid = [
             5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, math.nextafter(1.0, 0.0), 1.0,
@@ -205,12 +257,11 @@ class TestSweep:
         ]
         for i, v in enumerate(grid):
             w = grid[-1 - i]
-            for final_block, renorm in ((False, {}), (True, {"p_D1_renormalized": w})):
-                record = {"K": 4096 - i, "delta": v, "bob": "split:0.7", "include_final_block": final_block,
-                          "p_D0": v, "p_D1": w, "p_D3": -v, "p_loss_total": w, **renorm}
-                want = [str(4096 - i), format(v, ".17g"), "split:0.7", str(final_block).lower(), format(v, ".17g"),
+            for final, renorm in (("false", ()), ("true", (w,))):
+                values = (4096 - i, v, "split:0.7", final, v, w, -v, w, *renorm)
+                want = [str(4096 - i), format(v, ".17g"), "split:0.7", final, format(v, ".17g"),
                         format(w, ".17g"), format(-v, ".17g"), format(w, ".17g"), format(w, ".17g") if renorm else ""]
-                assert _record_csv_row(record).split(",") == want
+                assert (_CSV_ROWS[len(values)] % values).split(",") == want
 
     # Each of these would expand to about 1e12 points; the count is checked
     # before any list is built.

@@ -746,8 +746,9 @@ def _records_or_error(make, block):
 
 
 class TestBlockConstructor:
-    """``protocol._distributions``, which ``run`` and ``sweep`` build their
-    records with, against the public constructor row by row."""
+    """``protocol._checked_rows`` and ``protocol._distribution``, which ``run``
+    and ``sweep`` build their records with, against the public constructor row
+    by row."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(probability_blocks())
@@ -763,7 +764,10 @@ class TestBlockConstructor:
         want = _records_or_error(
             lambda b: [OutcomeDistribution(row[0], row[1], row[2], tuple(row[3:])) for row in b.tolist()], block
         )
-        for make in (protocol._distributions, lambda b: [OutcomeDistribution.from_probabilities(row) for row in b]):
+        for make in (
+            lambda b: [protocol._distribution(row) for row in protocol._checked_rows(b)],
+            lambda b: [OutcomeDistribution.from_probabilities(row) for row in b],
+        ):
             got = _records_or_error(make, block)
             assert got == want
             if isinstance(want, list):
