@@ -40,7 +40,6 @@ __all__ = [
     "simulate_tomography",
     "splitter",
     "sweep",
-    "trace_distance",
     "verify",
 ]
 

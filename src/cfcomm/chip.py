@@ -27,7 +27,6 @@ import numpy as np
 
 from . import modes, protocol
 from .modes import (
-    MAX_SHOTS,
     Block,
     PureState,
     UnitaryOp,
@@ -43,7 +42,6 @@ from .modes import (
 from .protocol import ProtocolConfig, alice_reduced_state
 
 __all__ = [
-    "MAX_SHOTS",
     "ROLE_BLOCKER",
     "ROLE_INNER",
     "ROLE_OUTER",
@@ -53,14 +51,10 @@ __all__ = [
     "MeshProgram",
     "MziSetting",
     "TomographyResult",
-    "check_seed",
-    "check_shots",
-    "check_tolerance",
     "compile_program",
     "mesh_unitary",
     "mzi_block",
     "simulate_tomography",
-    "trace_distance",
     "verify",
 ]
 
@@ -510,19 +504,6 @@ class TomographyResult:
     exact_rho: np.ndarray
     trace_distance: float
     postselected_fraction: float
-
-
-def trace_distance(rho: object, sigma: object) -> float:
-    """(1/2) * trace norm of rho - sigma; ``ValueError`` unless they are square
-    matrices of one shape whose difference is Hermitian at ``modes.NORM_TOL``."""
-    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape != sigma.shape:
-        raise ValueError(f"trace distance needs two square matrices of one shape, got {rho.shape} and {sigma.shape}")
-    diff = rho - sigma
-    gap = float(np.abs(diff - diff.conj().T).max(initial=0.0))
-    if not gap <= modes.NORM_TOL:
-        raise ValueError(f"rho - sigma must be Hermitian within {modes.NORM_TOL:g}, got max |D - D^H| = {gap:.3e}")
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 def _basis_probabilities(psi: np.ndarray, basis_name: str) -> np.ndarray:

@@ -279,24 +279,20 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
     into its entries, then replaces its two rows as ``apply_blocks`` would,
     except that against an e_c each new row is the other row times one
     entry plus the other entry at column c: two vector operations, not six,
-    and only the sign of an exact zero can differ.  The rows are float64
-    from an all-float first block until a block that is not makes them
-    complex128, once; no entry is read ahead.  They are stacked at the end.
+    and only the sign of an exact zero can differ.  The dtype is read from
+    every entry before the first row is built.  The rows are stacked at the
+    end.
     """
     check_dense_size(size)
+    ops = list(ops)
+    real = bool(ops)  # float64 rows iff there is a block and every entry is a float
+    for _, ((a, b), (c, d)) in ops:
+        if not (isinstance(a, float) and isinstance(b, float) and isinstance(c, float) and isinstance(d, float)):
+            real = False
+            break
     rows: list[int | np.ndarray] = list(range(size))  # slot -> its row, or c while it is e_c
     phases = [1.0] * size  # slot -> the phase pending on its row
-    real = None  # float64 rows: set by the first block, cleared for good by the first non-float one
     for (i, j), ((u00, u01), (u10, u11)) in ops:
-        if real is not False:
-            all_float = (
-                isinstance(u00, float) and isinstance(u01, float) and isinstance(u10, float) and isinstance(u11, float)
-            )
-            if real and not all_float:  # the float64 rows so far turn complex128
-                for slot, row in enumerate(rows):
-                    if type(row) is not int:
-                        rows[slot] = row.astype(complex)
-            real = all_float
         if u00 == 0 and u11 == 0:
             rows[i], rows[j] = rows[j], rows[i]
             phases[i], phases[j] = u01 * phases[j], u10 * phases[i]

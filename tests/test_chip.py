@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cfcomm import chip
 from cfcomm.chip import (
     _ROLES,
-    MAX_SHOTS,
     ROLE_INNER,
     ROLE_OUTER,
     _lowered_steps,
@@ -22,11 +21,11 @@ from cfcomm.chip import (
     mesh_unitary,
     mzi_block,
     simulate_tomography,
-    trace_distance,
     verify,
 )
-from cfcomm.modes import MAX_DENSE_CYCLES, UnitaryOp
-from cfcomm.protocol import BLOCK, PASS, PostselectionError, ProtocolConfig, evolution_unitary, run, splitter
+from cfcomm.modes import MAX_DENSE_CYCLES, MAX_SHOTS, UnitaryOp
+from cfcomm.protocol import BLOCK, PASS, PostselectionError, ProtocolConfig, evolution_unitary, splitter
+from oracle import cycle_bound_message, mzi_product, trace_distance
 
 ALL_ACTIONS = [PASS, BLOCK, splitter(math.pi / 4)]
 MISSING = object()  # marks a key to delete from a serialized program
@@ -37,11 +36,8 @@ class TestMziTransfer:
     """The 2x2 MZI transfer matrix, as built by ``mzi_block``."""
 
     def test_matches_factor_product(self):
-        # Oracle: multiply the four 2x2 factors by hand.
         theta, phi = 0.83, 2.1
-        bs = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
-        expected = bs @ np.diag([np.exp(1j * theta), 1]) @ bs @ np.diag([np.exp(1j * phi), 1])
-        np.testing.assert_allclose(np.array(mzi_block(theta, phi)), expected, atol=1e-15)
+        np.testing.assert_allclose(np.array(mzi_block(theta, phi)), mzi_product(theta, phi), atol=1e-15)
 
     def test_bar_state(self):
         t = np.array(mzi_block(math.pi, 0.0))
@@ -568,10 +564,7 @@ class TestDenseCap:
         # compile_program builds nothing dense: it is bounded by MAX_CYCLES.
         with pytest.raises(ValueError) as err:
             compile_program(self.HUGE)
-        assert str(err.value) == (
-            "protocol runs are limited to K <= 4096, past which round-off in the K rotations "
-            "can push the norm defect beyond 1e-12; got K = 100000"
-        )
+        assert str(err.value) == cycle_bound_message(100000)
 
     def test_mesh_unitary(self):
         with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
@@ -585,10 +578,7 @@ class TestDenseCap:
         # Tomography propagates one O(K) column: bounded by MAX_CYCLES.
         with pytest.raises(ValueError) as err:
             simulate_tomography(self.HUGE, 0)
-        assert str(err.value) == (
-            "protocol runs are limited to K <= 4096, past which round-off in the K rotations "
-            "can push the norm defect beyond 1e-12; got K = 100000"
-        )
+        assert str(err.value) == cycle_bound_message(100000)
 
 
 class TestTraceDistance:

@@ -16,6 +16,7 @@ from cfcomm.cli import _CSV_ROWS, CSV_HEADER, MAX_GRID_POINTS, _json, build_pars
 from cfcomm.histories import CounterfactualityReport
 from cfcomm.modes import ModeBasis
 from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, run, splitter, sweep
+from oracle import cycle_bound_message, dense_cap_message
 
 COS8_PI_8 = 0.5307900429449552
 SIN_SQ_01 = 0.009966711079379185
@@ -552,17 +553,6 @@ class TestTomo:
         assert doc["shots_per_basis"] == 2**63 - 1
         assert all(0 < sum(pair) <= 2**63 - 1 for pair in doc["counts"].values())
         assert doc["trace_distance"] <= 1e-6
-
-
-def dense_cap_message(k):
-    return f"dense matrices are limited to K <= 512 (515 modes), got {k + 3} modes (K = {k})"
-
-
-def cycle_bound_message(k):
-    return (
-        "protocol runs are limited to K <= 4096, past which round-off in the K rotations "
-        f"can push the norm defect beyond 1e-12; got K = {k}"
-    )
 
 
 class TestUsageErrors:

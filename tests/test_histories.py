@@ -1,19 +1,17 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcomm.histories import (
-    CounterfactualityReport,
     EnumerationLimitError,
     amplitude_by_paths,
     counterfactuality_report,
     enumerate_histories,
 )
-from cfcomm.modes import NORM_TOL, apply_blocks
-from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, build_steps, run, splitter
+from cfcomm.protocol import BLOCK, PASS, ProtocolConfig, run, splitter
+from oracle import cycle_bound_message, four_call_report
 
 SIN_01 = 0.09983341664682815  # sin(0.1)
 
@@ -151,10 +149,7 @@ class TestCounterfactuality:
                 assert counterfactuality_report(config, label).total_amplitude == state.amplitude(label)
         with pytest.raises(ValueError) as err:
             counterfactuality_report(ProtocolConfig(4097, 0.1, PASS), "B")
-        assert str(err.value) == (
-            "protocol runs are limited to K <= 4096, past which round-off in the K rotations "
-            "can push the norm defect beyond 1e-12; got K = 4097"
-        )
+        assert str(err.value) == cycle_bound_message(4097)
 
 
 class TestPathStructure:
@@ -166,51 +161,6 @@ class TestPathStructure:
             assert len(surviving) <= 1 + 2**k
             assert len(surviving) >= previous
             previous = len(surviving)
-
-
-def four_call_report(config, outcome):
-    """The report as four one-element ``apply_blocks`` calls per step after
-    the outer rotation, from B: the total and never-C amplitudes, and the
-    same two passes on exact path counts with each block's 0/1 nonzero
-    pattern, C zeroed in the never-C passes after every step.  The outer
-    rotation's block then gives A its cos(phi) and scales every other slot by
-    sin(phi), which is never 0, so each path from B is one path from A."""
-    basis = config.mode_basis()
-    slot = basis.index(outcome)
-    b, c = basis.index("B"), basis.index("C")
-    outer, *inner_steps = build_steps(config)
-    full = [0.0] * basis.size
-    full[b] = 1.0
-    never = list(full)
-    full_n = [0] * basis.size
-    full_n[b] = 1
-    never_n = list(full_n)
-    for step in inner_steps:
-        amplitudes = [(step.pair, step.block)]
-        counts = [(step.pair, tuple(tuple(int(u != 0) for u in row) for row in step.block))]
-        apply_blocks(amplitudes, full)
-        apply_blocks(amplitudes, never)
-        apply_blocks(counts, full_n)
-        apply_blocks(counts, never_n)
-        never[c] = 0.0
-        never_n[c] = 0
-    (c_phi, _), (s_phi, _) = outer.block
-    if slot == basis.index("A"):  # the one path A -> A, which never visits C
-        total = never_amplitude = c_phi
-        paths = never_paths = int(c_phi != 0)
-    else:
-        total, never_amplitude = s_phi * full[slot], s_phi * never[slot]
-        paths, never_paths = full_n[slot], never_n[slot]
-    c_visiting_paths = paths - never_paths
-    return CounterfactualityReport(
-        outcome_mode=outcome,
-        total_amplitude=complex(total),
-        c_visiting_amplitude=complex(total - never_amplitude),
-        c_visiting_paths=c_visiting_paths,
-        verdict=c_visiting_paths == 0,
-        probability=abs(total) ** 2,
-        vacuous=abs(total) <= NORM_TOL,
-    )
 
 
 REPORT_ACTIONS = [BLOCK, PASS] + [splitter(beta) for beta in (0.0, 1e-9, 0.7, math.pi / 2)]

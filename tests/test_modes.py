@@ -24,6 +24,7 @@ from cfcomm.modes import (
     plain_int,
     rotation_block,
 )
+from oracle import embedded_product
 
 BASIS4 = ModeBasis(1)
 BASIS5 = ModeBasis(2)
@@ -267,21 +268,15 @@ class TestApply:
 class TestApplyBlocks:
     OPS = [((1, 2), rotation_block(0.3)), ((0, 3), SWAP_BLOCK), ((3, 2), rotation_block(-1.1))]
 
-    def dense_product(self, start):
-        # Oracle: each block embedded into the full space, multiplied in order.
-        for (i, j), block in self.OPS:
-            start = embed(block, i, j, 4).matrix @ start
-        return start
-
     def test_amplitudes_match_dense_product(self):
         amps = [0.6 + 0j, 0.8j, 0j, 0j]
         apply_blocks(self.OPS, amps)
-        np.testing.assert_allclose(amps, self.dense_product(np.array([0.6, 0.8j, 0, 0])), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(amps, embedded_product(self.OPS, 4) @ [0.6, 0.8j, 0, 0], rtol=0, atol=1e-15)
 
     def test_matrix_rows_match_dense_product(self):
         mat = np.eye(4, dtype=complex)
         apply_blocks(self.OPS, mat)
-        np.testing.assert_allclose(mat, self.dense_product(np.eye(4)), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(mat, embedded_product(self.OPS, 4), rtol=0, atol=1e-15)
 
 
 class TestComposeUnitary:
@@ -293,8 +288,7 @@ class TestComposeUnitary:
 
     def test_pending_phase_folds_into_a_mixing_block(self):
         ops = [((0, 1), ((0j, 1j), (1j, 0j))), ((1, 2), rotation_block(0.3))]
-        dense = embed(rotation_block(0.3), 1, 2, 3).matrix @ embed(((0j, 1j), (1j, 0j)), 0, 1, 3).matrix
-        np.testing.assert_allclose(compose_unitary(ops, 3).matrix, dense, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(compose_unitary(ops, 3).matrix, embedded_product(ops, 3), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize(
         ("ops", "dtype"),

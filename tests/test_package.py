@@ -2,6 +2,7 @@
 module's object, loaded on first use, and a bare ``import cfcomm`` loads no
 submodule and no numpy."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ SUBMODULES = {"chip": chip, "histories": histories, "modes": modes, "protocol": 
 EXPORTS = {
     chip: [
         "InsufficientStatisticsError", "MeshEquivalenceReport", "MeshProgram", "MziSetting", "TomographyResult",
-        "compile_program", "mesh_unitary", "simulate_tomography", "trace_distance", "verify",
+        "compile_program", "mesh_unitary", "simulate_tomography", "verify",
     ],
     histories: [
         "CounterfactualityReport", "EnumerationLimitError", "History", "amplitude_by_paths",
@@ -33,8 +34,8 @@ EXPORTS = {
 HOMES = {name: module for module, names in EXPORTS.items() for name in names}
 
 
-def test_all_is_the_34_exports():
-    assert len(HOMES) == 34
+def test_all_is_the_33_exports():
+    assert len(HOMES) == 33
     assert sorted(cfcomm.__all__) == sorted(HOMES)
 
 
@@ -104,7 +105,28 @@ def test_run_and_sweep_load_neither_chip_nor_histories():
     assert proc.stdout.splitlines() == ["[0, 0] 28", "['cfcomm.cli', 'cfcomm.modes', 'cfcomm.protocol']"]
 
 
-def test_chip_reexports_the_flag_checks_of_modes():
-    for name in ("MAX_SHOTS", "check_seed", "check_shots", "check_tolerance"):
-        assert name in chip.__all__ and name in modes.__all__
-        assert getattr(chip, name) is getattr(modes, name)
+def test_chip_all_is_its_exports_roles_and_mzi_block():
+    roles = ["ROLE_BLOCKER", "ROLE_INNER", "ROLE_OUTER", "ROLE_ROUTER"]
+    assert sorted(chip.__all__) == sorted([*EXPORTS[chip], *roles, "mzi_block"])
+
+
+def names_read(path):
+    """The dotted parts of every name a module imports or imports from, and every attribute it reads."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        field = {ast.alias: "name", ast.ImportFrom: "module", ast.Attribute: "attr"}.get(type(node))
+        if field:
+            names.update((getattr(node, field) or "").split("."))
+    return names
+
+
+def test_no_module_of_the_package_reads_numpy_linalg():
+    paths = sorted(Path(cfcomm.__file__).parent.glob("*.py"))
+    assert len(paths) == 7
+    assert [path.name for path in paths if "linalg" in names_read(path)] == []
+
+
+def test_the_test_oracle_uses_none_of_the_dense_helpers():
+    names = names_read(Path(__file__).with_name("oracle.py"))
+    assert "step_ops" in names
+    assert names.isdisjoint({"embed", "apply", "basis_state", "Step", "build_steps"})

@@ -28,6 +28,7 @@ from cfcomm.protocol import (
     sweep,
 )
 from cfcomm.modes import MAX_DENSE_CYCLES, SWAP_BLOCK, ModeBasis, PureState, rotation_block
+from oracle import cycle_bound_message
 
 # Frozen oracle values (evaluated from the defining trig expressions).
 SIN_SQ_01 = 0.009966711079379185   # sin(0.1)^2
@@ -51,13 +52,6 @@ class TestDenseCap:
         step = Step("bob_interaction", (2, 3), SWAP_BLOCK, 100003)
         with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
             step.op
-
-
-def cycle_bound_message(k):
-    return (
-        "protocol runs are limited to K <= 4096, past which round-off in the K rotations "
-        f"can push the norm defect beyond 1e-12; got K = {k}"
-    )
 
 
 @pytest.fixture

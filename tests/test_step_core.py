@@ -1,10 +1,10 @@
 """Property tests: the two-mode step core against the dense reference.
 
-Each step acts as a 2x2 block on its mode pair.  The reference these tests
-keep is the dense one: every step's embedded matrix ``step.op.matrix`` (and
-every MZI, multiplied out from its four factors BS P(theta) BS P(phi) and
-embedded into the full mode space) multiplied in time order, and path
-histories walked over full matrix columns.  The compiled mesh and the
+Each step acts as a 2x2 block on its mode pair.  The references, in
+``oracle.py``, are the dense ones: every step's block (and every MZI,
+multiplied out from its four factors BS P(theta) BS P(phi)) embedded into
+the full mode space and multiplied in time order, and path histories
+walked over full matrix columns.  The compiled mesh and the
 phase verifier are checked against the modal evolution itself, the
 batched verifier against Kruskal's loop offering one edge at a time, and
 the tomography column, walked from the compiler's MZIs, against the column
@@ -35,7 +35,6 @@ from cfcomm.chip import (
     _lowered_steps,
     _mzi_walk,
     _phase_edges,
-    _phase_walk,
     _placed,
     _records,
     _tomography_column,
@@ -49,13 +48,10 @@ from cfcomm.histories import counterfactuality_report, enumerate_histories
 from cfcomm.modes import (
     NORM_TOL,
     SWAP_BLOCK,
-    PureState,
     UnitaryOp,
     apply_blocks,
     check_block,
     compose_unitary,
-    embed,
-    exact_cos_sin,
     rotation_block,
 )
 from cfcomm.protocol import (
@@ -63,14 +59,24 @@ from cfcomm.protocol import (
     BOB_INTERACTION,
     INNER_ROTATION,
     PASS,
-    OutcomeDistribution,
     ProtocolConfig,
-    SweepRow,
     build_steps,
     evolution_unitary,
     run,
     splitter,
     sweep,
+)
+from oracle import (
+    complex_evolution,
+    complex_run,
+    complex_sweep,
+    dense_histories,
+    embedded_product,
+    loop_phase_edges,
+    loop_verify,
+    mzi_product,
+    two_walk_placed,
+    unrouted,
 )
 
 TOL = 1e-12
@@ -86,47 +92,6 @@ def configs(max_k):
     return st.builds(ProtocolConfig, st.integers(1, max_k), deltas, actions, st.booleans())
 
 
-def dense_evolution(config):
-    mat = np.eye(config.mode_basis().size, dtype=complex)
-    for step in build_steps(config):
-        mat = step.op.matrix @ mat
-    return mat
-
-
-BS = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
-
-
-def mzi_product(theta, phi):
-    return BS @ np.diag([np.exp(1j * theta), 1]) @ BS @ np.diag([np.exp(1j * phi), 1])
-
-
-def dense_mesh(program):
-    mat = np.eye(program.mode_count, dtype=complex)
-    for setting in program.settings:
-        embedded = np.eye(program.mode_count, dtype=complex)
-        i = setting.pair
-        embedded[i : i + 2, i : i + 2] = mzi_product(setting.theta, setting.phi)
-        mat = embedded @ mat
-    return mat
-
-
-def dense_histories(config):
-    labels = config.mode_basis().labels
-    matrices = [step.op.matrix for step in build_steps(config)]
-    out = []
-
-    def walk(depth, mode, amplitude, path):
-        if depth == len(matrices):
-            out.append((tuple(labels[m] for m in path), amplitude))
-            return
-        for nxt, entry in enumerate(matrices[depth][:, mode]):
-            if entry != 0:
-                walk(depth + 1, nxt, amplitude * entry, path + (nxt,))
-
-    walk(0, 0, 1.0 + 0.0j, (0,))
-    return out
-
-
 core_settings = settings(max_examples=150, deadline=None, derandomize=True)
 
 
@@ -137,7 +102,7 @@ core_settings = settings(max_examples=150, deadline=None, derandomize=True)
 @example(ProtocolConfig(24, 0.0, splitter(0.0), True))
 def test_run_matches_dense_product(config):
     state, _ = run(config)
-    reference = dense_evolution(config)[:, 0]
+    reference = embedded_product(config.step_ops(), config.mode_basis().size)[:, 0]
     np.testing.assert_allclose(state.amplitudes, reference, rtol=0, atol=TOL)
 
 
@@ -145,7 +110,8 @@ def test_run_matches_dense_product(config):
 @given(configs(24))
 @example(ProtocolConfig(24, 0.0, BLOCK, True))
 def test_evolution_unitary_matches_dense_product(config):
-    np.testing.assert_allclose(evolution_unitary(config).matrix, dense_evolution(config), rtol=0, atol=TOL)
+    dense = embedded_product(config.step_ops(), config.mode_basis().size)
+    np.testing.assert_allclose(evolution_unitary(config).matrix, dense, rtol=0, atol=TOL)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -154,7 +120,9 @@ def test_evolution_unitary_matches_dense_product(config):
 @example(ProtocolConfig(3, 0.0, splitter(0.0), True))
 def test_mesh_unitary_matches_embedded_product(config):
     program = compile_program(config)
-    np.testing.assert_allclose(mesh_unitary(program).matrix, dense_mesh(program), rtol=0, atol=TOL)
+    mzis = [((s.pair, s.pair + 1), mzi_product(s.theta, s.phi)) for s in program.settings]
+    dense = embedded_product(mzis, program.mode_count)
+    np.testing.assert_allclose(mesh_unitary(program).matrix, dense, rtol=0, atol=TOL)
 
 
 phases = st.floats(0.0, 2 * math.pi, exclude_max=True)
@@ -227,9 +195,7 @@ def test_report_matches_enumeration(config):
 def test_step_op_is_the_embedded_block():
     config = ProtocolConfig(3, 0.2, splitter(0.4), True)
     for step in build_steps(config):
-        i, j = step.pair
-        expected = np.eye(config.mode_basis().size, dtype=complex)
-        expected[np.ix_([i, j], [i, j])] = step.block
+        expected = embedded_product([(step.pair, step.block)], config.mode_basis().size)
         np.testing.assert_array_equal(step.op.matrix, expected)
         assert step.op is step.op  # built once, on first read
 
@@ -319,17 +285,6 @@ def test_walk_column_is_the_record_column(config):
     assert np.array_equal(_tomography_column(config), np.array(records))
 
 
-def two_walk_placed(config):
-    """The settings of two full phase walks: one with unit input phases to
-    find the factors, one with d[1] = coeff[1] / coeff[0] to emit them."""
-    ops = list(_lowered_steps(config))
-    coeff = [1.0 + 0.0j] * config.mode_basis().size
-    _phase_walk(ops, coeff)
-    d = [1.0 + 0.0j] * len(coeff)
-    d[1] = coeff[1] / coeff[0]
-    return _phase_walk(ops, d)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.builds(ProtocolConfig, st.integers(1, 64), deltas, st.one_of(actions, st.just(splitter(1e-9))), st.booleans()))
 @example(ProtocolConfig(1, 0.0, BLOCK))
@@ -369,18 +324,6 @@ def test_verify_accepts_tiny_splitter_angles(k, beta, final_block, delta):
     assert report.equivalent, report.detail
 
 
-def loop_phase_edges(v, w):
-    """The verifier's edge lists built entry by entry with Python ``abs``."""
-    edges = []
-    for i, (v_row, w_row) in enumerate(zip(v.tolist(), w.tolist())):
-        for j, (v_ij, w_ij) in enumerate(zip(v_row, w_row)):
-            mag = min(abs(v_ij), abs(w_ij))
-            if mag > 0:
-                edges.append((mag, i, j))
-    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return [(i, j) for m, i, j in edges if m > 1e-8], [(i, j) for m, i, j in edges if m <= 1e-8]
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(configs(40))
 @example(ProtocolConfig(16, 0.0, splitter(0.0)))
@@ -392,75 +335,6 @@ def test_phase_edges_match_loop(config):
     rows, cols, strong = _phase_edges(v, w)
     edges = list(zip(rows.tolist(), cols.tolist()))
     assert (edges[:strong], edges[strong:]) == loop_phase_edges(v, w)
-
-
-class LoopForest:
-    """A union-find of parent pointers with path halving, sharing no code
-    with ``chip``."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.trees = n
-
-    def root(self, node):
-        while self.parent[node] != node:
-            self.parent[node] = self.parent[self.parent[node]]
-            node = self.parent[node]
-        return node
-
-    def union(self, a, b):
-        ra, rb = self.root(a), self.root(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.trees -= 1
-        return True
-
-
-def loop_verify(u_mesh, config, tol=1e-9):
-    """``verify`` offering every edge to ``LoopForest`` one at a time: the
-    strong entries all, then the A/B tie, then the weak ones until the
-    forest is one tree."""
-    v = u_mesh.matrix
-    w = evolution_unitary(config).matrix
-    size = v.shape[0]
-    forest = LoopForest(2 * size)
-    adjacency = [[] for _ in range(2 * size)]
-
-    def join(i, j):
-        if forest.union(i, size + j):
-            ratio = w[i, j] / v[i, j]
-            ratio /= abs(ratio)
-            adjacency[i].append((size + j, ratio))
-            adjacency[size + j].append((i, ratio))
-
-    strong, weak = loop_phase_edges(v, w)
-    for i, j in strong:
-        join(i, j)
-    if forest.union(0, 1):
-        adjacency[0].append((1, None))
-        adjacency[1].append((0, None))
-    for i, j in weak:
-        if forest.trees == 1:
-            break
-        join(i, j)
-
-    phase = [None] * (2 * size)
-    for root in range(2 * size):
-        if phase[root] is not None:
-            continue
-        phase[root] = 1.0 + 0.0j
-        queue = [root]
-        while queue:
-            node = queue.pop()
-            for neighbor, ratio in adjacency[node]:
-                if phase[neighbor] is None:
-                    phase[neighbor] = phase[node] if ratio is None else ratio / phase[node]
-                    queue.append(neighbor)
-    alpha = np.array(phase[:size], dtype=complex)
-    beta = np.array(phase[size:], dtype=complex)
-    residual = float(np.abs(alpha[:, None] * v * beta[None, :] - w).max())
-    return bool(abs(alpha[0] - alpha[1]) <= tol) and residual <= tol, residual, tuple(alpha), tuple(beta)
 
 
 # beta = 1e-9 leaves loss-mode rows below the edge floor: the weak pass runs.
@@ -543,20 +417,6 @@ def routed_swap(a, b):
     return check_block(((0j, cmath.exp(1j * a)), (cmath.exp(1j * b), 0j)))
 
 
-def unrouted(ops, size):
-    """The identity with every block multiplied into two rows by ``apply_blocks``."""
-    mat = np.eye(size, dtype=complex)
-    apply_blocks(ops, mat)
-    return mat
-
-
-def embedded_product(ops, size):
-    mat = np.eye(size, dtype=complex)
-    for (i, j), block in ops:
-        mat = embed(block, i, j, size).matrix @ mat
-    return mat
-
-
 angles = st.one_of(
     st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]),  # zero diagonals only at +pi/2
     st.floats(-2 * math.pi, 2 * math.pi),
@@ -615,8 +475,7 @@ GRID_K = [1, 2, 3, 17, 64, 511, 512]
 def test_evolution_unitary_is_the_unrouted_product_bit_for_bit(bob, final_block):
     for k, delta in itertools.product(GRID_K, (0.3, 0.0)):
         config = ProtocolConfig(k, delta, bob, final_block)
-        steps = [(step.pair, step.block) for step in build_steps(config)]
-        reference = unrouted(steps, config.mode_basis().size)
+        reference = unrouted(config.step_ops(), config.mode_basis().size)
         np.testing.assert_array_equal(evolution_unitary(config).matrix, reference)
 
 
@@ -644,53 +503,6 @@ def test_dense_unitaries_peak_at_three_and_a_half_matrices(bob, final_block):
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * matrix.nbytes, (matrix.dtype, peak / matrix.nbytes)
-
-
-# --- the real modal layer against a complex oracle ------------------------
-
-def as_complex(ops):
-    """The ``(pair, block)`` sequence with every block entry cast to complex."""
-    return [(pair, tuple(tuple(complex(u) for u in row) for row in block)) for pair, block in ops]
-
-
-def complex_ops(config, first=0):
-    return as_complex((step.pair, step.block) for step in build_steps(config)[first:])
-
-
-def complex_evolution(config):
-    """``evolution_unitary`` composed from complex blocks: a complex128 matrix."""
-    return compose_unitary(complex_ops(config), config.mode_basis().size)
-
-
-def complex_run(config):
-    """``run`` evolving complex amplitudes through complex blocks: |B> through
-    every step after the outer rotation, then the outer block's complex
-    cos(phi) at A and its sin(phi) times that state everywhere else."""
-    basis = config.mode_basis()
-    (_, ((c_phi, _), (s_phi, _))), *inner_ops = complex_ops(config)
-    inner = [0j] * basis.size
-    inner[basis.index("B")] = 1 + 0j
-    apply_blocks(inner_ops, inner)
-    amps = [s_phi * a for a in inner]
-    amps[basis.index("A")] = c_phi
-    state = PureState(np.array(amps), basis)
-    return state, OutcomeDistribution.from_probabilities(np.abs(state.amplitudes) ** 2)
-
-
-def complex_sweep(k_values, delta_values, bob, include_final_block):
-    """``sweep`` evolving the inner |B> as complex amplitudes."""
-    rows = []
-    for k in k_values:
-        config = ProtocolConfig(k, 0.0, bob, include_final_block)
-        outer = np.array([exact_cos_sin(ProtocolConfig(k, d, bob, include_final_block).phi) for d in delta_values])
-        inner = [0j] * config.mode_basis().size
-        inner[1] = 1 + 0j
-        apply_blocks(complex_ops(config, first=1), inner)
-        amps = np.outer(outer[:, 1], inner)
-        amps[:, 0] = outer[:, 0]
-        for delta, probs in zip(delta_values, np.abs(amps) ** 2):
-            rows.append(SweepRow(k, delta, OutcomeDistribution.from_probabilities(probs)))
-    return rows
 
 
 @core_settings
