@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from . import modes, protocol
 
@@ -96,17 +96,17 @@ _CSV_ROWS = {8: "%d,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g,", 9: "%d,%.17g,%s,%s,%.
 
 
 def _record_values(k: int, delta: float, row: list[float], bob: str, final: object) -> tuple:
-    """One (K, delta, row) of ``protocol._sweep_rows`` as a record's values in
-    ``_RECORD_KEYS`` order, the renormalized p_D1 only if p_D3 < 1."""
+    """One (K, delta, row) of ``protocol._sweep_rows`` or ``_point_row`` as a
+    record's values in ``_RECORD_KEYS`` order, the renormalized p_D1 only if
+    p_D3 < 1."""
     p_d1, p_d3 = row[1], row[2]
     values = (k, delta, bob, final, row[0], p_d1, p_d3, math.fsum(row[3:]))
     return values + (p_d1 / (1.0 - p_d3),) if p_d3 < 1.0 else values
 
 
-def _sweep_output(ns: argparse.Namespace, k_values: list[int], delta_values: list[float]) -> tuple[object, int]:
-    """One record per grid point, from ``protocol._sweep_rows`` row by row:
-    CSV text, or for JSON a list, or ``run``'s lone record."""
-    rows = protocol._sweep_rows(k_values, delta_values, ns.bob, ns.final_block)
+def _sweep_output(ns: argparse.Namespace, rows: Iterable[tuple]) -> tuple[object, int]:
+    """One record per (K, delta, row) of ``rows``, taken one by one: CSV text,
+    or for JSON a list, or ``run``'s lone record."""
     label = ns.bob.label()
     if ns.format == "csv":
         final = "true" if ns.final_block else "false"
@@ -126,15 +126,15 @@ def _config_from(ns: argparse.Namespace) -> protocol.ProtocolConfig:
 # Each handler returns (payload, exit code): the payload is CSV text or a
 # document that ``main`` encodes as JSON through ``_json``.  ``histories`` and
 # ``chip`` are imported only in the handlers that use them, so ``run`` and
-# ``sweep`` load neither.
+# ``sweep`` load neither; ``run`` and ``trace`` load no numpy.
 
 
 def _cmd_run(ns: argparse.Namespace) -> tuple[object, int]:
-    return _sweep_output(ns, [ns.k], [ns.delta])
+    return _sweep_output(ns, [(ns.k, ns.delta, protocol._point_row(_config_from(ns)))])
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> tuple[object, int]:
-    return _sweep_output(ns, ns.k, ns.delta)
+    return _sweep_output(ns, protocol._sweep_rows(ns.k, ns.delta, ns.bob, ns.final_block))
 
 
 def _cmd_trace(ns: argparse.Namespace) -> tuple[object, int]:

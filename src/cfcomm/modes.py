@@ -6,9 +6,10 @@ so K alone fixes the basis.  A two-mode operation is a ``Block``, a checked
 2x2 unitary on one pair of slots.  Every trig value is ``math.cos`` or
 ``math.sin``, except cos(pi/2), which ``exact_cos_sin`` makes exactly 0.0.
 Dense M x M matrices (M = K + 3) are built only by ``embed`` and
-``compose_unitary``, both bounded by ``MAX_DENSE_CYCLES``.  ``plain_int``
-and ``plain_float`` are the package's one rule for what counts as an
-integer or a real number; every record stores what they return.
+``compose_unitary``, both bounded by ``MAX_DENSE_CYCLES``; numpy is imported
+in the functions that build arrays, so the float paths load none.
+``plain_int`` and ``plain_float`` are the package's one rule for what counts
+as an integer or a real number; every record stores what they return.
 ``check_cycle_count``, ``check_tolerance``, ``check_shots`` and
 ``check_seed`` apply them to K and to the verification and tomography
 inputs, so the CLI parser checks those flags without importing ``chip``.
@@ -20,8 +21,6 @@ import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "MAX_DENSE_CYCLES",
@@ -174,6 +173,8 @@ class PureState:
     basis: ModeBasis
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.basis.size,):
             raise ValueError(f"expected {self.basis.size} amplitudes, got shape {amps.shape}")
@@ -195,6 +196,8 @@ class UnitaryOp:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         mat = np.asarray(self.matrix)
         real = mat.dtype == np.float64
         if not real:
@@ -215,6 +218,8 @@ class UnitaryOp:
 
 def basis_state(basis: ModeBasis, mode: str) -> PureState:
     """The photon sitting in a single mode."""
+    import numpy as np
+
     amps = np.zeros(basis.size, dtype=complex)
     amps[basis.index(mode)] = 1.0
     return PureState(amps, basis)
@@ -283,6 +288,8 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
     every entry before the first row is built.  The rows are stacked at the
     end.
     """
+    import numpy as np
+
     check_dense_size(size)
     ops = list(ops)
     real = bool(ops)  # float64 rows iff there is a block and every entry is a float
@@ -346,6 +353,8 @@ def embed(block: Block, i: int, j: int, size: int) -> UnitaryOp:
     elsewhere; ``ValueError`` if i == j or past ``MAX_DENSE_CYCLES``."""
     if i == j:
         raise ValueError(f"a two-mode block needs two distinct slots, got {i} twice")
+    import numpy as np
+
     check_dense_size(size)
     mat = np.eye(size, dtype=complex)
     (mat[i, i], mat[i, j]), (mat[j, i], mat[j, j]) = block

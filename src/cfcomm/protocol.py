@@ -18,8 +18,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .modes import (
     NORM_TOL,
     SWAP_BLOCK,
@@ -208,24 +206,25 @@ class OutcomeDistribution:
     def from_probabilities(cls, probs: np.ndarray) -> "OutcomeDistribution":
         """From Born probabilities in mode order A, B, C, L1..LK, with the
         constructor's checks and errors (``_checked_rows`` of one row)."""
-        return _distribution(_checked_rows(probs[None, :])[0])
+        return _distribution(_checked_rows([probs.tolist()], probs.min(), probs.max())[0])
 
     @property
     def p_loss_total(self) -> float:
         return math.fsum(self.p_loss)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.p_D0, self.p_D1, self.p_D3, *self.p_loss])
 
 
-def _checked_rows(probs: np.ndarray) -> list[list[float]]:
-    """An n x (K+3) block of Born probabilities, rows in mode order A, B, C,
-    L1..LK, as lists of floats once the constructor's checks pass: the range
-    by numpy's ``min`` and ``max`` of the block (a NaN fails both), then each
-    row's norm.  Out of range, every row goes through the constructor, which
-    raises the same error from the same row."""
-    rows = probs.tolist()
-    if not (probs.min() >= -NORM_TOL and probs.max() <= 1.0 + NORM_TOL):
+def _checked_rows(rows: list[list[float]], low: float, high: float) -> list[list[float]]:
+    """Rows of Born probabilities in mode order A, B, C, L1..LK, returned once
+    the constructor's checks pass: the range by the least and greatest entry
+    ``low`` and ``high`` (numpy's ``min`` and ``max`` of a block, which a NaN
+    fails both), then each row's norm.  Out of range, every row goes through
+    the constructor, which raises the same error from the same row."""
+    if not (low >= -NORM_TOL and high <= 1.0 + NORM_TOL):
         for row in rows:
             OutcomeDistribution(row[0], row[1], row[2], tuple(row[3:]))
     for row in rows:
@@ -295,9 +294,23 @@ def _inner_evolution(config: ProtocolConfig) -> list[float]:
     return amps
 
 
+def _point_row(config: ProtocolConfig) -> list[float]:
+    """``config``'s row of ``_sweep_rows`` in Python floats, with no numpy: the
+    same products s_phi * x and a * a that numpy forms there, checked by the
+    same rule.  Its entries are finite, so Python's ``min`` and ``max`` are
+    numpy's; ``ValueError`` for K past ``MAX_CYCLES``."""
+    (c_phi, _), (s_phi, _) = config.step_ops()[0][1]
+    amps = [s_phi * x for x in _inner_evolution(config)]
+    amps[0] = c_phi
+    row = [a * a for a in amps]
+    return _checked_rows([row], min(row), max(row))[0]
+
+
 def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
     """The final state and detector statistics of the photon injected in mode
     A, bit for bit ``sweep``'s; ``ValueError`` for K past ``MAX_CYCLES``."""
+    import numpy as np
+
     (c_phi, _), (s_phi, _) = config.step_ops()[0][1]
     amps = s_phi * np.array(_inner_evolution(config))
     amps[0] = c_phi
@@ -382,6 +395,8 @@ def _sweep_rows(k_values: list[int], deltas: list[float], bob: BobAction, final:
     K and delta lists that ``sweep`` or the CLI parser checked: one K's config
     and one block of its deltas at a time (``_SWEEP_BLOCK_ENTRIES``); K past
     ``MAX_CYCLES`` raises on the first ``next``."""
+    import numpy as np
+
     _check_cycles(max(k_values))
     # (cos phi, sin phi) per delta, the entries of run's outer rotation block.
     outer = np.array([exact_cos_sin(_phi(delta)) for delta in deltas])
@@ -393,7 +408,8 @@ def _sweep_rows(k_values: list[int], deltas: list[float], bob: BobAction, final:
             amps = np.outer(cos_sin[:, 1], inner)
             amps[:, 0] = cos_sin[:, 0]
             # The amplitudes are real, so |a|^2 is a * a, squared in place.
-            rows = _checked_rows(np.square(amps, out=amps))
+            probs = np.square(amps, out=amps)
+            rows = _checked_rows(probs.tolist(), probs.min(), probs.max())
             for delta, row in zip(deltas[start : start + block_rows], rows):
                 yield k, delta, row
 
@@ -406,6 +422,8 @@ def alice_reduced_state(final: PureState) -> tuple[np.ndarray, float]:
     ``PostselectionError`` when the {A, B} amplitude norm is at most
     ``NORM_TOL`` (p_AB <= ``NORM_TOL``**2), the bound of a ``vacuous`` report.
     """
+    import numpy as np
+
     pair = np.asarray(final.amplitudes[:2])
     p_ab = float(np.sum(np.abs(pair) ** 2))
     if p_ab <= NORM_TOL**2:

@@ -626,6 +626,7 @@ class TestCycleBound:
         "argv",
         [
             ["run", "--k", "4097"],
+            ["run", "--k", "4097", "--format", "csv"],
             ["sweep", "--k", "4096:4097"],
             ["chip", "--emit-only", "--k", "4097"],
             ["trace", "--k", "4097", "--outcome", "B"],

@@ -759,7 +759,7 @@ class TestBlockConstructor:
             lambda b: [OutcomeDistribution(row[0], row[1], row[2], tuple(row[3:])) for row in b.tolist()], block
         )
         for make in (
-            lambda b: [protocol._distribution(row) for row in protocol._checked_rows(b)],
+            lambda b: [protocol._distribution(row) for row in protocol._checked_rows(b.tolist(), b.min(), b.max())],
             lambda b: [OutcomeDistribution.from_probabilities(row) for row in b],
         ):
             got = _records_or_error(make, block)

@@ -58,6 +58,7 @@ from cfcomm.protocol import (
     BLOCK,
     BOB_INTERACTION,
     INNER_ROTATION,
+    MAX_CYCLES,
     PASS,
     ProtocolConfig,
     build_steps,
@@ -70,6 +71,7 @@ from oracle import (
     complex_evolution,
     complex_run,
     complex_sweep,
+    cycle_bound_message,
     dense_histories,
     embedded_product,
     loop_phase_edges,
@@ -533,6 +535,34 @@ def test_run_and_sweep_equal_a_complex_amplitude_oracle_bit_for_bit(k, delta_val
         assert dist == want_dist
     k_values = [k, k + 1]
     assert sweep(k_values, delta_values, bob, final_block) == complex_sweep(k_values, delta_values, bob, final_block)
+
+
+def assert_point_row_is_the_sweep_row_and_runs(config):
+    # repr compares every float bit for bit, the sign of a zero included.
+    row = protocol._point_row(config)
+    [(_, _, sweep_row)] = protocol._sweep_rows([config.k], [config.delta], config.bob, config.include_final_block)
+    assert repr(row) == repr(sweep_row)
+    dist = run(config)[1]
+    assert repr(row) == repr([dist.p_D0, dist.p_D1, dist.p_D3, *dist.p_loss])
+    assert math.fsum(row[3:]) == dist.p_loss_total
+
+
+@core_settings
+@given(configs(64))
+@example(ProtocolConfig(1, 0.0, BLOCK))
+@example(ProtocolConfig(64, 1.5707963267948963, splitter(0.7), True))
+def test_point_row_is_the_sweep_row_and_runs(config):
+    assert_point_row_is_the_sweep_row_and_runs(config)
+
+
+@pytest.mark.parametrize("final_block", [False, True])
+@pytest.mark.parametrize("bob", ALL_ACTIONS, ids=ACTION_IDS)
+def test_point_row_at_large_k_and_tiny_delta(bob, final_block):
+    for k, delta in itertools.product((512, MAX_CYCLES), (1e-17, 5e-16)):
+        assert_point_row_is_the_sweep_row_and_runs(ProtocolConfig(k, delta, bob, final_block))
+    with pytest.raises(ValueError) as err:
+        protocol._point_row(ProtocolConfig(MAX_CYCLES + 1, 0.0, bob, final_block))
+    assert str(err.value) == cycle_bound_message(MAX_CYCLES + 1)
 
 
 def test_unitary_op_keeps_float64_and_checks_the_real_gram_product():
