@@ -96,7 +96,7 @@ _CSV_ROWS = {8: "%d,%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g,", 9: "%d,%.17g,%s,%s,%.
 
 
 def _record_values(k: int, delta: float, row: list[float], bob: str, final: object) -> tuple:
-    """One (K, delta, row) of ``protocol._sweep_rows`` or ``_point_row`` as a
+    """One (K, delta, row) of ``protocol._sweep_rows`` or ``_point`` as a
     record's values in ``_RECORD_KEYS`` order, the renormalized p_D1 only if
     p_D3 < 1."""
     p_d1, p_d3 = row[1], row[2]
@@ -130,7 +130,7 @@ def _config_from(ns: argparse.Namespace) -> protocol.ProtocolConfig:
 
 
 def _cmd_run(ns: argparse.Namespace) -> tuple[object, int]:
-    return _sweep_output(ns, [(ns.k, ns.delta, protocol._point_row(_config_from(ns)))])
+    return _sweep_output(ns, [(ns.k, ns.delta, protocol._point(_config_from(ns))[1])])
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> tuple[object, int]:

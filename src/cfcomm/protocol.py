@@ -187,7 +187,7 @@ class OutcomeDistribution:
     """Detection probabilities at D0/D1/D3 and in each loss mode; ``ValueError``
     unless each lies in [0, 1] within ``NORM_TOL`` and their sum passes
     ``modes.check_norm``.  ``run`` and ``sweep`` make these checks once per
-    block of rows (``_checked_rows``)."""
+    block of rows (``_checked_rows`` in ``_point`` and ``_sweep_rows``)."""
 
     p_D0: float
     p_D1: float
@@ -201,12 +201,6 @@ class OutcomeDistribution:
             if not low <= p <= high:
                 raise ValueError(f"probability out of range: {p!r}")
         check_norm(math.fsum(entries))
-
-    @classmethod
-    def from_probabilities(cls, probs: np.ndarray) -> "OutcomeDistribution":
-        """From Born probabilities in mode order A, B, C, L1..LK, with the
-        constructor's checks and errors (``_checked_rows`` of one row)."""
-        return _distribution(_checked_rows([probs.tolist()], probs.min(), probs.max())[0])
 
     @property
     def p_loss_total(self) -> float:
@@ -286,35 +280,33 @@ def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
 
 def _inner_evolution(config: ProtocolConfig) -> list[float]:
     """U_in|B>, the ops after the outer rotation applied to |B> in Python
-    floats: the one evolution of amplitudes, which ``run``, ``sweep`` and the
-    report scale to cos(phi)|A> + sin(phi) U_in|B>; ``ValueError`` past ``MAX_CYCLES``."""
+    floats: the one evolution of amplitudes, which ``_point``, ``_sweep_rows``
+    and the report scale to cos(phi)|A> + sin(phi) U_in|B>; ``ValueError`` past ``MAX_CYCLES``."""
     ops = config.step_ops()  # checks the K bound before anything is built
     amps = [0.0, 1.0] + [0.0] * (config.mode_basis().size - 2)
     apply_blocks(ops[1:], amps)
     return amps
 
 
-def _point_row(config: ProtocolConfig) -> list[float]:
-    """``config``'s row of ``_sweep_rows`` in Python floats, with no numpy: the
-    same products s_phi * x and a * a that numpy forms there, checked by the
-    same rule.  Its entries are finite, so Python's ``min`` and ``max`` are
-    numpy's; ``ValueError`` for K past ``MAX_CYCLES``."""
+def _point(config: ProtocolConfig) -> tuple[list[float], list[float]]:
+    """``config``'s final amplitudes and their row of ``_sweep_rows``, in Python
+    floats with no numpy: the same products s_phi * x and a * a that numpy
+    forms there, checked by the same rule.  The row's entries are finite, so
+    Python's ``min`` and ``max`` are numpy's; ``ValueError`` for K past
+    ``MAX_CYCLES``."""
     (c_phi, _), (s_phi, _) = config.step_ops()[0][1]
     amps = [s_phi * x for x in _inner_evolution(config)]
     amps[0] = c_phi
     row = [a * a for a in amps]
-    return _checked_rows([row], min(row), max(row))[0]
+    return amps, _checked_rows([row], min(row), max(row))[0]
 
 
 def run(config: ProtocolConfig) -> tuple[PureState, OutcomeDistribution]:
     """The final state and detector statistics of the photon injected in mode
-    A, bit for bit ``sweep``'s; ``ValueError`` for K past ``MAX_CYCLES``."""
-    import numpy as np
-
-    (c_phi, _), (s_phi, _) = config.step_ops()[0][1]
-    amps = s_phi * np.array(_inner_evolution(config))
-    amps[0] = c_phi
-    return PureState(amps, config.mode_basis()), OutcomeDistribution.from_probabilities(np.square(amps))
+    A, from ``_point``: bit for bit ``sweep``'s and ``cfcomm run``'s;
+    ``ValueError`` for K past ``MAX_CYCLES``."""
+    amps, row = _point(config)
+    return PureState(amps, config.mode_basis()), _distribution(row)
 
 
 def evolution_unitary(config: ProtocolConfig) -> UnitaryOp:

@@ -190,7 +190,8 @@ def complex_run(config):
     amps = [s_phi * a for a in inner]
     amps[basis.index("A")] = c_phi
     state = PureState(np.array(amps), basis)
-    return state, OutcomeDistribution.from_probabilities(np.abs(state.amplitudes) ** 2)
+    p = (np.abs(state.amplitudes) ** 2).tolist()
+    return state, OutcomeDistribution(p[0], p[1], p[2], tuple(p[3:]))
 
 
 def complex_sweep(k_values, delta_values, bob, include_final_block):

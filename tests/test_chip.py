@@ -25,7 +25,7 @@ from cfcomm.chip import (
 )
 from cfcomm.modes import MAX_DENSE_CYCLES, MAX_SHOTS, UnitaryOp
 from cfcomm.protocol import BLOCK, PASS, PostselectionError, ProtocolConfig, evolution_unitary, splitter
-from oracle import cycle_bound_message, mzi_product, trace_distance
+from oracle import cycle_bound_message, trace_distance
 
 ALL_ACTIONS = [PASS, BLOCK, splitter(math.pi / 4)]
 MISSING = object()  # marks a key to delete from a serialized program
@@ -34,10 +34,6 @@ SUPERPOSITION_CONFIG = ProtocolConfig(2, 0.2, splitter(math.pi / 4))
 
 class TestMziTransfer:
     """The 2x2 MZI transfer matrix, as built by ``mzi_block``."""
-
-    def test_matches_factor_product(self):
-        theta, phi = 0.83, 2.1
-        np.testing.assert_allclose(np.array(mzi_block(theta, phi)), mzi_product(theta, phi), atol=1e-15)
 
     def test_bar_state(self):
         t = np.array(mzi_block(math.pi, 0.0))

@@ -758,14 +758,13 @@ class TestBlockConstructor:
         want = _records_or_error(
             lambda b: [OutcomeDistribution(row[0], row[1], row[2], tuple(row[3:])) for row in b.tolist()], block
         )
-        for make in (
+        got = _records_or_error(
             lambda b: [protocol._distribution(row) for row in protocol._checked_rows(b.tolist(), b.min(), b.max())],
-            lambda b: [OutcomeDistribution.from_probabilities(row) for row in b],
-        ):
-            got = _records_or_error(make, block)
-            assert got == want
-            if isinstance(want, list):
-                assert [repr(d) for d in got] == [repr(d) for d in want]
+            block,
+        )
+        assert got == want
+        if isinstance(want, list):
+            assert [repr(d) for d in got] == [repr(d) for d in want]
 
     @pytest.mark.parametrize("final_block", [False, True])
     @pytest.mark.parametrize(

@@ -135,6 +135,7 @@ phases = st.floats(0.0, 2 * math.pi, exclude_max=True)
 @example(0.0, 0.0)
 @example(math.pi, math.pi)
 @example(1.5 * math.pi, math.pi)
+@example(0.83, 2.1)
 def test_mzi_block_matches_factor_product(theta, phi):
     np.testing.assert_allclose(np.array(mzi_block(theta, phi)), mzi_product(theta, phi), rtol=0, atol=1e-15)
 
@@ -539,7 +540,7 @@ def test_run_and_sweep_equal_a_complex_amplitude_oracle_bit_for_bit(k, delta_val
 
 def assert_point_row_is_the_sweep_row_and_runs(config):
     # repr compares every float bit for bit, the sign of a zero included.
-    row = protocol._point_row(config)
+    row = protocol._point(config)[1]
     [(_, _, sweep_row)] = protocol._sweep_rows([config.k], [config.delta], config.bob, config.include_final_block)
     assert repr(row) == repr(sweep_row)
     dist = run(config)[1]
@@ -561,7 +562,7 @@ def test_point_row_at_large_k_and_tiny_delta(bob, final_block):
     for k, delta in itertools.product((512, MAX_CYCLES), (1e-17, 5e-16)):
         assert_point_row_is_the_sweep_row_and_runs(ProtocolConfig(k, delta, bob, final_block))
     with pytest.raises(ValueError) as err:
-        protocol._point_row(ProtocolConfig(MAX_CYCLES + 1, 0.0, bob, final_block))
+        protocol._point(ProtocolConfig(MAX_CYCLES + 1, 0.0, bob, final_block))
     assert str(err.value) == cycle_bound_message(MAX_CYCLES + 1)
 
 
