@@ -23,13 +23,11 @@ __all__ = [
     "PostselectionError",
     "ProtocolConfig",
     "PureState",
-    "Step",
     "SweepRow",
     "TomographyResult",
     "UnitaryOp",
     "alice_reduced_state",
     "amplitude_by_paths",
-    "build_steps",
     "closed_form",
     "compile_program",
     "counterfactuality_report",

@@ -60,8 +60,8 @@ __all__ = [
 
 TWO_PI = 2 * math.pi
 
-ROLE_OUTER = protocol.OUTER_ROTATION
-ROLE_INNER = protocol.INNER_ROTATION
+ROLE_OUTER = "outer_rotation"
+ROLE_INNER = "inner_rotation"
 ROLE_BLOCKER = "blocker"
 ROLE_ROUTER = "router"
 

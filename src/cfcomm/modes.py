@@ -5,9 +5,10 @@ Modes: channel modes A, B, C at slots 0..2, loss modes L1..LK behind them,
 so K alone fixes the basis.  A two-mode operation is a ``Block``, a checked
 2x2 unitary on one pair of slots.  Every trig value is ``math.cos`` or
 ``math.sin``, except cos(pi/2), which ``exact_cos_sin`` makes exactly 0.0.
-Dense M x M matrices (M = K + 3) are built only by ``embed`` and
-``compose_unitary``, both bounded by ``MAX_DENSE_CYCLES``; numpy is imported
-in the functions that build arrays, so the float paths load none.
+Dense M x M matrices (M = K + 3) are built only by ``compose_unitary``,
+bounded by ``MAX_DENSE_CYCLES``; ``apply`` and ``basis_state``, outside
+``__all__``, serve only ``perfbench/workloads.py:steps_probe``.  numpy is
+imported in the functions that build arrays, so the float paths load none.
 ``plain_int`` and ``plain_float`` are the package's one rule for what counts
 as an integer or a real number; every record stores what they return.
 ``check_cycle_count``, ``check_tolerance``, ``check_shots`` and
@@ -274,7 +275,8 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
     """The ``size``-mode unitary of the ``((i, j), block)`` sequence applied
     in order to the identity: float64 for a non-empty sequence of Python
     float entries, complex128 otherwise.  ``ValueError`` past
-    ``MAX_DENSE_CYCLES`` (checked first) or if the product is not unitary.
+    ``MAX_DENSE_CYCLES`` (checked first), for a pair that is not two distinct
+    slots in [0, size), or if the product is not unitary.
 
     The rows are kept in a list, one per slot, and a slot whose row is still
     the untouched identity row e_c holds just c.  A block with an exactly
@@ -285,18 +287,19 @@ def compose_unitary(ops: Iterable[tuple[tuple[int, int], Block]], size: int) -> 
     except that against an e_c each new row is the other row times one
     entry plus the other entry at column c: two vector operations, not six,
     and only the sign of an exact zero can differ.  The dtype is read from
-    every entry before the first row is built.  The rows are stacked at the
-    end.
+    every entry, and each pair checked, before the first row is built.  The
+    rows are stacked at the end.
     """
     import numpy as np
 
     check_dense_size(size)
     ops = list(ops)
     real = bool(ops)  # float64 rows iff there is a block and every entry is a float
-    for _, ((a, b), (c, d)) in ops:
-        if not (isinstance(a, float) and isinstance(b, float) and isinstance(c, float) and isinstance(d, float)):
-            real = False
-            break
+    for (i, j), ((a, b), (c, d)) in ops:
+        if not (0 <= i < size and 0 <= j < size and i != j):
+            raise ValueError(f"a two-mode block needs two distinct slots in [0, {size}), got ({i}, {j})")
+        if real:
+            real = isinstance(a, float) and isinstance(b, float) and isinstance(c, float) and isinstance(d, float)
     rows: list[int | np.ndarray] = list(range(size))  # slot -> its row, or c while it is e_c
     phases = [1.0] * size  # slot -> the phase pending on its row
     for (i, j), ((u00, u01), (u10, u11)) in ops:
@@ -346,19 +349,6 @@ def rotation_block(angle: float) -> Block:
 
 
 SWAP_BLOCK: Block = check_block(((0.0, 1.0), (1.0, 0.0)))
-
-
-def embed(block: Block, i: int, j: int, size: int) -> UnitaryOp:
-    """``block`` on amplitude slots (i, j) of a ``size``-mode space, identity
-    elsewhere; ``ValueError`` if i == j or past ``MAX_DENSE_CYCLES``."""
-    if i == j:
-        raise ValueError(f"a two-mode block needs two distinct slots, got {i} twice")
-    import numpy as np
-
-    check_dense_size(size)
-    mat = np.eye(size, dtype=complex)
-    (mat[i, i], mat[i, j]), (mat[j, i], mat[j, j]) = block
-    return UnitaryOp(mat)
 
 
 def apply(op: UnitaryOp, state: PureState) -> PureState:

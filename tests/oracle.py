@@ -1,5 +1,6 @@
 """The references the tests hold cfcomm to, built from ``ProtocolConfig.step_ops()``
-and numpy, never from ``embed``, ``apply``, ``basis_state``, ``Step`` or ``build_steps``."""
+and numpy, never from the dense step shims ``apply``, ``basis_state``, ``Step`` or
+``build_steps`` that only perfbench's traced probe calls."""
 
 import math
 

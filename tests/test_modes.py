@@ -18,7 +18,6 @@ from cfcomm.modes import (
     basis_state,
     check_block,
     compose_unitary,
-    embed,
     exact_cos_sin,
     plain_float,
     plain_int,
@@ -31,12 +30,17 @@ BASIS5 = ModeBasis(2)
 
 
 def rotation(angle, i, j, size=4):
-    """The dense real rotation |i> -> cos|i> + sin|j> on slots (i, j)."""
-    return embed(rotation_block(angle), i, j, size)
+    """The dense real rotation |i> -> cos|i> + sin|j> on slots (i, j); column c
+    of a dense op is the image of the photon in slot c."""
+    return compose_unitary([((i, j), rotation_block(angle))], size)
 
 
 def swap(i, j, size=4):
-    return embed(SWAP_BLOCK, i, j, size)
+    return compose_unitary([((i, j), SWAP_BLOCK)], size)
+
+
+def distinct_slots_message(i, j, size=4):
+    return f"a two-mode block needs two distinct slots in [0, {size}), got ({i}, {j})"
 
 
 class TestModeBasis:
@@ -177,16 +181,14 @@ class TestBasisState:
 
 class TestRotation:
     def test_quarter_turn_maps_i_to_j(self):
-        state = apply(rotation(math.pi / 2, 0, 1), basis_state(BASIS4, "A"))
-        np.testing.assert_allclose(state.amplitudes, [0, 1, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(rotation(math.pi / 2, 0, 1).matrix[:, 0], [0, 1, 0, 0], atol=1e-15)
 
     def test_zero_angle_is_identity(self):
         np.testing.assert_array_equal(rotation(0.0, 1, 2).matrix, np.eye(4))
 
     def test_pi_over_4_amplitudes(self):
-        state = apply(rotation(math.pi / 4, 1, 2), basis_state(BASIS4, "B"))
         expected = [0.0, 0.7071067811865476, 0.7071067811865476, 0.0]
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(rotation(math.pi / 4, 1, 2).matrix[:, 1], expected, atol=1e-15)
 
     def test_against_explicit_block(self):
         # Oracle: place the explicit 2x2 rotation block by hand.
@@ -203,8 +205,9 @@ class TestRotation:
         assert mat[2, 2] == 0.0
 
     def test_same_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             rotation(0.3, 1, 1)
+        assert str(err.value) == distinct_slots_message(1, 1)
 
 
 class TestExactCosSin:
@@ -223,12 +226,10 @@ class TestExactCosSin:
 
 class TestSwap:
     def test_swaps_the_pair(self):
-        state = apply(swap(2, 3), basis_state(BASIS4, "C"))
-        np.testing.assert_array_equal(state.amplitudes, [0, 0, 0, 1])
+        np.testing.assert_array_equal(swap(2, 3).matrix[:, 2], [0, 0, 0, 1])
 
     def test_leaves_other_modes_alone(self):
-        state = apply(swap(2, 3), basis_state(BASIS4, "A"))
-        np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0])
+        np.testing.assert_array_equal(swap(2, 3).matrix[:, 0], [1, 0, 0, 0])
 
     def test_involution(self):
         x = swap(2, 3).matrix
@@ -242,8 +243,9 @@ class TestSwap:
         assert np.count_nonzero(np.diag(mat)) == BASIS5.size - 2
 
     def test_same_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             swap(2, 2)
+        assert str(err.value) == distinct_slots_message(2, 2)
 
 
 class TestApply:
@@ -316,19 +318,30 @@ class TestComposeUnitary:
         with pytest.raises(ValueError, match=r"at least one mode, got shape \(0, 0\)"):
             compose_unitary([], 0)
 
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (1, 1), (1, 5), (3, 0), (0, 3)])
+    @pytest.mark.parametrize("block", [rotation_block(0.3), SWAP_BLOCK], ids=["rotation", "swap"])
+    def test_bad_pair_rejected(self, pair, block):
+        # Before the check, (-1, 0) composed slots (2, 0), a swap on (1, 1) gave
+        # the identity and (1, 5) raised IndexError.  A complex block first
+        # ends the dtype scan; the pairs after it are still checked.
+        for ops in ([(pair, block)], [((0, 1), ((0j, 1j), (1j, 0j))), (pair, block)]):
+            with pytest.raises(ValueError) as err:
+                compose_unitary(ops, 3)
+            assert str(err.value) == distinct_slots_message(*pair, size=3)
+
 
 class TestModeProbabilities:
     """Born-rule readout p_i = |a_i|^2 of the stored amplitudes."""
 
     def test_basis_state(self):
-        np.testing.assert_array_equal(np.abs(basis_state(BASIS4, "A").amplitudes) ** 2, [1, 0, 0, 0])
+        np.testing.assert_array_equal(np.abs(PureState([1.0, 0.0, 0.0, 0.0], BASIS4).amplitudes) ** 2, [1, 0, 0, 0])
 
     def test_modulus_squared(self):
         state = PureState([0.6, 0.8j, 0.0, 0.0], BASIS4)
         np.testing.assert_allclose(np.abs(state.amplitudes) ** 2, [0.36, 0.64, 0, 0], atol=1e-15)
 
     def test_balanced_rotation(self):
-        state = apply(rotation(math.pi / 4, 1, 2), basis_state(BASIS4, "B"))
+        state = PureState(rotation(math.pi / 4, 1, 2).matrix[:, 1], BASIS4)
         probs = np.abs(state.amplitudes) ** 2
         np.testing.assert_allclose([probs[1], probs[2]], [0.5, 0.5], atol=1e-15)
 
@@ -398,7 +411,7 @@ class TestValidation:
             check_block(((entries[0], entries[1]), (entries[2], entries[3])))
 
     def test_values_are_frozen(self):
-        state = basis_state(BASIS4, "A")
+        state = PureState([1.0, 0.0, 0.0, 0.0], BASIS4)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
@@ -425,12 +438,12 @@ class TestProperties:
         rng = np.random.default_rng(99)
         for _ in range(100):
             raw = rng.normal(size=BASIS5.size) + 1j * rng.normal(size=BASIS5.size)
-            state = PureState(raw / np.linalg.norm(raw), BASIS5)
+            amps = raw / np.linalg.norm(raw)
             for _ in range(rng.integers(1, 51)):
                 i, j = rng.choice(BASIS5.size, size=2, replace=False)
                 if rng.random() < 0.5:
-                    op = rotation(rng.uniform(0, 2 * math.pi), i, j, BASIS5.size)
+                    block = rotation_block(rng.uniform(0, 2 * math.pi))
                 else:
-                    op = swap(i, j, BASIS5.size)
-                state = apply(op, state)
-            assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+                    block = SWAP_BLOCK
+                apply_blocks([((i, j), block)], amps)
+            assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12

@@ -27,8 +27,8 @@ from cfcomm.protocol import (
     splitter,
     sweep,
 )
-from cfcomm.modes import MAX_DENSE_CYCLES, SWAP_BLOCK, ModeBasis, PureState, rotation_block
-from oracle import cycle_bound_message
+from cfcomm.modes import MAX_DENSE_CYCLES, SWAP_BLOCK, ModeBasis, PureState, apply, basis_state, rotation_block
+from oracle import cycle_bound_message, dense_cap_message
 
 # Frozen oracle values (evaluated from the defining trig expressions).
 SIN_SQ_01 = 0.009966711079379185   # sin(0.1)^2
@@ -49,9 +49,10 @@ class TestDenseCap:
             evolution_unitary(ProtocolConfig(100000, 0.0, BLOCK))
 
     def test_step_op_above_the_cap(self):
-        step = Step("bob_interaction", (2, 3), SWAP_BLOCK, 100003)
-        with pytest.raises(ValueError, match=f"K <= {MAX_DENSE_CYCLES}"):
+        step = Step((2, 3), SWAP_BLOCK, 100003)
+        with pytest.raises(ValueError) as err:
             step.op
+        assert str(err.value) == dense_cap_message(100000)
 
 
 @pytest.fixture
@@ -353,17 +354,32 @@ class TestStepOps:
     def test_build_steps_are_the_cached_ops(self, k, bob, final):
         config = ProtocolConfig(k, 0.3, bob, final)
         bob_block = None if bob == PASS else SWAP_BLOCK if bob == BLOCK else rotation_block(bob.beta)
-        want = [("outer_rotation", (0, 1), rotation_block(config.phi))]
+        want = [((0, 1), rotation_block(config.phi))]
         for n in range(1, k + 1):
-            want.append(("inner_rotation", (1, 2), rotation_block(config.theta)))
+            want.append(((1, 2), rotation_block(config.theta)))
             if bob_block is not None and (n < k or final):
-                want.append(("bob_interaction", (2, 2 + n), bob_block))
+                want.append(((2, 2 + n), bob_block))
+        assert list(config.step_ops()) == want
         steps = build_steps(config)
-        assert [(step.kind, step.pair, step.block) for step in steps] == want
-        assert [(step.pair, step.block) for step in steps] == list(config.step_ops())
+        assert [(step.pair, step.block) for step in steps] == want
         assert {step.size for step in steps} == {k + 3}
-        assert len({id(step) for step in steps if step.kind == "inner_rotation"}) == 1
+        assert len({id(step) for step in steps if step.pair == (1, 2)}) == 1
         assert build_steps(config) == steps
+
+    @pytest.mark.parametrize("bob", [BLOCK, PASS, splitter(0.7)], ids=["block", "pass", "split"])
+    @pytest.mark.parametrize("k", [4, 64])
+    def test_what_the_traced_probe_reads(self, k, bob):
+        # perfbench/workloads.py:steps_probe builds the steps, checks each
+        # distinct step matrix once (told apart by id) and replays them from |A>.
+        config = ProtocolConfig(k, 0.3, bob, True)
+        steps = build_steps(config)
+        bob_steps = 0 if bob == PASS else k
+        assert len(steps) == 1 + k + bob_steps
+        assert len({id(step.op.matrix) for step in steps}) == 1 + 1 + bob_steps  # the K inner rotations are one
+        state = basis_state(config.mode_basis(), "A")
+        for step in steps:
+            state = apply(step.op, state)
+        np.testing.assert_allclose(state.amplitudes, run(config)[0].amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bob", [BLOCK, PASS, splitter(0.7)])
     def test_reading_each_step_op_leaves_the_cache_plain(self, bob):
@@ -392,57 +408,64 @@ class TestStepOps:
         assert not cached_ops(config)
 
 
+def pairs(config):
+    return [pair for pair, _ in config.step_ops()]
+
+
 class TestBuildSteps:
+    """The step sequence ``step_ops()`` builds: (0, 1) the outer rotation,
+    (1, 2) an inner rotation, (2, 2 + n) a Bob step; and the ``Step`` record."""
+
     def test_fields(self):
-        assert [f.name for f in dataclasses.fields(Step)] == ["kind", "pair", "block", "size"]
+        assert [f.name for f in dataclasses.fields(Step)] == ["pair", "block", "size"]
 
     def test_step_is_frozen(self):
-        step = Step("inner_rotation", (1, 2), SWAP_BLOCK, 5)
-        for name in ("kind", "pair", "block", "size"):
+        step = Step((1, 2), SWAP_BLOCK, 5)
+        for name in ("pair", "block", "size"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(step, name, None)
-        assert (step.kind, step.pair, step.block, step.size) == ("inner_rotation", (1, 2), SWAP_BLOCK, 5)
+        assert (step.pair, step.block, step.size) == ((1, 2), SWAP_BLOCK, 5)
 
     def test_step_equality_and_hash_by_field(self):
-        step = Step("bob_interaction", (2, 3), SWAP_BLOCK, 5)
-        twin = Step(kind="bob_interaction", pair=(2, 3), block=SWAP_BLOCK, size=5)
+        step = Step((2, 3), SWAP_BLOCK, 5)
+        twin = Step(pair=(2, 3), block=SWAP_BLOCK, size=5)
         assert step == twin and hash(step) == hash(twin)
         assert repr(step) == repr(twin)
         step.op  # the cached matrix is not a field
         assert step == twin and hash(step) == hash(twin)
-        assert step != Step("bob_interaction", (2, 4), SWAP_BLOCK, 5)
-        assert step != Step("bob_interaction", (2, 3), SWAP_BLOCK, 6)
+        assert step != Step((2, 4), SWAP_BLOCK, 5)
+        assert step != Step((2, 3), SWAP_BLOCK, 6)
         assert len({step, twin, build_steps(ProtocolConfig(2, 0.0, BLOCK))[2]}) == 1
 
     def test_k1_block_has_no_swap(self):
-        kinds = [s.kind for s in build_steps(ProtocolConfig(1, 0.0, BLOCK))]
-        assert kinds == ["outer_rotation", "inner_rotation"]
+        assert pairs(ProtocolConfig(1, 0.0, BLOCK)) == [(0, 1), (1, 2)]
 
     def test_k3_pass_is_rotations_only(self):
-        steps = build_steps(ProtocolConfig(3, 0.1, PASS))
-        assert [s.kind for s in steps] == ["outer_rotation"] + ["inner_rotation"] * 3
-        for step in steps[1:]:
-            assert step.op.matrix[1, 1] == pytest.approx(math.cos(math.pi / 6), abs=1e-15)
+        ops = ProtocolConfig(3, 0.1, PASS).step_ops()
+        assert [pair for pair, _ in ops] == [(0, 1)] + [(1, 2)] * 3
+        for _, ((u00, _), _) in ops[1:]:
+            assert u00 == pytest.approx(math.cos(math.pi / 6), abs=1e-15)
 
     def test_k2_block_sequence(self):
-        steps = build_steps(ProtocolConfig(2, 0.0, BLOCK))
-        assert [(s.kind, s.pair, s.size) for s in steps] == [
-            ("outer_rotation", (0, 1), 5),
-            ("inner_rotation", (1, 2), 5),
-            ("bob_interaction", (2, 3), 5),
-            ("inner_rotation", (1, 2), 5),
+        config = ProtocolConfig(2, 0.0, BLOCK)
+        inner = rotation_block(math.pi / 4)
+        assert list(config.step_ops()) == [
+            ((0, 1), rotation_block(math.pi / 2)),
+            ((1, 2), inner),
+            ((2, 3), SWAP_BLOCK),
+            ((1, 2), inner),
         ]
+        assert config.mode_basis().size == 5
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_step_counts(self, k):
-        assert len(build_steps(ProtocolConfig(k, 0.1, PASS))) == 1 + k
-        assert len(build_steps(ProtocolConfig(k, 0.1, BLOCK))) == 1 + k + (k - 1)
-        assert len(build_steps(ProtocolConfig(k, 0.1, BLOCK, include_final_block=True))) == 1 + 2 * k
-        assert len(build_steps(ProtocolConfig(k, 0.1, splitter(0.5)))) == 1 + k + (k - 1)
+        assert len(ProtocolConfig(k, 0.1, PASS).step_ops()) == 1 + k
+        assert len(ProtocolConfig(k, 0.1, BLOCK).step_ops()) == 1 + k + (k - 1)
+        assert len(ProtocolConfig(k, 0.1, BLOCK, include_final_block=True).step_ops()) == 1 + 2 * k
+        assert len(ProtocolConfig(k, 0.1, splitter(0.5)).step_ops()) == 1 + k + (k - 1)
 
     def test_fresh_loss_mode_per_cycle(self):
-        steps = build_steps(ProtocolConfig(4, 0.0, BLOCK, include_final_block=True))
-        bob_pairs = [s.pair for s in steps if s.kind == "bob_interaction"]
+        bob_pairs = [pair for pair in pairs(ProtocolConfig(4, 0.0, BLOCK, include_final_block=True)) if pair[0] == 2]
         assert bob_pairs == [(2, 3), (2, 4), (2, 5), (2, 6)]
 
 

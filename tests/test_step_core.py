@@ -56,8 +56,6 @@ from cfcomm.modes import (
 )
 from cfcomm.protocol import (
     BLOCK,
-    BOB_INTERACTION,
-    INNER_ROTATION,
     MAX_CYCLES,
     PASS,
     ProtocolConfig,
@@ -207,7 +205,7 @@ def test_step_op_is_the_embedded_block():
 @pytest.mark.parametrize("bob", [BLOCK, PASS, splitter(0.4)], ids=["block", "pass", "split"])
 def test_inner_rotations_are_one_step(k, bob):
     steps = build_steps(ProtocolConfig(k, 0.2, bob, True))
-    inner = [step for step in steps if step.kind == INNER_ROTATION]
+    inner = [step for step in steps if step.pair == (1, 2)]
     assert len(inner) == k
     assert all(step is inner[0] for step in inner)
     assert inner[0].op is inner[0].op
@@ -225,7 +223,7 @@ def test_compiled_mesh_lowers_every_step(config):
     program = compile_program(config)
     report = verify(mesh_unitary(program), config, tol=1e-9)
     assert report.equivalent, report.detail
-    bob_steps = sum(step.kind == BOB_INTERACTION for step in build_steps(config))
+    bob_steps = sum(pair[0] == 2 for pair, _ in config.step_ops())
     # One blocker per Bob step, two routers moving B and C on after each but
     # the last, and 2(B-1) routers walking them home.
     expected = 1 + config.k + (5 * bob_steps - 4 if bob_steps else 0)
