@@ -2,8 +2,9 @@
 counterfactuality check (Vaidman, PRA 87, 052104, 2013).
 
 ``enumerate_histories`` costs about 2^K with a splitter and is bounded by
-``MAX_ENUMERATION_CYCLES``; ``counterfactuality_report`` costs O(K) and is
-bounded by ``protocol.MAX_CYCLES``.
+``MAX_ENUMERATION_CYCLES``.  ``counterfactuality_report`` is bounded by
+``protocol.MAX_CYCLES``; it costs O(K) on a config's first non-A report, which
+the config then keeps, and O(1) after: every outcome of one config in O(K).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .modes import NORM_TOL, Block, apply_blocks
-from .protocol import ProtocolConfig, _inner_evolution
+from .protocol import ProtocolConfig, _inner_evolution, _kept
 
 __all__ = [
     "MAX_ENUMERATION_CYCLES",
@@ -107,34 +108,47 @@ def amplitude_by_paths(histories: list[History], outcome: str) -> complex:
     return complex(sum(h.amplitude for h in histories if h.path[-1] == outcome))
 
 
+@_kept
+def _path_counts(config: ProtocolConfig) -> tuple[float, tuple[int, ...]]:
+    """B's never-C amplitude, and per slot the C-visiting paths from B, both
+    over the inner ops: the part of the report that depends on the config
+    alone, kept by it.  The counts are an ``apply_blocks`` pass from B on exact
+    integers, each block's nonzero pattern as bools, pruned on exact zeros as
+    in ``enumerate_histories``.  A photon that never enters C stays in B,
+    through sin(phi) and then the inner block's cos(theta) once per inner
+    rotation: one path, none if cos(theta) is 0, and no never-C path ends in
+    C or a loss mode."""
+    ops = config.step_ops()
+    counts = [0, 1] + [0] * (config.mode_basis().size - 2)  # the one path into B
+    # A bool counts as 0 or 1; a float zero is the cheaper compare for float entries.
+    pattern = ((pair, ((a != 0.0, b != 0.0), (c != 0.0, d != 0.0))) for pair, ((a, b), (c, d)) in ops[1:])
+    apply_blocks(pattern, counts)
+    s_phi = ops[0][1][1][0]
+    c_theta = ops[1][1][0][0]  # math.prod multiplies from 1 in step order, as the evolution rounds
+    counts[1] -= c_theta != 0
+    return s_phi * math.prod([c_theta] * config.k), tuple(counts)
+
+
 def counterfactuality_report(config: ProtocolConfig, outcome: str) -> CounterfactualityReport:
     """Split the amplitude and the paths reaching the mode labelled
     ``outcome`` by whether they visit C.  The total amplitude is ``run``'s.
     Outcome A needs no pass: its one path, through the outer block's cos(phi),
-    never visits C, and no inner op touches A.  Any other outcome's path count
-    is an ``apply_blocks`` pass from B over the inner ops on exact integers,
-    each block's nonzero pattern as bools, pruned on exact zeros as in
-    ``enumerate_histories``; sin(phi) > 0, so each path from B is one from A.
-    Its never-C paths are read from the ops in closed form: a photon that
-    never enters C stays in B, through sin(phi) and then the inner block's
-    cos(theta) once per inner rotation.  ``ValueError`` for an unknown label
-    or K past ``protocol.MAX_CYCLES``."""
-    basis = config.mode_basis()
-    slot = basis.index(outcome)  # rejects unknown labels first
+    never visits C, and no inner op touches A.  Any other outcome reads the
+    config's inner evolution and ``_path_counts``; sin(phi) > 0, so each path
+    from B is one from A.  The first non-A report of a config builds both in
+    O(K), and the config keeps them; every later outcome costs O(1).  At
+    K = 4096 with a splitter and the final block, the config then holds about
+    2.1 MB in all, most of it path counts up to 4,095 bits long.  ``ValueError`` for an unknown label or K past
+    ``protocol.MAX_CYCLES``."""
+    slot = config.mode_basis().index(outcome)  # rejects unknown labels first
     ops = config.step_ops()  # checks the K bound before anything is built
     (c_phi, _), (s_phi, _) = ops[0][1]
     total, never, c_visiting_paths = c_phi, c_phi, 0  # outcome A
     if slot:
         total = s_phi * _inner_evolution(config)[slot]  # as run forms it
-        counts = [0, 1] + [0] * (basis.size - 2)  # the one path into B
-        # A bool counts as 0 or 1; a float zero is the cheaper compare for float entries.
-        pattern = ((pair, ((a != 0.0, b != 0.0), (c != 0.0, d != 0.0))) for pair, ((a, b), (c, d)) in ops[1:])
-        apply_blocks(pattern, counts)
-        never, never_paths = 0.0, 0  # no never-C path ends in C or a loss mode
-        if slot == 1:
-            c_theta = ops[1][1][0][0]  # math.prod multiplies from 1 in step order, as the evolution rounds
-            never, never_paths = s_phi * math.prod([c_theta] * config.k), c_theta != 0
-        c_visiting_paths = counts[slot] - never_paths
+        never_b, c_visiting = _path_counts(config)
+        never = never_b if slot == 1 else 0.0
+        c_visiting_paths = c_visiting[slot]
     return CounterfactualityReport(
         outcome_mode=outcome,
         total_amplitude=complex(total),

@@ -8,16 +8,19 @@ Bob's interaction on (C, Ln) with a fresh loss mode per cycle.  Detectors:
 D0 on A (bit 0), D1 on B (bit 1), D3 on C (abort and restart).  The O(K)
 paths (``ProtocolConfig.step_ops``, and so ``run`` and ``sweep``) are bounded
 by ``MAX_CYCLES``, the dense ``evolution_unitary`` by
-``modes.MAX_DENSE_CYCLES``.  ``Step`` and ``build_steps``, outside
-``__all__``, serve only ``perfbench/workloads.py:steps_probe``.
+``modes.MAX_DENSE_CYCLES``.  A config keeps what is built from it alone
+(``_kept``): its basis, step ops and inner evolution.  ``Step`` and
+``build_steps``, outside ``__all__``, serve only
+``perfbench/workloads.py:steps_probe``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
+from typing import TypeVar
 
 from .modes import (
     NORM_TOL,
@@ -60,6 +63,33 @@ __all__ = [
 # true error against a 40-digit evolution was at most 1.7e-13 in ``run``'s
 # amplitudes and the mesh column's magnitudes (tests/test_high_precision.py).
 MAX_CYCLES = 4096
+
+# Most probabilities the list ``sweep`` returns may hold: sum(K + 3) over its
+# K values, times its delta count, checked before the first evolution.  By
+# tracemalloc an entry costs about 33 bytes from K = 512 up (a float and its
+# slot in ``p_loss``; 134 KB per point at K = 4096) and 130 bytes at K = 1,
+# where each point's own records dominate: at most about 0.33 GB and 1.3 GB.
+# A single-delta sweep over every K up to MAX_CYCLES holds 8,402,944.
+_MAX_SWEEP_ENTRIES = 10_000_000
+
+_T = TypeVar("_T")
+
+
+def _kept(build: Callable[[ProtocolConfig], _T]) -> Callable[[ProtocolConfig], _T]:
+    """``build(config)`` made once per config: the first call keeps its result
+    in the config's ``__dict__`` under the builder's qualified name, out of
+    the dataclass fields, so ``==``, ``hash`` and ``repr`` never see it; every
+    later call returns that object.  A build that raises keeps nothing."""
+    name = build.__qualname__
+
+    @wraps(build)
+    def kept(config: ProtocolConfig) -> _T:
+        value = config.__dict__.get(name)
+        if value is None:
+            value = config.__dict__.setdefault(name, build(config))
+        return value
+
+    return kept
 
 
 class PostselectionError(ValueError):
@@ -144,10 +174,12 @@ class ProtocolConfig:
         """Inner rotation angle, pi/2K."""
         return math.pi / (2 * self.k)
 
+    @_kept
     def mode_basis(self) -> ModeBasis:
         """The basis for K, built on the first call and kept out of the fields."""
-        return self.__dict__.get("_basis") or self.__dict__.setdefault("_basis", ModeBasis(self.k))
+        return ModeBasis(self.k)
 
+    @_kept
     def step_ops(self) -> tuple[tuple[tuple[int, int], Block], ...]:
         """The temporal step sequence as ``((i, j), block)`` ops of Python
         floats, built on the first call and kept out of the fields.
@@ -159,7 +191,7 @@ class ProtocolConfig:
         the identity and is elided.  K above ``MAX_CYCLES`` raises
         ``ValueError`` before any op is built.
         """
-        return self.__dict__.get("_ops") or self.__dict__.setdefault("_ops", _build_ops(self))
+        return _build_ops(self)
 
 
 @dataclass(frozen=True)
@@ -269,14 +301,17 @@ def build_steps(config: ProtocolConfig) -> tuple[Step, ...]:
     return tuple(inner if op is ops[1] else Step(*op, size) for op in ops)
 
 
-def _inner_evolution(config: ProtocolConfig) -> list[float]:
+@_kept
+def _inner_evolution(config: ProtocolConfig) -> tuple[float, ...]:
     """U_in|B>, the ops after the outer rotation applied to |B> in Python
     floats: the one evolution of amplitudes, which ``_point``, ``_sweep_rows``
-    and the report scale to cos(phi)|A> + sin(phi) U_in|B>; ``ValueError`` past ``MAX_CYCLES``."""
+    and the report scale to cos(phi)|A> + sin(phi) U_in|B>.  O(K) on a
+    config's first call, which keeps the tuple (0.13 MB at K = 4096, beside
+    0.65 MB of step ops), O(1) after; ``ValueError`` past ``MAX_CYCLES``."""
     ops = config.step_ops()  # checks the K bound before anything is built
     amps = [0.0, 1.0] + [0.0] * (config.mode_basis().size - 2)
     apply_blocks(ops[1:], amps)
-    return amps
+    return tuple(amps)
 
 
 def _point(config: ProtocolConfig) -> tuple[list[float], list[float]]:
@@ -356,14 +391,22 @@ def sweep(
 
     delta enters only through the outer A/B rotation by phi = pi/2 - delta,
     and U_in leaves A alone, so the final state is cos(phi)|A> + sin(phi)
-    U_in|B>: one O(K) evolution per K.  ``ValueError`` for any bad K or delta,
-    then an empty iterable, both checked here, or for K past ``MAX_CYCLES``,
-    checked by ``_sweep_rows``; all before the first evolution.
+    U_in|B>: one O(K) evolution per K.  ``ValueError``, in this order and
+    before the first evolution, for any bad K or delta, an empty iterable, K
+    past ``MAX_CYCLES``, or a grid whose rows would hold more than
+    ``_MAX_SWEEP_ENTRIES`` probabilities.
     """
     k_values = [check_cycle_count(k) for k in k_values]
     deltas = [check_delta(delta) for delta in delta_values]
     if not k_values or not deltas:
         raise ValueError("sweep needs at least one K and one delta")
+    _check_cycles(max(k_values))
+    entries = sum(k + 3 for k in k_values) * len(deltas)
+    if entries > _MAX_SWEEP_ENTRIES:
+        raise ValueError(
+            f"sweeps are limited to {_MAX_SWEEP_ENTRIES} probabilities, sum(K + 3) x deltas, "
+            f"got {entries} ({len(k_values)} K values x {len(deltas)} deltas)"
+        )
     rows = _sweep_rows(k_values, deltas, bob, include_final_block)
     return [SweepRow(k, delta, _distribution(row)) for k, delta, row in rows]
 

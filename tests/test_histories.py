@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cfcomm import histories, protocol
 from cfcomm.histories import (
     EnumerationLimitError,
     amplitude_by_paths,
@@ -118,8 +120,10 @@ class TestCounterfactuality:
         assert report.c_visiting_amplitude == pytest.approx(expected, abs=1e-12)
 
     def test_total_matches_direct_evolution(self):
+        # The reports read a config of their own: a config keeps the inner
+        # evolution that run read, and this compares two evolutions.
+        state, _ = run(ProtocolConfig(5, 0.2, splitter(0.9)))
         config = ProtocolConfig(5, 0.2, splitter(0.9))
-        state, _ = run(config)
         for label in config.mode_basis().labels:
             report = counterfactuality_report(config, label)
             assert abs(report.total_amplitude - state.amplitude(label)) <= 1e-10
@@ -143,8 +147,8 @@ class TestCounterfactuality:
     def test_cycle_bound(self):
         # Past the enumeration bound up to MAX_CYCLES, and no further.
         for k in (13, 4096):
-            config = ProtocolConfig(k, 0.1, splitter(0.4), True)
-            state, _ = run(config)
+            state, _ = run(ProtocolConfig(k, 0.1, splitter(0.4), True))
+            config = ProtocolConfig(k, 0.1, splitter(0.4), True)  # its own evolution, not run's
             for label in ("A", "B", "C", f"L{k}"):
                 assert counterfactuality_report(config, label).total_amplitude == state.amplitude(label)
         with pytest.raises(ValueError) as err:
@@ -204,7 +208,72 @@ def test_report_matches_the_four_call_form(case):
 def test_report_total_is_the_run_amplitude_bit_for_bit(bob, final):
     for k in (1, 2, 3, 5, 17, 64, 512, 4096):
         for delta in (0.0, 0.3, 1.2, 1e-17, 1.5707963267948963):
-            config = ProtocolConfig(k, delta, bob, final)
-            state = run(config)[0]
+            state = run(ProtocolConfig(k, delta, bob, final))[0]
+            config = ProtocolConfig(k, delta, bob, final)  # its own evolution, not run's
             for label in ("A", "B", "C", "L1", f"L{k}"):
                 assert repr(counterfactuality_report(config, label).total_amplitude) == repr(state.amplitude(label))
+
+
+def kept_report_cases():
+    for k in (*range(1, 13), 64, 4096):
+        for bob in (BLOCK, PASS, splitter(0.7), splitter(1e-9)):
+            for final in (False, True):
+                config = ProtocolConfig(k, 0.3, bob, final)
+                yield config, config.mode_basis().labels if k <= 12 else ("A", "B", "C", "L1", f"L{k}")
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_kept_reports_are_fresh_reports(order):
+    # One config answers every outcome from what it keeps; a fresh config per
+    # outcome builds everything anew.  repr compares every float bit for bit.
+    for config, labels in kept_report_cases():
+        twin = ProtocolConfig(config.k, config.delta, config.bob, config.include_final_block)
+        for label in labels[::order]:
+            fresh = ProtocolConfig(config.k, config.delta, config.bob, config.include_final_block)
+            assert repr(counterfactuality_report(config, label)) == repr(counterfactuality_report(fresh, label))
+        assert config == twin and twin == config
+        assert hash(config) == hash(twin) and repr(config) == repr(twin)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The module of every ``apply_blocks`` pass that protocol (the inner
+    evolution) and histories (the path counts) run, in order."""
+    calls = []
+
+    def counted(module):
+        def apply_blocks(ops, target):
+            calls.append(module.__name__)
+            original(ops, target)
+
+        original = module.apply_blocks
+        return apply_blocks
+
+    for module in (protocol, histories):
+        monkeypatch.setattr(module, "apply_blocks", counted(module))
+    return calls
+
+
+def test_every_outcome_of_a_config_takes_one_pass_of_each_kind(passes):
+    config = ProtocolConfig(64, 0.3, splitter(0.7))
+    labels = config.mode_basis().labels
+    assert len(labels) == 67
+    for label in labels:
+        counterfactuality_report(config, label)
+    assert passes == ["cfcomm.protocol", "cfcomm.histories"]
+    run(config)
+    assert passes == ["cfcomm.protocol", "cfcomm.histories"]
+
+
+def test_what_a_reported_config_holds_at_the_cycle_bound():
+    # Measured at 2.06 MB: the step ops (0.65 MB), the inner evolution
+    # (0.13 MB) and the path counts, the largest with 4,095 bits.
+    tracemalloc.start()
+    try:
+        config = ProtocolConfig(4096, 0.3, splitter(0.7), True)
+        for label in config.mode_basis().labels:
+            counterfactuality_report(config, label)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2_400_000, held

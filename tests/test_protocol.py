@@ -140,6 +140,26 @@ class TestCycleBound:
             want = closed_form(ProtocolConfig(row.k, row.delta, bob))
             np.testing.assert_allclose(row.distribution.as_array(), want.as_array(), rtol=0, atol=1e-12)
 
+    def test_sweep_bounds_the_entries_it_would_hold_before_evolving(self, monkeypatch):
+        # Every K up to MAX_CYCLES at 16 deltas would hold 134,447,104
+        # probabilities, over 4 GB.  No grid here evolves anything.
+        def evolve(config):
+            raise AssertionError("evolved")
+
+        monkeypatch.setattr(protocol, "_inner_evolution", evolve)
+        with pytest.raises(ValueError) as err:
+            sweep(range(1, MAX_CYCLES + 1), [0.1 * n for n in range(16)], BLOCK)
+        assert str(err.value) == (
+            "sweeps are limited to 10000000 probabilities, sum(K + 3) x deltas, "
+            "got 134447104 (4096 K values x 16 deltas)"
+        )
+        # (4099 + 4099 + 1802) x 1000 is exactly the bound: the sweep goes on to evolve.
+        k_values = [MAX_CYCLES, MAX_CYCLES, 1799]
+        with pytest.raises(AssertionError, match="evolved"):
+            sweep(k_values, [0.001 * n for n in range(1000)], BLOCK)
+        with pytest.raises(ValueError, match="got 10010000 "):
+            sweep(k_values, [0.001 * n for n in range(1001)], BLOCK)
+
     @pytest.mark.parametrize("bad", [math.pi / 2, math.nan, -0.1])
     def test_sweep_rejects_a_late_bad_delta_before_evolving(self, builds, bad):
         with pytest.raises(ValueError, match="delta must"):
